@@ -12,7 +12,12 @@ and the one-point case is the kernel's diagonal restriction.
 Extraction is a bounded tensor contraction: each factor is a finite table of
 exponent pairs; exponent conservation at each point (its two incident factors
 sum to -j-1) threads a transfer chain along the cycle, evaluated by dynamic
-programming over visited subsets.  Correctness of the truncation is certified
+programming over visited subsets.  The dynamic programming runs on Python
+integers: every term (p, q, c) of an edge table is multiplied by D^(-(p+q)),
+with the base D derived from the table's denominators (12 for the Airy
+kernel).  The exponents along a contributing cycle sum to -(sum(j) + n), so
+each cycle term carries the same scale D^(sum(j) + n) and one exact division
+at the end recovers the rational.  Correctness of the truncation is certified
 empirically: every reported coefficient is recomputed with the kernel cutoff
 and window grown by 3 and must reproduce the identical rational.
 
@@ -22,14 +27,19 @@ j_i = 2 m_i + 1 by the double factorials (2 m_i + 1)!!.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Iterable, Iterator
 
-from .errors import InsufficientCutoffError, InvalidKeyError
+from .errors import CrossCheckError, InsufficientCutoffError, InvalidKeyError
 from .multipoly import MONO_ONE, Monomial, MultiPoly, mono_mul
 from .rational import Rat, double_factorial
 
 GROWTH = 3
+
+# Primes tried when factoring edge-table denominators; whatever is left of a
+# denominator after them is folded into the scaling base whole.
+_TRIAL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 def _diagonal_value(kernel, j: int) -> Rat:
@@ -62,38 +72,89 @@ def _edge_table(kernel, window: int, ascending: bool
     return table
 
 
-def _cycle_sum(js: tuple[int, ...], lt_table, gt_table) -> Rat:
+def _scale_base(*tables) -> int:
+    """The base D that turns every term (p, q, c) of the tables into the
+    integer c * D^(-(p+q)).
+
+    Each trial prime enters D to the smallest power that clears its share
+    of every denominator at that term's exponent -(p+q) >= 1; a cofactor
+    left over after the trial primes is folded into D whole.
+    """
+    powers: dict[int, int] = {}
+    cofactor = 1
+    for table in tables:
+        for p, terms in table.items():
+            for q, c in terms:
+                den = c.denominator
+                for prime in _TRIAL_PRIMES:
+                    if den == 1:
+                        break
+                    k = 0
+                    while den % prime == 0:
+                        den //= prime
+                        k += 1
+                    if k:
+                        power = -(-k // -(p + q))
+                        powers[prime] = max(powers.get(prime, 0), power)
+                cofactor = math.lcm(cofactor, den)
+    return cofactor * math.prod(prime ** k for prime, k in powers.items())
+
+
+def _scale_table(table, base: int) -> dict[int, list[tuple[int, int]]]:
+    """The edge table with each term (p, q, c) multiplied by base^(-(p+q)).
+
+    Along a contributing n-cycle the exponents sum to -(sum(js) + n), so the
+    product of the scales is base^(sum(js) + n) for every term of the cycle
+    sum.  Raises CrossCheckError when a scaled term is not an integer.
+    """
+    scaled: dict[int, list[tuple[int, int]]] = {}
+    for p, terms in table.items():
+        row = scaled[p] = []
+        for q, c in terms:
+            value = c * base ** -(p + q)
+            if value.denominator != 1:
+                raise CrossCheckError(
+                    f"edge term ({p}, {q}) = {c} is not integral at scale "
+                    f"{base}^{-(p + q)}")
+            row.append((q, value.numerator))
+    return scaled
+
+
+def _cycle_sum(js: tuple[int, ...], lt_table, gt_table) -> int:
     """Sum over all n-cycles of the transfer-chain contraction, times the
-    cycle sign (-1)^(n-1).  DP over (visited set, last vertex) merges the
-    shared prefixes of the (n-1)! cycles.  Requires n >= 2."""
+    cycle sign (-1)^(n-1), on scaled integer edge tables.  DP over (visited
+    set, last vertex) merges the shared prefixes of the (n-1)! cycles.
+    Requires n >= 2."""
     n = len(js)
     full = (1 << n) - 1
+    # the two exponents meeting at vertex i sum to sums[i]
+    sums = [-j - 1 for j in js]
 
     def table_for(u: int, v: int):
         return lt_table if u < v else gt_table
 
-    total = Rat(0)
+    total = 0
     masks = states_masks(n)
-    for p0, first_terms in list(lt_table.items()):
+    for p0, first_terms in lt_table.items():
         # every first edge (0 -> v) shares the ascending table; seed each
         # second vertex with the same exponent split of the first factor
-        states: dict[tuple[int, int], dict[int, Rat]] = {}
-        for v in range(1, n):
-            bucket = states.setdefault((1 | (1 << v), v), {})
-            for q, c in first_terms:
-                bucket[q] = bucket.get(q, Rat(0)) + c
+        # (shared read-only: the DP only writes to larger visited sets)
+        first: dict[int, int] = {}
+        for q, c in first_terms:
+            first[q] = first.get(q, 0) + c
+        states: dict[tuple[int, int], dict[int, int]] = {
+            (1 | (1 << v), v): first for v in range(1, n)}
+        want = sums[0] - p0
         for mask in masks:
             for last in range(1, n):
-                key = (mask, last)
-                if key not in states:
+                pending = states.get((mask, last))
+                if pending is None:
                     continue
-                pending = states[key]
+                shift = sums[last]
                 if mask == full:
                     closing = table_for(last, 0)
-                    want = -js[0] - 1 - p0
                     for q, acc in pending.items():
-                        p = -js[last] - 1 - q
-                        for q2, c in closing.get(p, ()):
+                        for q2, c in closing.get(shift - q, ()):
                             if q2 == want:
                                 total += acc * c
                     continue
@@ -104,17 +165,14 @@ def _cycle_sum(js: tuple[int, ...], lt_table, gt_table) -> Rat:
                     tab = table_for(last, nxt)
                     bucket = None
                     for q, acc in pending.items():
-                        p = -js[last] - 1 - q
-                        terms = tab.get(p)
+                        terms = tab.get(shift - q)
                         if not terms:
                             continue
                         if bucket is None:
                             bucket = states.setdefault((mask | bit, nxt), {})
                         for q2, c in terms:
-                            bucket[q2] = bucket.get(q2, Rat(0)) + acc * c
-    if n % 2 == 0:
-        total = -total
-    return total
+                            bucket[q2] = bucket.get(q2, 0) + acc * c
+    return -total if n % 2 == 0 else total
 
 
 def states_masks(n: int) -> list[int]:
@@ -155,6 +213,7 @@ class NPointEngine:
 
     ``kernel_factory(cutoff)`` must return a table object exposing
     ``cutoff`` and ``entry(m, n)``; certification rebuilds it at cutoff+3.
+    Edge tables are scaled to integers once per cutoff/window and kept.
     """
 
     def __init__(self, kernel_factory: Callable[[int], object], cutoff: int,
@@ -163,7 +222,7 @@ class NPointEngine:
         self.cutoff = cutoff
         self.certify = certify
         self._kernels: dict[int, object] = {}
-        self._tables: dict[tuple[int, int, bool], dict] = {}
+        self._tables: dict[tuple[int, int], tuple[dict, dict, int]] = {}
         self._cache: dict[tuple[tuple[int, ...], int | None], Rat] = {}
 
     def kernel(self, cutoff: int | None = None):
@@ -172,11 +231,17 @@ class NPointEngine:
             self._kernels[m] = self.factory(m)
         return self._kernels[m]
 
-    def _table(self, cutoff: int, window: int, ascending: bool):
-        key = (cutoff, window, ascending)
+    def _table(self, cutoff: int, window: int):
+        """Ascending and descending edge tables scaled to integers, and
+        their common scaling base."""
+        key = (cutoff, window)
         if key not in self._tables:
-            self._tables[key] = _edge_table(self.kernel(cutoff), window,
-                                            ascending)
+            kernel = self.kernel(cutoff)
+            lt = _edge_table(kernel, window, True)
+            gt = _edge_table(kernel, window, False)
+            base = _scale_base(lt, gt)
+            self._tables[key] = (_scale_table(lt, base),
+                                 _scale_table(gt, base), base)
         return self._tables[key]
 
     def connected_at(self, js: tuple[int, ...], cutoff: int,
@@ -189,8 +254,9 @@ class NPointEngine:
         if len(js) == 1:
             return _diagonal_value(self.kernel(cutoff), js[0])
         w = cutoff + sum(js) + 2 if window is None else window
-        return _cycle_sum(tuple(js), self._table(cutoff, w, True),
-                          self._table(cutoff, w, False))
+        lt, gt, base = self._table(cutoff, w)
+        return Rat(_cycle_sum(tuple(js), lt, gt),
+                   base ** (sum(js) + len(js)))
 
     def connected(self, js: Iterable[int],
                   window: int | None = None) -> Rat:
@@ -280,9 +346,9 @@ def disconnected_coeff(kernel, js: tuple[int, ...],
         total += _diagonal_value(kernel, js[head]) * rec(rest)
         # cycles of length >= 2 through head
         for size in range(1, len(rest) + 1):
-            for combo in _combinations(rest, size):
+            for combo in itertools.combinations(rest, size):
                 others = tuple(x for x in rest if x not in combo)
-                for order in _permutations(combo):
+                for order in itertools.permutations(combo):
                     cycle = (head,) + order
                     sign = Rat((-1) ** (len(cycle) - 1))
                     total += sign * _chain_value(cycle, js, lt, gt) \
@@ -290,24 +356,6 @@ def disconnected_coeff(kernel, js: tuple[int, ...],
         return total
 
     return rec(labels)
-
-
-def _combinations(pool: tuple, size: int) -> Iterator[tuple]:
-    if size == 0:
-        yield ()
-        return
-    for i in range(len(pool) - size + 1):
-        for tail in _combinations(pool[i + 1:], size - 1):
-            yield (pool[i],) + tail
-
-
-def _permutations(pool: tuple) -> Iterator[tuple]:
-    if not pool:
-        yield ()
-        return
-    for i, head in enumerate(pool):
-        for tail in _permutations(pool[:i] + pool[i + 1:]):
-            yield (head,) + tail
 
 
 def disconnected_family(kernel, js: tuple[int, ...],

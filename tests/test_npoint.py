@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from airytau.errors import InsufficientCutoffError, InvalidKeyError
+from airytau.errors import (CrossCheckError, InsufficientCutoffError,
+                            InvalidKeyError)
 from airytau.npoint import (NPointEngine, disconnected_coeff,
                             disconnected_family, free_energy, genus0_check,
                             genus_of, intersection_number, mobius_connect,
@@ -191,6 +192,63 @@ def test_cycle_vs_determinant_random_kernel():
         connected = mobius_connect(family)
         assert connected[frozenset(range(len(js)))] == \
             probe.connected_at(js, 4, window=16), js
+
+
+class _PrimeDenominatorKernel:
+    """Duck-typed table whose denominators carry 5, 7, 11, 7^3 and 17^2
+    (17 lies past the trial primes of the integer scaling)."""
+
+    DENOMINATORS = (1, 5, 7, 11, 7 ** 3, 5 * 11, 2 * 7 ** 2, 17 ** 2)
+
+    def __init__(self, rng: random.Random, cutoff: int):
+        self.cutoff = cutoff
+        self.table = {(m, n): Rat(rng.randint(-6, 6),
+                                  rng.choice(self.DENOMINATORS))
+                      for m in range(cutoff + 1) for n in range(cutoff + 1)
+                      if rng.random() < 0.6}
+
+    def entry(self, m: int, n: int) -> Rat:
+        return self.table.get((m, n), Rat(0))
+
+
+def test_cycle_vs_determinant_prime_denominator_kernels():
+    # the integer cycle sum against the Fraction determinant route, on
+    # tables with no grading rule, at orders of both parities
+    for seed in range(3):
+        kernel = _PrimeDenominatorKernel(random.Random(seed), 4)
+        probe = NPointEngine(lambda m: kernel, 4, certify=False)
+        for js in ((1, 2), (3, 3), (2, 1, 4), (1, 1, 2, 2)):
+            family = disconnected_family(kernel, js, window=16)
+            connected = mobius_connect(family)
+            assert connected[frozenset(range(len(js)))] == \
+                probe.connected_at(js, 4, window=16), (seed, js)
+
+
+def test_scale_table_rejects_too_small_base(engine):
+    from airytau.npoint import _edge_table, _scale_base, _scale_table
+
+    table = _edge_table(engine.kernel(), 30, True)
+    base = _scale_base(table)
+    assert base == 12
+    assert all(isinstance(c, int)
+               for terms in _scale_table(table, base).values()
+               for _, c in terms)
+    for smaller in (base // 2, base // 3):
+        with pytest.raises(CrossCheckError):
+            _scale_table(table, smaller)
+    kernel = _PrimeDenominatorKernel(random.Random(5), 4)
+    table = _edge_table(kernel, 16, False)
+    base = _scale_base(table)
+    assert base % (7 * 17 ** 2) == 0
+    with pytest.raises(CrossCheckError):
+        _scale_table(table, base // 7)
+
+
+def test_engine_matches_dvv_on_every_key_through_weight_15(engine):
+    keys = list(valid_keys(15))
+    assert len(keys) == 42
+    for ms in keys:
+        assert intersection_number(engine, ms) == dvv_correlator(ms), ms
 
 
 def test_truncation_stability(engine):
