@@ -16,6 +16,8 @@ conservatively and prune anything beyond them.
 
 from __future__ import annotations
 
+import math
+
 from .errors import InvalidKeyError
 from .rational import Rat, format_rat
 
@@ -230,7 +232,7 @@ class MultiPoly:
             if power.is_zero():
                 return result
             k += 1
-            result = result + power.scale(Rat(1, _factorial(k)))
+            result = result + power.scale(Rat(1, math.factorial(k)))
 
     def log(self) -> MultiPoly:
         """log(self), requiring constant term 1 and at least one cap."""
@@ -266,10 +268,3 @@ class MultiPoly:
     def subs_zero(self) -> Rat:
         """Evaluate at T = 0."""
         return self.constant
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out

@@ -12,13 +12,21 @@ Reliability bookkeeping rides on the total-weight grading
 TW(cell) = weight(monomial) - exponent: a tau truncation that is complete
 through weight W determines every wave cell with TW <= W exactly, TW adds
 under multiplication, and each derivative shifts it by one.  Every wave
-object carries its TW cap and stores nothing beyond it.
+object carries its TW cap and stores nothing beyond it.  Products truncate
+at the destination cell's cap while they multiply: a monomial pair whose
+weights already exceed it is never multiplied, which gives exactly the
+cells of the full product pruned at the cap.
+
+The matrix checks read the 2x2 bilinear matrix only at T = 0; those four
+series are built once per tau (``TruncatedTau.theta_at_zero``) and shared
+by every one- and two-point query on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from .errors import InsufficientCutoffError, InvalidKeyError
 from .multipoly import (MONO_ONE, Monomial, MultiPoly, mono_mul,
                         mono_weight)
@@ -32,17 +40,25 @@ def _cap_add(cap: int, delta: int) -> int:
     return INF if cap >= INF else cap + delta
 
 
-def _free_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Product with no inherited caps.
+def _capped_mul(p: MultiPoly, q: MultiPoly, cap: int) -> MultiPoly:
+    """p * q keeping only the monomials of weight <= cap (all of them when
+    cap is INF), ignoring the operands' own caps.
 
     Inside the wave layer the honest truncation bound of a product cell is
     set by the destination (exponent-dependent) rule, which can exceed the
-    operands' own weight caps; capping is therefore deferred to the
-    enclosing container's constructor.
+    operands' own weight caps, so the caller passes the destination cell's
+    cap.  Weight adds under products: once a pair's weights exceed the cap
+    no later pair of the weight-sorted right factor can fit, so the result
+    equals the full product pruned at the cap.
     """
+    right = sorted(((mono_weight(m), m, c) for m, c in q.terms.items()),
+                   key=lambda t: t[0])
     out: dict[Monomial, Rat] = {}
     for m1, c1 in p.terms.items():
-        for m2, c2 in q.terms.items():
+        room = cap - mono_weight(m1)
+        for w2, m2, c2 in right:
+            if w2 > room:
+                break
             key = mono_mul(m1, m2)
             out[key] = out.get(key, Rat(0)) + c1 * c2
     return MultiPoly(out)
@@ -73,6 +89,14 @@ class TruncatedTau:
 
     def is_kdv(self) -> bool:
         return all(idx % 2 == 1 for idx in self.poly.indices())
+
+    @cached_property
+    def theta_at_zero(self) -> tuple[tuple[Series1, ...], ...]:
+        """The entries of ``bilinear_matrix(self)`` at T = 0, as series in
+        z; built on first use and kept on this instance.  A failed build
+        (a non-2-reduced tau) raises and caches nothing."""
+        return tuple(tuple(entry.eval_zero("z") for entry in row)
+                     for row in bilinear_matrix(self))
 
 
 def tau_from_free_energy(free_energy: MultiPoly, weight_cap: int,
@@ -196,7 +220,7 @@ class WaveSeries:
         for e1, p1 in self.coeffs.items():
             for e2, p2 in other.coeffs.items():
                 e = e1 + e2
-                prod = _free_mul(p1, p2)
+                prod = _capped_mul(p1, p2, _cap_add(cap, e))
                 out[e] = out[e] + prod if e in out else prod
         return WaveSeries(self.tag + other.tag, out, cap,
                           self.twmin + other.twmin, jcap)
@@ -233,7 +257,9 @@ class WaveSeries:
                 out[key] = out[key] + d if key in out else d
             if self.tag != 0:
                 for n in range(1, self.index_cap + 1, 2):
-                    term = _free_mul(p, MultiPoly.var(n)).scale(n * self.tag)
+                    term = _capped_mul(p, MultiPoly.var(n),
+                                       _cap_add(self.cap, e + n))
+                    term = term.scale(n * self.tag)
                     if term.is_zero():
                         continue
                     key = e + n - 1
@@ -314,7 +340,9 @@ def _sato_quotient(tau: TruncatedTau, shift_dir: int, tag: int) -> WaveSeries:
     shifted = _shift_expansion(tau.poly, shift_dir)
     coeffs: dict[int, MultiPoly] = {}
     for k, bucket in shifted.items():
-        part = MultiPoly(bucket, weight_cap=tau.weight_cap)
+        # the quotient lands in cell xi^(-k), whose TW rule keeps weight
+        # <= weight_cap - k
+        part = MultiPoly(bucket, weight_cap=tau.weight_cap - k)
         quotient = part.mul(inv)
         if not quotient.is_zero():
             coeffs[-k] = quotient
@@ -438,7 +466,7 @@ class ShiftSeries2:
                 key = (a1 + b1, a2 + b2)
                 if cap < INF and key[0] + key[1] > cap:
                     continue
-                prod = _free_mul(p, q)
+                prod = _capped_mul(p, q, _cap_add(cap, -key[0] - key[1]))
                 out[key] = out[key] + prod if key in out else prod
         return ShiftSeries2(out, cap, self.twmin + other.twmin)
 
@@ -573,10 +601,8 @@ def bilinear_matrix(tau: TruncatedTau) -> list[list[WaveSeries]]:
 def matrix_one_point_series(tau: TruncatedTau) -> Series1:
     """w w* - 1 at T = 0: the generating series of the mixed second
     derivatives d^2F/dx dT_n at the origin (read off the top-right entry)."""
-    theta = bilinear_matrix(tau)
-    r = theta[0][1].scale(-1)  # w w*
-    series = r.eval_zero()
-    return series - Series1.const("xi", 1)
+    r = -tau.theta_at_zero[0][1]  # w w*
+    return r.rename("xi") - Series1.const("xi", 1)
 
 
 def matrix_two_point_coeff(tau: TruncatedTau, j: int, k: int) -> Rat:
@@ -587,9 +613,7 @@ def matrix_two_point_coeff(tau: TruncatedTau, j: int, k: int) -> Rat:
     so on these cells the trace form reproduces the second derivatives of
     the free energy directly.
     """
-    theta = bilinear_matrix(tau)
-    entries = [[theta[r][c].eval_zero("z") for c in range(2)]
-               for r in range(2)]
+    entries = tau.theta_at_zero
     orders = [s.order for row in entries for s in row]
     if any(o is not None and o < j + k + 2 for o in orders):
         raise InsufficientCutoffError(

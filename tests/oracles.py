@@ -7,7 +7,9 @@ used to check.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import product
 
 from airytau.partitions import Partition
 
@@ -92,6 +94,67 @@ def standard_tableaux_count(mu: Partition) -> int:
 
     rec(1)
     return count
+
+
+def _mono_product(a, b):
+    merged: dict[int, int] = {}
+    for idx, exp in a + b:
+        merged[idx] = merged.get(idx, 0) + exp
+    return tuple(sorted(merged.items()))
+
+
+def _mono_weight(mono) -> int:
+    return sum(idx * exp for idx, exp in mono)
+
+
+def full_product_pruned(left: dict, right: dict, combine, cell_cap) -> dict:
+    """Product of graded cell dicts ``{key: {monomial: coeff}}``.
+
+    Every pair of cells and every pair of their monomials is multiplied in
+    full; only afterwards are the monomials of weight above
+    ``cell_cap(key)`` dropped (``None`` keeps them all).  ``combine`` maps
+    the two operand keys to the product key.
+    """
+    full: dict = {}
+    for k1, p in left.items():
+        for k2, q in right.items():
+            cell = full.setdefault(combine(k1, k2), {})
+            for m1, c1 in p.items():
+                for m2, c2 in q.items():
+                    m = _mono_product(m1, m2)
+                    cell[m] = cell.get(m, Fraction(0)) + c1 * c2
+    out = {}
+    for key, cell in full.items():
+        cap = cell_cap(key)
+        kept = {m: c for m, c in cell.items()
+                if c != 0 and (cap is None or _mono_weight(m) <= cap)}
+        if kept:
+            out[key] = kept
+    return out
+
+
+def sato_quotient_cells(tau_terms: dict, inverse_terms: dict,
+                        weight_cap: int, direction: int) -> dict:
+    """Cells ``{exponent: {monomial: coeff}}`` of
+    tau(T + direction [1/xi]) / tau(T), by expanding every substitution
+    T_n -> T_n + direction xi^(-n)/n binomially, multiplying each xi^(-k)
+    bucket by 1/tau in full and then keeping the TW <= weight_cap
+    monomials (weight <= weight_cap - k in cell xi^(-k))."""
+    buckets: dict = {}
+    for mono, c in tau_terms.items():
+        # i_t factors of the shift taken from the t-th variable power
+        for picks in product(*(range(exp + 1) for _, exp in mono)):
+            k = sum(idx * i for (idx, _), i in zip(mono, picks))
+            coeff = c
+            rest = []
+            for (idx, exp), i in zip(mono, picks):
+                coeff *= math.comb(exp, i) * Fraction(direction, idx) ** i
+                if i < exp:
+                    rest.append((idx, exp - i))
+            bucket = buckets.setdefault(-k, {})
+            bucket[tuple(rest)] = bucket.get(tuple(rest), Fraction(0)) + coeff
+    return full_product_pruned(buckets, {0: inverse_terms},
+                               lambda e, _: e, lambda e: weight_cap + e)
 
 
 # Reference correlator values from the independent literature on psi-class

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import importlib
+import operator
+import random
+from fractions import Fraction
+
 import pytest
 
 from airytau.airy import slope_series, wave_series
-from airytau.errors import InvalidKeyError
+from airytau.errors import InsufficientCutoffError, InvalidKeyError
 from airytau.multipoly import MultiPoly
 from airytau.npoint import free_energy
 from airytau.rational import Rat
-from airytau.wave import (TruncatedTau, WaveSeries, bilinear_matrix,
+from airytau.wave import (INF, ShiftSeries2, TruncatedTau, WaveSeries,
+                          bilinear_matrix,
                           differential_fay_check, dual_wave,
                           gradient_series, matrix_one_point_series,
                           matrix_two_point_coeff, one_point_expressions,
@@ -15,6 +21,10 @@ from airytau.wave import (TruncatedTau, WaveSeries, bilinear_matrix,
                           shifted_fay_check, tau_from_free_energy,
                           theorem_one_point_check, time_ladder, wave,
                           wave_pairing_check, wronskian)
+from oracles import full_product_pruned, sato_quotient_cells
+
+# the package re-exports the function ``wave``, which shadows the module name
+wave_module = importlib.import_module("airytau.wave")
 
 
 def vacuum_tau(weight=9):
@@ -198,3 +208,155 @@ def test_tau_from_free_energy_invariants(engine):
     assert tau.is_kdv()
     # three-point cube: coefficient of T_1^3 is 1/6
     assert tau.poly.coeff(((1, 3),)) == Rat(1, 6)
+
+
+# ---------------------------------------------------------------------------
+# Products truncate at the TW cap while multiplying: the cells must equal the
+# full product pruned afterwards.
+# ---------------------------------------------------------------------------
+
+def _cells(cells):
+    return {key: dict(poly.terms) for key, poly in cells.items()}
+
+
+def _random_poly(rng):
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        mono = {}
+        for _ in range(rng.randint(0, 3)):
+            idx = rng.choice((1, 2, 3, 5))
+            mono[idx] = mono.get(idx, 0) + rng.randint(1, 2)
+        terms[tuple(sorted(mono.items()))] = Fraction(rng.randint(-9, 9),
+                                                      rng.randint(1, 6))
+    return MultiPoly(terms)
+
+
+def _random_meta(rng):
+    """A TW cap (INF for about 40%, so both factors of some products are
+    uncapped) and a TW floor."""
+    cap = INF if rng.random() < 0.4 else rng.randint(-2, 12)
+    return cap, rng.randint(-4, 4)
+
+
+def _random_wave(rng):
+    cap, twmin = _random_meta(rng)
+    exps = rng.sample(range(-6, 5), rng.randint(1, 5))
+    return WaveSeries(rng.choice((-1, 0, 1)),
+                      {e: _random_poly(rng) for e in exps}, cap, twmin,
+                      rng.choice((1, 3, 5)))
+
+
+def _random_shift(rng):
+    cap, twmin = _random_meta(rng)
+    keys = {(rng.randint(-1, 3), rng.randint(-1, 3))
+            for _ in range(rng.randint(1, 5))}
+    return ShiftSeries2({key: _random_poly(rng) for key in keys}, cap, twmin)
+
+
+def _product_cap(a, b):
+    return min(INF if a.cap >= INF else a.cap + b.twmin,
+               INF if b.cap >= INF else b.cap + a.twmin)
+
+
+def _cell_cap(cap, offset):
+    return None if cap >= INF else cap + offset
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_wave_product_equals_full_product_then_prune(seed):
+    rng = random.Random(seed)
+    a, b = _random_wave(rng), _random_wave(rng)
+    cap = _product_cap(a, b)
+    prod = a * b
+    assert (prod.tag, prod.cap, prod.twmin) == (a.tag + b.tag, cap,
+                                                a.twmin + b.twmin)
+    assert _cells(prod.coeffs) == full_product_pruned(
+        _cells(a.coeffs), _cells(b.coeffs), operator.add,
+        lambda e: _cell_cap(cap, e))
+
+    # dxi multiplies by the prefactor ladder tag * sum n T_n xi^(n-1)
+    termwise = {e - 1: {m: c * e for m, c in p.terms.items()}
+                for e, p in a.coeffs.items() if e != 0}
+    ladder = {n - 1: {((n, 1),): Fraction(n * a.tag)}
+              for n in range(1, a.index_cap + 1, 2)} if a.tag else {}
+    merged = full_product_pruned(_cells(a.coeffs), ladder, operator.add,
+                                 lambda e: None)
+    for e, cell in termwise.items():
+        bucket = merged.setdefault(e, {})
+        for m, c in cell.items():
+            bucket[m] = bucket.get(m, Fraction(0)) + c
+    dcap = INF if a.cap >= INF else a.cap + 1
+    expected = full_product_pruned(merged, {0: {(): Fraction(1)}},
+                                   operator.add, lambda e: _cell_cap(dcap, e))
+    assert _cells(a.dxi().coeffs) == expected
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_shift_product_equals_full_product_then_prune(seed):
+    rng = random.Random(seed)
+    a, b = _random_shift(rng), _random_shift(rng)
+    cap = _product_cap(a, b)
+    prod = a * b
+    assert (prod.cap, prod.twmin) == (cap, a.twmin + b.twmin)
+    assert _cells(prod.cells) == full_product_pruned(
+        _cells(a.cells), _cells(b.cells),
+        lambda x, y: (x[0] + y[0], x[1] + y[1]),
+        lambda key: _cell_cap(cap, -key[0] - key[1]))
+
+
+def test_wave_quotients_match_full_product_oracle(tau12):
+    # weights of the 2-reduced tau are multiples of 3, so the padded cap of
+    # tau12 hides cap errors of up to 2; the unpadded and toy taus do not
+    toy = MultiPoly({((1, 1),): Fraction(1), ((1, 1), (3, 1)): Fraction(1, 2)},
+                    weight_cap=8)
+    taus = (tau12, tau_from_free_energy(tau12.free_energy, 12),
+            TruncatedTau(toy.exp(), toy, 8, 3, "toy"))
+    for tau in taus:
+        inverse = dict(tau.poly.inverse().terms)
+        for build, direction, tag in ((wave, -1, 1), (dual_wave, 1, -1)):
+            w = build(tau)
+            assert (w.tag, w.cap, w.twmin) == (tag, tau.weight_cap, 0)
+            assert _cells(w.coeffs) == sato_quotient_cells(
+                tau.poly.terms, inverse, tau.weight_cap, direction)
+
+
+def test_theta_at_zero_built_once_per_tau(tau9, engine, monkeypatch):
+    builds = []
+    original = wave_module.bilinear_matrix
+
+    def counting(tau):
+        builds.append(tau)
+        return original(tau)
+
+    monkeypatch.setattr(wave_module, "bilinear_matrix", counting)
+
+    def fresh():
+        # tau9 is shared across tests and may already hold its matrix
+        return TruncatedTau(tau9.poly, tau9.free_energy, tau9.weight_cap,
+                            tau9.index_cap, tau9.provenance)
+
+    pairs = ((1, 5), (3, 3), (5, 1))
+    tau = fresh()
+    series = matrix_one_point_series(tau)
+    values = [matrix_two_point_coeff(tau, j, k) for j, k in pairs]
+    assert values == [engine.connected(pair) for pair in pairs]
+    with pytest.raises(InsufficientCutoffError):
+        matrix_two_point_coeff(tau, 1, 7)
+    assert len(builds) == 1 and builds[0] is tau
+
+    twin = fresh()
+    assert twin == tau and twin is not tau
+    assert [matrix_two_point_coeff(twin, j, k) for j, k in pairs] == values
+    assert matrix_one_point_series(twin) == series
+    with pytest.raises(InsufficientCutoffError):
+        matrix_two_point_coeff(twin, 7, 1)
+    assert len(builds) == 2 and builds[1] is twin
+
+    f = MultiPoly.var(2, weight_cap=6)
+    non_kdv = TruncatedTau(f.exp(), f, 6, 6, "even time")
+    for _ in range(2):
+        with pytest.raises(InvalidKeyError):
+            matrix_one_point_series(non_kdv)
+        with pytest.raises(InvalidKeyError):
+            matrix_two_point_coeff(non_kdv, 1, 1)
+    assert len(builds) == 6
