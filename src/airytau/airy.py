@@ -180,7 +180,7 @@ class Kernel:
                 raise CrossCheckError(
                     f"nonzero entry ({m},{n}) off the residue class: "
                     f"{format_rat(value)} [route {route}]")
-            clean[(m, n)] = Rat(value)
+            clean[(m, n)] = value if isinstance(value, Rat) else Rat(value)
         self.table = clean
 
     def entry(self, m: int, n: int) -> Rat:

@@ -30,7 +30,8 @@ class AffineCoords:
 
     def __init__(self, cutoff: int, table: dict[tuple[int, int], Rat]):
         self.cutoff = cutoff
-        self.table = {key: Rat(c) for key, c in table.items() if c != 0}
+        self.table = {key: c if isinstance(c, Rat) else Rat(c)
+                      for key, c in table.items() if c != 0}
 
     def entry(self, n: int, m: int) -> Rat:
         if n < 0 or m < 0 or n > self.cutoff or m > self.cutoff:
@@ -173,22 +174,17 @@ def times_power_sums(weight_cap: int) -> PowerSums:
                      MultiPoly.const(1, weight_cap=weight_cap), weight_cap)
 
 
-def schur_times_polynomial(mu: Partition, weight_cap: int) -> MultiPoly:
-    """s_mu as a polynomial in the time variables (p_k = k T_k)."""
-    spec = times_power_sums(max(weight_cap, mu.weight))
-    route = "h" if mu.length <= (mu.parts[0] if mu.parts else 0) else "e"
-    return schur_at(mu, spec, route=route)
-
-
 def tau_polynomial(coords: AffineCoords, weight_cap: int) -> MultiPoly:
     """The tau-function as a weight-complete polynomial in T_1, T_2, ...
 
     Each Schur polynomial is weight-homogeneous, so summing over partitions
-    of weight <= weight_cap yields the full truncation.
+    of weight <= weight_cap yields the full truncation.  One specialization
+    serves every partition, so its h_k and e_k are generated once.
     """
+    spec = times_power_sums(weight_cap)
     total = MultiPoly.zero(weight_cap=weight_cap)
     for mu, c in tau_schur_coeffs(coords, weight_cap).items():
-        total = total + schur_times_polynomial(mu, weight_cap).scale(c)
+        total = total + schur_at(mu, spec, _spec_route(mu)).scale(c)
     return total
 
 

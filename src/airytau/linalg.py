@@ -2,9 +2,11 @@
 
 Two routines cover every determinant in the package:
 
-* ``det_bareiss`` -- fraction-free Gaussian elimination for scalar
-  (Fraction) matrices; each intermediate division is exact, so denominators
-  never blow up beyond the entries' own.
+* ``det_bareiss`` -- fraction-free Gaussian elimination for rational
+  (Fraction or int) matrices.  Each row is first scaled to integers by the
+  lcm of its denominators, so the elimination runs on Python ints and every
+  intermediate division is an exact ``//``; one division by the product of
+  the row scales at the end recovers the rational determinant.
 * ``det_ring`` -- division-free evaluation for matrices over a commutative
   ring (Laurent polynomials, multivariate polynomials), by dynamic
   programming over column subsets.  Cost O(2**n * n) ring multiplications,
@@ -13,19 +15,27 @@ Two routines cover every determinant in the package:
 
 from __future__ import annotations
 
+import math
+
 from .rational import Rat
 
 
 def det_bareiss(rows: list[list[Rat]]) -> Rat:
-    """Determinant of a square Fraction matrix by Bareiss elimination."""
+    """Determinant of a square rational matrix by integer Bareiss."""
     n = len(rows)
     if n == 0:
         return Rat(1)
-    m = [[Rat(x) for x in row] for row in rows]
+    m = []
+    scale = 1
+    for row in rows:
+        entries = [x if isinstance(x, (int, Rat)) else Rat(x) for x in row]
+        s = math.lcm(*(x.denominator for x in entries))
+        m.append([x.numerator * (s // x.denominator) for x in entries])
+        scale *= s
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
     sign = 1
-    prev = Rat(1)
+    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for r in range(k + 1, n):
@@ -35,13 +45,15 @@ def det_bareiss(rows: list[list[Rat]]) -> Rat:
                     break
             else:
                 return Rat(0)
-        pivot = m[k][k]
+        pivot_row = m[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) / prev
-            m[i][k] = Rat(0)
+            row = m[i]
+            f = row[k]
+            row[k + 1:] = [(x * pivot - f * y) // prev
+                           for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return Rat(sign * m[n - 1][n - 1], scale)
 
 
 def det_ring(rows: list[list], zero, one):

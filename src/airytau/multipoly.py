@@ -83,7 +83,7 @@ class MultiPoly:
             for mono, c in terms.items():
                 if c == 0 or not self._within(mono):
                     continue
-                clean[mono] = Rat(c)
+                clean[mono] = c if isinstance(c, Rat) else Rat(c)
         self.terms = clean
 
     def _within(self, mono: Monomial) -> bool:

@@ -21,9 +21,13 @@ from .series import Laurent2
 
 
 class PowerSums:
-    """A power-sum specialization p_1..p_K with the ring's 0 and 1."""
+    """A power-sum specialization p_1..p_K with the ring's 0 and 1.
 
-    __slots__ = ("values", "zero", "one", "bound")
+    The generators h_k and e_k are kept once computed and extended on
+    demand, so every partition evaluated at one specialization shares them.
+    """
+
+    __slots__ = ("values", "zero", "one", "bound", "_hs", "_es")
 
     def __init__(self, values: dict[int, object], zero, one,
                  bound: int | None = None):
@@ -32,6 +36,8 @@ class PowerSums:
         self.one = one
         self.bound = bound if bound is not None else (
             max(values) if values else 0)
+        self._hs = [one]
+        self._es = [one]
 
     @classmethod
     def rational(cls, values: dict[int, Rat], bound: int | None = None
@@ -47,24 +53,24 @@ class PowerSums:
 
     def complete_homogeneous(self, kmax: int) -> list:
         """h_0..h_kmax via k*h_k = sum_{i=1..k} p_i h_(k-i)."""
-        hs = [self.one]
-        for k in range(1, kmax + 1):
+        hs = self._hs
+        for k in range(len(hs), kmax + 1):
             acc = self.zero
             for i in range(1, k + 1):
                 acc = acc + self.p(i) * hs[k - i]
             hs.append(acc * Rat(1, k))
-        return hs
+        return hs[:kmax + 1]
 
     def elementary(self, kmax: int) -> list:
         """e_0..e_kmax via k*e_k = sum_{i=1..k} (-1)^(i-1) p_i e_(k-i)."""
-        es = [self.one]
-        for k in range(1, kmax + 1):
+        es = self._es
+        for k in range(len(es), kmax + 1):
             acc = self.zero
             for i in range(1, k + 1):
                 term = self.p(i) * es[k - i]
                 acc = acc + (term if i % 2 == 1 else -term)
             es.append(acc * Rat(1, k))
-        return es
+        return es[:kmax + 1]
 
 
 def _jacobi_trudi_det(gens: list, mu: Partition, zero, one):

@@ -54,7 +54,7 @@ class Series1:
                     continue
                 if order is not None and e < -order:
                     continue  # below the reliable window: not representable
-                clean[e] = Rat(c)
+                clean[e] = c if isinstance(c, Rat) else Rat(c)
         self.var = var
         self.coeffs = clean
         self.order = order
@@ -249,13 +249,16 @@ def _mul_order(na: int | None, ta: int | None, nb: int | None,
 
 
 def _zero_mul_order(a: Series1, b: Series1) -> int | None:
-    # 0 * (possibly truncated) stays unknown below the partner's window only
-    # if the zero itself is truncated; an exact zero annihilates everything.
+    # An exact zero annihilates everything.  A truncated zero is unknown
+    # below its window, and against a nonzero partner those unknown terms
+    # land against the partner's top exponent, as in _mul_order.
     if a.is_zero() and a.order is None:
         return None
     if b.is_zero() and b.order is None:
         return None
-    return _min_order(a.order, b.order)
+    if a.is_zero() and b.is_zero():
+        return _min_order(a.order, b.order)
+    return _mul_order(a.order, a.top, b.order, b.top)
 
 
 class Laurent2:
@@ -270,7 +273,7 @@ class Laurent2:
         if coeffs:
             for key, c in coeffs.items():
                 if c != 0:
-                    clean[key] = Rat(c)
+                    clean[key] = c if isinstance(c, Rat) else Rat(c)
         self.coeffs = clean
 
     @classmethod
@@ -337,14 +340,18 @@ class Laurent2:
 
     def mul(self, other: Laurent2, xmin: int | None = None,
             ymin: int | None = None) -> Laurent2:
-        """Product, optionally discarding cells below (xmin, ymin)."""
+        """Product, optionally discarding cells below (xmin, ymin); with
+        ``xmin`` each row stops at the first x-exponent below the window."""
         self._check(other)
+        right = other.coeffs.items()
+        if xmin is not None:
+            right = sorted(right, key=lambda item: -item[0][0])
         out: dict[tuple[int, int], Rat] = {}
         for (x1, y1), c1 in self.coeffs.items():
-            for (x2, y2), c2 in other.coeffs.items():
+            for (x2, y2), c2 in right:
                 ex, ey = x1 + x2, y1 + y2
                 if xmin is not None and ex < xmin:
-                    continue
+                    break
                 if ymin is not None and ey < ymin:
                     continue
                 key = (ex, ey)

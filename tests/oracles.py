@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from airytau.partitions import Partition
 
@@ -22,6 +22,21 @@ def convolve(a: dict[int, Fraction], b: dict[int, Fraction]
         for e2, c2 in b.items():
             out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
     return {e: c for e, c in out.items() if c != 0}
+
+
+def det_leibniz(rows: list[list]) -> Fraction:
+    """Determinant by the permutation expansion, sign from the inversion
+    count: sum over sigma of sgn(sigma) * prod_i rows[i][sigma(i)]."""
+    n = len(rows)
+    total = Fraction(0)
+    for sigma in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if sigma[i] > sigma[j])
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term *= rows[i][sigma[i]]
+        total += term
+    return total
 
 
 def ssyt_weights(mu: Partition, nvars: int) -> list[tuple[int, ...]]:

@@ -1,0 +1,37 @@
+"""Golden CLI outputs: stdout, stderr and exit code, byte for byte.
+
+Each case's expected streams live in ``tests/golden/<name>.out`` and
+``<name>.err``.  They were recorded with ``python -m airytau.cli <argv>``;
+regenerate them the same way only when an output change is intended.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from airytau.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    ("kernel_check_all", ["kernel", "--cutoff", "12", "--check-all"], 0),
+    ("tau_schur_w9", ["tau", "--basis", "schur", "--weight", "9"], 0),
+    ("tau_monomial_w11_json",
+     ["tau", "--basis", "monomial", "--weight", "11", "--format", "json"], 0),
+    ("verify_schur_json", ["verify", "--suite", "schur", "--format", "json"],
+     0),
+    ("verify_sato_json", ["verify", "--suite", "sato", "--format", "json"],
+     0),
+    ("npoint_exit3", ["npoint", "--orders", "3,9", "--cutoff", "8"], 3),
+]
+
+
+@pytest.mark.parametrize("name,argv,code", CASES,
+                         ids=[case[0] for case in CASES])
+def test_cli_output_matches_golden(name, argv, code, capsys):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / f"{name}.out").read_text()
+    assert captured.err == (GOLDEN / f"{name}.err").read_text()

@@ -121,3 +121,51 @@ def test_minus_spec_values_are_laurent():
     spec = minus_spec(4)
     p2 = spec.p(2)
     assert p2.coeff(0, -2) == 1 and p2.coeff(-2, 0) == -1
+
+
+def _rational_spec(seed, bound):
+    rng = random.Random(seed)
+    return PowerSums.rational({k: Rat(rng.randint(-5, 5), rng.randint(1, 4))
+                               for k in range(1, bound + 1)})
+
+
+def test_generators_are_cached_and_returned_as_copies():
+    spec = _rational_spec(31, 9)
+    for kmax in (3, 9, 5):
+        fresh = _rational_spec(31, 9)
+        assert spec.complete_homogeneous(kmax) == \
+            fresh.complete_homogeneous(kmax)
+        assert spec.elementary(kmax) == fresh.elementary(kmax)
+        assert len(spec.complete_homogeneous(kmax)) == kmax + 1
+    # lists reaching the end of the cache and lists short of it
+    for kmax in (9, 6):
+        hs = spec.complete_homogeneous(kmax)
+        es = spec.elementary(kmax)
+        expected_h, expected_e = list(hs), list(es)
+        hs[2] = Rat(999)
+        hs.append(Rat(7))
+        es.clear()
+        assert spec.complete_homogeneous(kmax) == expected_h
+        assert spec.elementary(kmax) == expected_e
+        assert spec.complete_homogeneous(9) == \
+            _rational_spec(31, 9).complete_homogeneous(9)
+        assert spec.elementary(9) == _rational_spec(31, 9).elementary(9)
+
+
+def test_generators_past_bound_still_raise():
+    spec = _rational_spec(37, 4)
+    expected = spec.complete_homogeneous(4)
+    with pytest.raises(InsufficientCutoffError):
+        spec.complete_homogeneous(5)
+    with pytest.raises(InsufficientCutoffError):
+        spec.elementary(6)
+    assert spec.complete_homogeneous(4) == expected
+    assert spec.elementary(4) == _rational_spec(37, 4).elementary(4)
+
+
+def test_shared_spec_matches_fresh_spec_per_partition():
+    spec = _rational_spec(41, 8)
+    for mu in partitions_up_to(8):
+        for route in ("h", "e"):
+            assert schur_at(mu, spec, route) == \
+                schur_at(mu, _rational_spec(41, 8), route), (mu, route)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,20 @@ def test_empty_series_sentinel():
     assert zero.coeff(-999) == 0
 
 
+def test_truncated_zero_product_window_follows_partner_top():
+    # the unknown terms of a truncated zero below z^-3 meet the partner's
+    # top exponent, so against z^1 only exponents >= -2 are exact
+    truncated_zero = s({}, 3)
+    assert (truncated_zero * s({1: 1})).order == 2
+    assert (s({1: 1}, 5) * truncated_zero).order == 2
+    assert (truncated_zero * s({-2: 1}, 4)).order == 5
+    assert (truncated_zero * s({}, 6)).order == 3
+    assert (truncated_zero * Series1.zero("z")).order is None
+    # the distributive law on the example that exposed the old window
+    a, b = s({1: 1}, 3), s({-4: 1}, 4)
+    assert (a * (b + truncated_zero)).agrees_with(a * b + a * truncated_zero)
+
+
 def test_laurent2_outer_and_mul():
     fx = s({0: 1, -1: 2}, var="x")
     gy = s({1: 1, -2: -1}, var="y")
@@ -153,3 +168,32 @@ def test_geometric_expansions():
     for (ex, ey), c in product.coeffs.items():
         if ey <= 4:
             assert ((ex, ey) == (0, 0)) == (c == 1)
+
+
+def _random_laurent2(rng, terms):
+    coeffs = {}
+    for _ in range(terms):
+        key = (rng.randint(-6, 6), rng.randint(-6, 6))
+        coeffs[key] = Rat(rng.randint(-5, 5), rng.randint(1, 4))
+    return Laurent2(("x", "y"), coeffs)
+
+
+def test_laurent2_windowed_mul_equals_full_product_restricted():
+    rng = random.Random(23)
+    for _ in range(200):
+        a = _random_laurent2(rng, rng.randint(0, 12))
+        b = _random_laurent2(rng, rng.randint(0, 12))
+        xmin = rng.choice([None, rng.randint(-10, 6)])
+        ymin = rng.choice([None, rng.randint(-10, 6)])
+        windowed = a.mul(b, xmin=xmin, ymin=ymin)
+        assert windowed == a.mul(b).restrict(xmin=xmin, ymin=ymin)
+    # the unwindowed product itself against a schoolbook product
+    for _ in range(50):
+        a = _random_laurent2(rng, rng.randint(0, 12))
+        b = _random_laurent2(rng, rng.randint(0, 12))
+        full: dict = {}
+        for (x1, y1), c1 in a.coeffs.items():
+            for (x2, y2), c2 in b.coeffs.items():
+                key = (x1 + x2, y1 + y2)
+                full[key] = full.get(key, Fraction(0)) + c1 * c2
+        assert a.mul(b).coeffs == {k: c for k, c in full.items() if c != 0}
