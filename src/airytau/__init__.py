@@ -7,8 +7,8 @@ expansions) and a KP wave-function layer used for independent verification.
 All arithmetic is exact rational; nothing here ever touches floating point.
 """
 
-from .airy import (Kernel, build_kernel, cached_kernel, check_all_routes,
-                   closed_entry, faber_zagier_identity_check, kernel_closed,
+from .airy import (Kernel, build_kernel, check_all_routes, closed_entry,
+                   faber_zagier_identity_check, kernel_closed,
                    kernel_diagonal, kernel_frame, kernel_gmatrix,
                    kernel_series, slope_series, wave_series)
 from .errors import (AirytauError, CrossCheckError, InsufficientCutoffError,

@@ -27,7 +27,6 @@ convention; the closed-form route applies to the standard convention only.
 from __future__ import annotations
 
 import math
-import os
 
 from .errors import CrossCheckError, InsufficientCutoffError, InvalidKeyError
 from .rational import Rat, double_factorial, format_rat, parse_rat
@@ -512,11 +511,8 @@ def airy_d_check(order: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# CSV dump and the optional on-disk cache.
+# CSV dump.
 # ---------------------------------------------------------------------------
-
-CACHE_ENV = "WK_KERNEL_CACHE"
-
 
 def kernel_to_csv(kernel: Kernel) -> str:
     lines = ["m,n,value"]
@@ -535,25 +531,3 @@ def kernel_from_csv(text: str, cutoff: int, route: str = "cache",
         m_text, n_text, value_text = line.split(",")
         table[(int(m_text), int(n_text))] = parse_rat(value_text)
     return Kernel(cutoff, table, route, convention)
-
-
-def cached_kernel(cutoff: int, convention: str = STANDARD,
-                  cache_dir: str | None = None) -> Kernel:
-    """Closed-route kernel memoized as CSV under the cache directory
-    (argument or $WK_KERNEL_CACHE); content-addressed by cutoff and
-    convention.  Falls back to a fresh build when no cache is configured."""
-    directory = cache_dir or os.environ.get(CACHE_ENV)
-    builder = (kernel_closed if convention == STANDARD
-               else lambda m: kernel_series(m, convention=convention))
-    if not directory:
-        return builder(cutoff)
-    path = os.path.join(directory, f"kernel-M{cutoff}-{convention}.csv")
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            return kernel_from_csv(handle.read(), cutoff,
-                                   convention=convention)
-    kernel = builder(cutoff)
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(kernel_to_csv(kernel))
-    return kernel

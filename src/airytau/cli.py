@@ -13,9 +13,9 @@ import argparse
 import json
 import sys
 
-from .airy import (ALTERNATING, STANDARD, cached_kernel, check_all_routes,
-                   kernel_diagonal, kernel_to_csv, required_order,
-                   slope_series, wave_series)
+from .airy import (ALTERNATING, STANDARD, build_kernel, check_all_routes,
+                   kernel_closed, kernel_diagonal, kernel_to_csv,
+                   required_order, slope_series, wave_series)
 from .errors import AirytauError, InvalidKeyError
 from .grassmann import AdmissibleFrame, tau_schur_coeffs
 from .npoint import NPointEngine, free_energy, genus_of, intersection_number
@@ -54,8 +54,7 @@ def _load_config(path: str | None) -> dict[str, str]:
     return values
 
 
-_CONFIG_KEYS = ("cutoff", "order", "degree", "vars", "format", "out",
-                "weight")
+_CONFIG_KEYS = ("cutoff", "order", "format", "out", "weight")
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -102,7 +101,7 @@ def cmd_correlator(args: argparse.Namespace) -> int:
             continue
         js = tuple(2 * m + 1 for m in ms)
         cutoff = _int_or(args.cutoff, max(12, sum(js) + 1))
-        engine = NPointEngine(lambda m: cached_kernel(m), cutoff)
+        engine = NPointEngine(kernel_closed, cutoff)
         value = intersection_number(engine, ms)
         records.append({"indices": list(ms), "genus": genus,
                         "value": format_rat(value), "cutoff": cutoff,
@@ -136,7 +135,7 @@ def cmd_npoint(args: argparse.Namespace) -> int:
     if any(j < 1 for j in js):
         raise InvalidKeyError("orders must be >= 1")
     cutoff = _int_or(args.cutoff, max(12, sum(js) + 1))
-    engine = NPointEngine(lambda m: cached_kernel(m), cutoff)
+    engine = NPointEngine(kernel_closed, cutoff)
     value = engine.connected(js)
     record = {"orders": list(js), "value": format_rat(value),
               "cutoff": cutoff}
@@ -162,7 +161,8 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         kernel = check_all_routes(cutoff, convention)
         note = f"all routes agree at cutoff {cutoff} ({convention})\n"
     else:
-        kernel = cached_kernel(cutoff, convention)
+        kernel = (build_kernel(cutoff, "series", ALTERNATING)
+                  if args.alternating else kernel_closed(cutoff))
         note = ""
     fmt = args.format or "csv"
     if fmt == "json":
@@ -215,7 +215,7 @@ def cmd_tau(args: argparse.Namespace) -> int:
                   "coordinate_cutoff": cutoff, "entries": rows}
     else:
         cutoff = _int_or(args.cutoff, max(12, weight + 1))
-        engine = NPointEngine(lambda m: cached_kernel(m), cutoff)
+        engine = NPointEngine(kernel_closed, cutoff)
         f = free_energy(engine, weight)
         tau = tau_from_free_energy(f, padded_weight_cap(weight))
         from .multipoly import mono_str, mono_weight
@@ -277,10 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="kernel cutoff")
         p.add_argument("--order", type=int, default=None,
                        help="series truncation order")
-        p.add_argument("--degree", type=int, default=None,
-                       help="polynomial degree cap")
-        p.add_argument("--vars", type=int, default=None,
-                       help="time-variable index cap")
         p.add_argument("--weight", type=int, default=None,
                        help="total-weight cap")
 

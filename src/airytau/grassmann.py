@@ -181,11 +181,17 @@ def tau_polynomial(coords: AffineCoords, weight_cap: int) -> MultiPoly:
     of weight <= weight_cap yields the full truncation.  One specialization
     serves every partition, so its h_k and e_k are generated once.
     """
-    spec = times_power_sums(weight_cap)
-    total = MultiPoly.zero(weight_cap=weight_cap)
-    for mu, c in tau_schur_coeffs(coords, weight_cap).items():
-        total = total + schur_at(mu, spec, _spec_route(mu)).scale(c)
-    return total
+    return _schur_sum(coords, weight_cap, times_power_sums(weight_cap),
+                      MultiPoly.zero(weight_cap=weight_cap))
+
+
+def _schur_sum(coords: AffineCoords, weight_cap: int, spec: PowerSums,
+               zero: MultiPoly | Laurent2):
+    """sum_mu c_mu s_mu(spec) over the Schur expansion of tau through
+    weight_cap, starting from ``zero``."""
+    return sum((schur_at(mu, spec, _spec_route(mu)).scale(c)
+                for mu, c in tau_schur_coeffs(coords, weight_cap).items()),
+               zero)
 
 
 # ---------------------------------------------------------------------------
@@ -205,21 +211,15 @@ def tau_minus_two_point(coords: AffineCoords, weight_cap: int,
     Only the empty partition and hooks survive the specialization; the full
     sum is taken anyway so the vanishing is exercised, not assumed.
     """
-    spec = minus_spec(weight_cap, vars)
-    total = Laurent2.const(vars, 0)
-    for mu, c in tau_schur_coeffs(coords, weight_cap).items():
-        total = total + schur_at(mu, spec, route=_spec_route(mu)).scale(c)
-    return total
+    return _schur_sum(coords, weight_cap, minus_spec(weight_cap, vars),
+                      Laurent2.const(vars, 0))
 
 
 def tau_plus_two_point(coords: AffineCoords, weight_cap: int,
                        vars: tuple[str, str] = ("x", "y")) -> Laurent2:
     """Evaluate the Schur expansion at p_k = x^(-k) + y^(-k)."""
-    spec = plus_spec(weight_cap, vars)
-    total = Laurent2.const(vars, 0)
-    for mu, c in tau_schur_coeffs(coords, weight_cap).items():
-        total = total + schur_at(mu, spec, route=_spec_route(mu)).scale(c)
-    return total
+    return _schur_sum(coords, weight_cap, plus_spec(weight_cap, vars),
+                      Laurent2.const(vars, 0))
 
 
 def kernel_pairing_form(coords: AffineCoords, depth: int,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidKeyError
-from .rational import Rat, format_rat
+from .rational import Rat, format_rat, min_bound
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -58,14 +58,6 @@ def mono_str(mono: Monomial) -> str:
         return "1"
     return "*".join(f"T{idx}" if exp == 1 else f"T{idx}^{exp}"
                     for idx, exp in mono)
-
-
-def _cap_min(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 
 class MultiPoly:
@@ -108,8 +100,8 @@ class MultiPoly:
         return cls({mono_var(index): Rat(1)}, degree_cap, weight_cap)
 
     def with_caps(self, degree_cap=None, weight_cap=None) -> MultiPoly:
-        return MultiPoly(self.terms, _cap_min(self.degree_cap, degree_cap),
-                         _cap_min(self.weight_cap, weight_cap))
+        return MultiPoly(self.terms, min_bound(self.degree_cap, degree_cap),
+                         min_bound(self.weight_cap, weight_cap))
 
     # -- inspection --------------------------------------------------------
 
@@ -125,12 +117,6 @@ class MultiPoly:
 
     def indices(self) -> set[int]:
         return {idx for mono in self.terms for idx, _ in mono}
-
-    def min_weight(self) -> int | None:
-        """Smallest monomial weight present, None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return min(mono_weight(m) for m in self.terms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MultiPoly) and self.terms == other.terms
@@ -150,8 +136,8 @@ class MultiPoly:
     # -- arithmetic --------------------------------------------------------
 
     def _caps_with(self, other: MultiPoly) -> tuple[int | None, int | None]:
-        return (_cap_min(self.degree_cap, other.degree_cap),
-                _cap_min(self.weight_cap, other.weight_cap))
+        return (min_bound(self.degree_cap, other.degree_cap),
+                min_bound(self.weight_cap, other.weight_cap))
 
     def __add__(self, other: MultiPoly) -> MultiPoly:
         dcap, wcap = self._caps_with(other)
@@ -264,7 +250,3 @@ class MultiPoly:
             if power.is_zero():
                 return result
             result = result + power
-
-    def subs_zero(self) -> Rat:
-        """Evaluate at T = 0."""
-        return self.constant

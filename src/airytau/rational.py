@@ -36,6 +36,15 @@ def parse_rat(text: str) -> Rat:
         raise InvalidKeyError(f"not a rational: {text!r}") from exc
 
 
+def min_bound(a: int | None, b: int | None) -> int | None:
+    """The smaller of two truncation bounds, None meaning unbounded."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
 def double_factorial(n: int) -> int:
     """(2k+1)!! style double factorial with (-1)!! = 1 and 0!! = 1."""
     if n < -1:

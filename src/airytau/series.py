@@ -23,15 +23,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import InvalidKeyError, WindowError
-from .rational import Rat, format_rat, parse_rat
-
-
-def _min_order(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+from .rational import Rat, format_rat, min_bound, parse_rat
 
 
 class Series1:
@@ -118,7 +110,7 @@ class Series1:
         ``through=K`` additionally demands that the shared window reach down
         to exponent -K.
         """
-        n = _min_order(self.order, other.order)
+        n = min_bound(self.order, other.order)
         if through is not None:
             if n is not None and n < through:
                 return False
@@ -140,7 +132,7 @@ class Series1:
 
     def __add__(self, other: Series1) -> Series1:
         self._check_var(other)
-        n = _min_order(self.order, other.order)
+        n = min_bound(self.order, other.order)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, Rat(0)) + c
@@ -245,7 +237,7 @@ def _mul_order(na: int | None, ta: int | None, nb: int | None,
     """
     ca = None if (na is None or tb is None) else na - tb
     cb = None if (nb is None or ta is None) else nb - ta
-    return _min_order(ca, cb)
+    return min_bound(ca, cb)
 
 
 def _zero_mul_order(a: Series1, b: Series1) -> int | None:
@@ -257,7 +249,7 @@ def _zero_mul_order(a: Series1, b: Series1) -> int | None:
     if b.is_zero() and b.order is None:
         return None
     if a.is_zero() and b.is_zero():
-        return _min_order(a.order, b.order)
+        return min_bound(a.order, b.order)
     return _mul_order(a.order, a.top, b.order, b.top)
 
 

@@ -2,20 +2,26 @@
 differential Fay identity, and the 2x2 matrix cross-check for the
 2-reduced (KdV) case.
 
-A wave series is exp(tag * sum T_n xi^n) times a Laurent series in xi whose
-coefficients are polynomials in the time variables.  The exponential
-prefactor is only ever tracked symbolically (tags add under products, and
-x- and xi-derivatives act on it by the product rule); expanding it would
-create unbounded positive powers of xi.
+Everything here comes from one operation, the Miwa shift
+T_n -> T_n + sign * s^n / n (``shifted_tau``).  The wave function is
+exp(sum T_n xi^n) tau(T - [1/xi]) / tau(T) with s = 1/xi, and the Fay
+identities compare products of tau(T +- [s1] +- [s2]).  Both live in one
+graded container, ``WaveSeries``: polynomial cells in the time variables
+keyed by shift depths (k_1, ..., k_r), the coefficient of
+s_1^k_1 ... s_r^k_r.  A wave series has one shift variable and also carries
+the exponential prefactor exp(tag * sum T_n xi^n), which is only ever
+tracked symbolically (tags add under products, and x- and
+xi-derivatives act on it by the product rule); expanding it would create
+unbounded positive powers of xi.
 
 Reliability bookkeeping rides on the total-weight grading
-TW(cell) = weight(monomial) - exponent: a tau truncation that is complete
-through weight W determines every wave cell with TW <= W exactly, TW adds
-under multiplication, and each derivative shifts it by one.  Every wave
-object carries its TW cap and stores nothing beyond it.  Products truncate
-at the destination cell's cap while they multiply: a monomial pair whose
-weights already exceed it is never multiplied, which gives exactly the
-cells of the full product pruned at the cap.
+TW(cell) = weight(monomial) + sum(depths): a tau truncation that is complete
+through weight W determines every cell with TW <= W exactly, TW adds under
+multiplication, and each derivative shifts it by one.  Every object carries
+its TW cap and stores nothing beyond it.  Products truncate at the
+destination cell's cap while they multiply: a monomial pair whose weights
+already exceed it is never multiplied, which gives exactly the cells of the
+full product pruned at the cap.
 
 The matrix checks read the 2x2 bilinear matrix only at T = 0; those four
 series are built once per tau (``TruncatedTau.theta_at_zero``) and shared
@@ -158,132 +164,144 @@ def _small_multisets(cap: int):
 
 
 # ---------------------------------------------------------------------------
-# Wave series.
+# Graded cells and the Miwa shift.
 # ---------------------------------------------------------------------------
 
+Key = tuple[int, ...]
+
+
+def _accumulate(out: dict[Key, MultiPoly], key: Key, poly: MultiPoly) -> None:
+    out[key] = out[key] + poly if key in out else poly
+
+
 class WaveSeries:
-    """Prefactor tag, xi-coefficient polynomials, and the TW cap."""
+    """Polynomial cells in T keyed by shift depths (k_1, ..., k_r), read as
+    the coefficient of s_1^k_1 ... s_r^k_r, with the TW cap and floor.
 
-    __slots__ = ("tag", "coeffs", "cap", "twmin", "index_cap")
+    TW(cell) = weight(monomial) + sum(key).  A wave series has one shift
+    variable s = 1/xi (depth k is the xi^(-k) cell) and carries the
+    exponential prefactor exp(tag * sum T_n xi^n); a shift expansion of tau
+    has tag 0.
+    """
 
-    def __init__(self, tag: int, coeffs: dict[int, MultiPoly], cap: int,
+    __slots__ = ("tag", "cells", "cap", "twmin", "index_cap")
+
+    def __init__(self, tag: int, cells: dict[Key, MultiPoly], cap: int,
                  twmin: int, index_cap: int):
         self.tag = tag
         self.cap = cap
         self.twmin = twmin
         self.index_cap = index_cap
-        clean: dict[int, MultiPoly] = {}
-        for e, poly in coeffs.items():
+        clean: dict[Key, MultiPoly] = {}
+        for key, poly in cells.items():
             kept = poly if cap >= INF else poly.with_caps(
-                weight_cap=cap + e)
+                weight_cap=cap - sum(key))
             if not kept.is_zero():
-                clean[e] = kept
-        self.coeffs = clean
+                clean[key] = kept
+        self.cells = clean
 
     @classmethod
     def const(cls, value, index_cap: int) -> WaveSeries:
         poly = MultiPoly.const(value)
-        return cls(0, {0: poly} if value != 0 else {}, INF, 0, index_cap)
-
-    def cells(self):
-        for e in sorted(self.coeffs, reverse=True):
-            for mono, c in self.coeffs[e].terms.items():
-                yield e, mono, c
-
-    def _merge_meta(self, other: WaveSeries) -> tuple[int, int, int]:
-        return (min(self.cap, other.cap), min(self.twmin, other.twmin),
-                min(self.index_cap, other.index_cap))
+        return cls(0, {(0,): poly} if value != 0 else {}, INF, 0, index_cap)
 
     def __add__(self, other: WaveSeries) -> WaveSeries:
         if self.tag != other.tag:
             raise InvalidKeyError(
                 f"cannot add prefactor tags {self.tag} and {other.tag}")
-        cap, twmin, jcap = self._merge_meta(other)
-        out = {e: p for e, p in self.coeffs.items()}
-        for e, p in other.coeffs.items():
-            out[e] = out[e] + p if e in out else p
-        return WaveSeries(self.tag, out, cap, twmin, jcap)
+        out = dict(self.cells)
+        for key, poly in other.cells.items():
+            _accumulate(out, key, poly)
+        return WaveSeries(self.tag, out, min(self.cap, other.cap),
+                          min(self.twmin, other.twmin),
+                          min(self.index_cap, other.index_cap))
 
     def __sub__(self, other: WaveSeries) -> WaveSeries:
         return self + other.scale(-1)
 
     def scale(self, factor) -> WaveSeries:
         return WaveSeries(self.tag,
-                          {e: p.scale(factor) for e, p in self.coeffs.items()},
+                          {k: p.scale(factor) for k, p in self.cells.items()},
                           self.cap, self.twmin, self.index_cap)
 
     def __mul__(self, other: WaveSeries) -> WaveSeries:
         cap = min(_cap_add(self.cap, other.twmin),
                   _cap_add(other.cap, self.twmin))
-        jcap = min(self.index_cap, other.index_cap)
-        out: dict[int, MultiPoly] = {}
-        for e1, p1 in self.coeffs.items():
-            for e2, p2 in other.coeffs.items():
-                e = e1 + e2
-                prod = _capped_mul(p1, p2, _cap_add(cap, e))
-                out[e] = out[e] + prod if e in out else prod
+        out: dict[Key, MultiPoly] = {}
+        for k1, p in self.cells.items():
+            for k2, q in other.cells.items():
+                key = tuple(a + b for a, b in zip(k1, k2))
+                room = _cap_add(cap, -sum(key))
+                if room >= 0:
+                    _accumulate(out, key, _capped_mul(p, q, room))
         return WaveSeries(self.tag + other.tag, out, cap,
-                          self.twmin + other.twmin, jcap)
+                          self.twmin + other.twmin,
+                          min(self.index_cap, other.index_cap))
 
-    def shift_exp(self, k: int) -> WaveSeries:
-        """Multiply by xi**k."""
+    def shift(self, *deltas: int) -> WaveSeries:
+        """Multiply by s_1^d_1 ... s_r^d_r; on a wave series shift(-k)
+        multiplies by xi^k."""
+        total = sum(deltas)
         return WaveSeries(self.tag,
-                          {e + k: p for e, p in self.coeffs.items()},
-                          _cap_add(self.cap, -k), self.twmin - k,
+                          {tuple(k + d for k, d in zip(key, deltas)): p
+                           for key, p in self.cells.items()},
+                          _cap_add(self.cap, total), self.twmin + total,
                           self.index_cap)
 
     def dx(self) -> WaveSeries:
-        """d/dx with x identified with T_1, acting on the prefactor too."""
-        out: dict[int, MultiPoly] = {}
-        for e, p in self.coeffs.items():
-            d = MultiPoly({m: c for m, c in p.deriv(1).terms.items()})
+        """d/dx with x identified with T_1, acting on the prefactor too
+        (tag * xi lowers the first depth by one)."""
+        out: dict[Key, MultiPoly] = {}
+        for key, p in self.cells.items():
+            d = MultiPoly(p.deriv(1).terms)
             if not d.is_zero():
-                out[e] = out[e] + d if e in out else d
+                _accumulate(out, key, d)
             if self.tag != 0:
-                shifted = MultiPoly(p.terms).scale(self.tag)
-                key = e + 1
-                out[key] = out[key] + shifted if key in out else shifted
+                _accumulate(out, (key[0] - 1,) + key[1:],
+                            MultiPoly(p.terms).scale(self.tag))
         return WaveSeries(self.tag, out, _cap_add(self.cap, -1),
                           self.twmin - 1, self.index_cap)
 
     def dxi(self) -> WaveSeries:
-        """d/dxi: term-wise on exponents plus the prefactor divergence
-        tag * sum n T_n xi^(n-1) (odd n up to the index cap)."""
-        out: dict[int, MultiPoly] = {}
-        for e, p in self.coeffs.items():
-            if e != 0:
-                d = MultiPoly(p.terms).scale(e)
-                key = e - 1
-                out[key] = out[key] + d if key in out else d
+        """d/dxi of a wave series: term-wise on xi^(-k) plus the prefactor
+        divergence tag * sum n T_n xi^(n-1) (odd n up to the index cap)."""
+        out: dict[Key, MultiPoly] = {}
+        for (k,), p in self.cells.items():
+            if k != 0:
+                _accumulate(out, (k + 1,), MultiPoly(p.terms).scale(-k))
             if self.tag != 0:
                 for n in range(1, self.index_cap + 1, 2):
                     term = _capped_mul(p, MultiPoly.var(n),
-                                       _cap_add(self.cap, e + n))
-                    term = term.scale(n * self.tag)
-                    if term.is_zero():
-                        continue
-                    key = e + n - 1
-                    out[key] = out[key] + term if key in out else term
+                                       _cap_add(self.cap, n - k))
+                    if not term.is_zero():
+                        _accumulate(out, (k - n + 1,),
+                                    term.scale(n * self.tag))
         return WaveSeries(self.tag, out, _cap_add(self.cap, 1),
                           self.twmin + 1, self.index_cap)
 
     def eval_zero(self, var: str = "xi") -> Series1:
-        """Set all T to zero; the reliability order equals the TW cap."""
-        coeffs = {e: p.constant for e, p in self.coeffs.items()}
+        """Set all T to zero in a wave series; the reliability order equals
+        the TW cap."""
+        coeffs = {-k: p.constant for (k,), p in self.cells.items()}
         order = None if self.cap >= INF else self.cap
         return Series1(var, coeffs, order)
 
-    def agrees_with(self, other: WaveSeries) -> bool:
+    def agrees_with(self, other: WaveSeries,
+                    depth: Key | None = None) -> bool:
+        """Equal tags and equal cells within both TW caps, skipping keys
+        deeper than ``depth`` in any shift variable."""
         if self.tag != other.tag:
             return False
         cap = min(self.cap, other.cap)
-        exps = set(self.coeffs) | set(other.coeffs)
         zero = MultiPoly.zero()
-        for e in exps:
-            p = self.coeffs.get(e, zero)
-            q = other.coeffs.get(e, zero)
+        for key in set(self.cells) | set(other.cells):
+            if depth is not None and any(k > d for k, d in zip(key, depth)):
+                continue
+            p = self.cells.get(key, zero)
+            q = other.cells.get(key, zero)
+            room = cap - sum(key)
             for mono in set(p.terms) | set(q.terms):
-                if mono_weight(mono) - e > cap:
+                if mono_weight(mono) > room:
                     continue
                 if p.terms.get(mono, Rat(0)) != q.terms.get(mono, Rat(0)):
                     return False
@@ -292,38 +310,45 @@ class WaveSeries:
     def __repr__(self) -> str:
         head = {1: "exp(+S)*", -1: "exp(-S)*", 0: ""}.get(
             self.tag, f"exp({self.tag}S)*")
-        bits = [f"xi^{e}*[{p!r}]" for e, p in sorted(self.coeffs.items(),
-                                                     reverse=True)]
+        bits = [f"s^{key}*[{p!r}]" for key, p in sorted(self.cells.items())]
         return head + (" + ".join(bits) or "0") + f"  [TW<={self.cap}]"
+
+
+def shifted_tau(tau: TruncatedTau, signs: Key) -> WaveSeries:
+    """tau(T + sign_1 [s_1] + ... + sign_r [s_r]), the Miwa shift
+    T_n -> T_n + sum_v sign_v s_v^n / n expanded in the shift variables; a
+    sign of 0 omits that shift."""
+    origin = (0,) * len(signs)
+    out: dict[Key, dict[Monomial, Rat]] = {}
+    for mono, c in tau.poly.terms.items():
+        parts: list[tuple[Key, Monomial, Rat]] = [(origin, MONO_ONE, c)]
+        for idx, e in mono:
+            # (T_idx + sum_v sign_v s_v^idx / idx)^e, one variable at a time:
+            # (key, power left on T_idx, coefficient)
+            factor: list[tuple[Key, int, Rat]] = [(origin, e, Rat(1))]
+            for v, sign in enumerate(signs):
+                if sign == 0:
+                    continue
+                step = Rat(sign, idx)
+                factor = [(key[:v] + (key[v] + idx * i,) + key[v + 1:],
+                           left - i, cf * math.comb(left, i) * step ** i)
+                          for key, left, cf in factor
+                          for i in range(left + 1)]
+            parts = [(tuple(a + b for a, b in zip(k0, key)),
+                      m0 if left == 0 else mono_mul(m0, ((idx, left),)),
+                      c0 * cf)
+                     for k0, m0, c0 in parts for key, left, cf in factor]
+        for key, m, cf in parts:
+            bucket = out.setdefault(key, {})
+            bucket[m] = bucket.get(m, Rat(0)) + cf
+    cells = {key: MultiPoly(bucket, weight_cap=tau.weight_cap)
+             for key, bucket in out.items()}
+    return WaveSeries(0, cells, tau.weight_cap, 0, tau.index_cap)
 
 
 # ---------------------------------------------------------------------------
 # Sato quotients.
 # ---------------------------------------------------------------------------
-
-def _shift_expansion(poly: MultiPoly, direction: int
-                     ) -> dict[int, dict[Monomial, Rat]]:
-    """Coefficients of xi^(-k) of poly(T + direction * [1/xi]), i.e. after
-    T_n -> T_n + direction * xi^(-n)/n."""
-    out: dict[int, dict[Monomial, Rat]] = {}
-    for mono, c in poly.terms.items():
-        parts: list[tuple[int, Monomial, Rat]] = [(0, MONO_ONE, Rat(1))]
-        for idx, e in mono:
-            step = Rat(direction, idx)
-            new: list[tuple[int, Monomial, Rat]] = []
-            for k0, m0, c0 in parts:
-                power = Rat(1)
-                for i in range(e + 1):
-                    cc = c0 * math.comb(e, i) * power
-                    mm = m0 if i == e else mono_mul(m0, ((idx, e - i),))
-                    new.append((k0 + idx * i, mm, cc))
-                    power *= step
-            parts = new
-        for k, m, cc in parts:
-            bucket = out.setdefault(k, {})
-            bucket[m] = bucket.get(m, Rat(0)) + cc * c
-    return out
-
 
 def wave(tau: TruncatedTau) -> WaveSeries:
     """exp(sum T_n xi^n) * tau(T - [1/xi]) / tau(T)."""
@@ -336,17 +361,10 @@ def dual_wave(tau: TruncatedTau) -> WaveSeries:
 
 
 def _sato_quotient(tau: TruncatedTau, shift_dir: int, tag: int) -> WaveSeries:
-    inv = tau.poly.inverse()
-    shifted = _shift_expansion(tau.poly, shift_dir)
-    coeffs: dict[int, MultiPoly] = {}
-    for k, bucket in shifted.items():
-        # the quotient lands in cell xi^(-k), whose TW rule keeps weight
-        # <= weight_cap - k
-        part = MultiPoly(bucket, weight_cap=tau.weight_cap - k)
-        quotient = part.mul(inv)
-        if not quotient.is_zero():
-            coeffs[-k] = quotient
-    return WaveSeries(tag, coeffs, tau.weight_cap, 0, tau.index_cap)
+    """The shift expansion with s = 1/xi times exp(tag * S) / tau(T)."""
+    inverse = WaveSeries(tag, {(0,): tau.poly.inverse()}, tau.weight_cap, 0,
+                         tau.index_cap)
+    return shifted_tau(tau, (shift_dir,)) * inverse
 
 
 def wronskian(p: WaveSeries, q: WaveSeries) -> WaveSeries:
@@ -360,12 +378,9 @@ def wronskian(p: WaveSeries, q: WaveSeries) -> WaveSeries:
 
 def gradient_series(tau: TruncatedTau) -> WaveSeries:
     """sum_n xi^(-n-1) dF/dT_n as a prefactor-free wave object."""
-    coeffs: dict[int, MultiPoly] = {}
-    for n in range(1, tau.index_cap + 1):
-        d = tau.free_energy.deriv(n)
-        if not d.is_zero():
-            coeffs[-n - 1] = d
-    return WaveSeries(0, coeffs, tau.weight_cap + 1, 0, tau.index_cap)
+    cells = {(n + 1,): tau.free_energy.deriv(n)
+             for n in range(1, tau.index_cap + 1)}
+    return WaveSeries(0, cells, tau.weight_cap + 1, 0, tau.index_cap)
 
 
 def time_ladder(tau: TruncatedTau) -> WaveSeries:
@@ -375,9 +390,9 @@ def time_ladder(tau: TruncatedTau) -> WaveSeries:
     times never mix into odd-index cells under any operation used here, so
     restricting both sides of every identity to this ring is consistent.
     """
-    coeffs = {n - 1: MultiPoly.var(n).scale(n)
-              for n in range(1, tau.index_cap + 1, 2)}
-    return WaveSeries(0, coeffs, INF, 1, tau.index_cap)
+    cells = {(1 - n,): MultiPoly.var(n).scale(n)
+             for n in range(1, tau.index_cap + 1, 2)}
+    return WaveSeries(0, cells, INF, 1, tau.index_cap)
 
 
 def one_point_expressions(tau: TruncatedTau) -> list[WaveSeries]:
@@ -391,9 +406,9 @@ def one_point_expressions(tau: TruncatedTau) -> list[WaveSeries]:
     one = WaveSeries.const(1, tau.index_cap)
     left = wronskian(w_xi, ws)
     right = wronskian(w, ws_xi)
-    expr_a = (left + one).scale(Rat(-1, 2)).shift_exp(-1)
-    expr_b = (right + one).scale(Rat(1, 2)).shift_exp(-1)
-    expr_c = (right - left).scale(Rat(1, 4)).shift_exp(-1)
+    expr_a = (left + one).scale(Rat(-1, 2)).shift(1)
+    expr_b = (right + one).scale(Rat(1, 2)).shift(1)
+    expr_c = (right - left).scale(Rat(1, 4)).shift(1)
     return [expr_a, expr_b, expr_c]
 
 
@@ -412,7 +427,8 @@ def theorem_one_point_check(tau: TruncatedTau) -> bool:
 def wave_pairing_check(tau: TruncatedTau) -> bool:
     """The Wronskian of the wave pair at equal spectral points is -2 xi."""
     pair = wronskian(wave(tau), dual_wave(tau))
-    target = WaveSeries(0, {1: MultiPoly.const(-2)}, INF, -1, tau.index_cap)
+    target = WaveSeries(0, {(-1,): MultiPoly.const(-2)}, INF, -1,
+                        tau.index_cap)
     return pair.agrees_with(target)
 
 
@@ -420,121 +436,29 @@ def wave_pairing_check(tau: TruncatedTau) -> bool:
 # Differential Fay identities in the shift variables.
 # ---------------------------------------------------------------------------
 
-class ShiftSeries2:
-    """Bivariate expansion in two shift variables with polynomial cells.
-
-    TW of a cell is k1 + k2 + weight(monomial); completeness through the cap
-    follows from the tau truncation's weight-completeness exactly as for
-    wave series.
-    """
-
-    __slots__ = ("cells", "cap", "twmin")
-
-    def __init__(self, cells: dict[tuple[int, int], MultiPoly], cap: int,
-                 twmin: int):
-        self.cap = cap
-        self.twmin = twmin
-        clean: dict[tuple[int, int], MultiPoly] = {}
-        for (k1, k2), poly in cells.items():
-            kept = poly if cap >= INF else poly.with_caps(
-                weight_cap=cap - k1 - k2)
-            if not kept.is_zero():
-                clean[(k1, k2)] = kept
-        self.cells = clean
-
-    def __add__(self, other: ShiftSeries2) -> ShiftSeries2:
-        out = dict(self.cells)
-        for key, poly in other.cells.items():
-            out[key] = out[key] + poly if key in out else poly
-        return ShiftSeries2(out, min(self.cap, other.cap),
-                            min(self.twmin, other.twmin))
-
-    def __sub__(self, other: ShiftSeries2) -> ShiftSeries2:
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> ShiftSeries2:
-        return ShiftSeries2({k: p.scale(factor)
-                             for k, p in self.cells.items()},
-                            self.cap, self.twmin)
-
-    def __mul__(self, other: ShiftSeries2) -> ShiftSeries2:
-        cap = min(_cap_add(self.cap, other.twmin),
-                  _cap_add(other.cap, self.twmin))
-        out: dict[tuple[int, int], MultiPoly] = {}
-        for (a1, a2), p in self.cells.items():
-            for (b1, b2), q in other.cells.items():
-                key = (a1 + b1, a2 + b2)
-                if cap < INF and key[0] + key[1] > cap:
-                    continue
-                prod = _capped_mul(p, q, _cap_add(cap, -key[0] - key[1]))
-                out[key] = out[key] + prod if key in out else prod
-        return ShiftSeries2(out, cap, self.twmin + other.twmin)
-
-    def dx(self) -> ShiftSeries2:
-        return ShiftSeries2({k: MultiPoly(p.deriv(1).terms)
-                             for k, p in self.cells.items()},
-                            _cap_add(self.cap, -1), self.twmin - 1)
-
-    def shift_s(self, d1: int, d2: int) -> ShiftSeries2:
-        return ShiftSeries2({(k1 + d1, k2 + d2): p
-                             for (k1, k2), p in self.cells.items()},
-                            _cap_add(self.cap, d1 + d2),
-                            self.twmin + d1 + d2)
-
-    def agrees_with(self, other: ShiftSeries2,
-                    bidegree: tuple[int, int] | None = None) -> bool:
-        cap = min(self.cap, other.cap)
-        keys = set(self.cells) | set(other.cells)
-        zero = MultiPoly.zero()
-        for k1, k2 in keys:
-            if bidegree is not None and (k1 > bidegree[0]
-                                         or k2 > bidegree[1]):
-                continue
-            p = self.cells.get((k1, k2), zero)
-            q = other.cells.get((k1, k2), zero)
-            for mono in set(p.terms) | set(q.terms):
-                if k1 + k2 + mono_weight(mono) > cap:
-                    continue
-                if p.terms.get(mono, Rat(0)) != q.terms.get(mono, Rat(0)):
-                    return False
-        return True
-
-    def covers_bidegree(self, k1: int, k2: int) -> bool:
-        return k1 + k2 <= self.cap
+def fay_sides(tau: TruncatedTau, signs: tuple[Key, Key, Key, Key]
+              ) -> tuple[WaveSeries, WaveSeries]:
+    """Both sides of s1 s2 {a, b} = (s1 - s2)(a b - c d), where a, b, c, d
+    are ``shifted_tau(tau, sign)`` for the four sign pairs."""
+    a, b, c, d = (shifted_tau(tau, sign) for sign in signs)
+    lhs = (a * b.dx() - a.dx() * b).shift(1, 1)
+    diff = a * b - c * d
+    return lhs, diff.shift(1, 0) - diff.shift(0, 1)
 
 
-def shifted_tau(tau: TruncatedTau, sign1: int, sign2: int) -> ShiftSeries2:
-    """tau(T + sign1 [s1] + sign2 [s2]) as a shift expansion; a sign of 0
-    omits that shift."""
-    out: dict[tuple[int, int], dict[Monomial, Rat]] = {}
-    for mono, c in tau.poly.terms.items():
-        parts: list[tuple[int, int, Monomial, Rat]] = [(0, 0, MONO_ONE,
-                                                        Rat(1))]
-        for idx, e in mono:
-            new = []
-            for k1, k2, m0, c0 in parts:
-                for i in range(e + 1):
-                    if sign1 == 0 and i > 0:
-                        break
-                    for j in range(e - i + 1):
-                        if sign2 == 0 and j > 0:
-                            break
-                        cc = (c0 * _multinomial(e, i, j)
-                              * Rat(sign1, idx) ** i * Rat(sign2, idx) ** j)
-                        rest = e - i - j
-                        mm = m0 if rest == 0 else mono_mul(m0, ((idx, rest),))
-                        new.append((k1 + idx * i, k2 + idx * j, mm, cc))
-            parts = new
-        for k1, k2, m, cc in parts:
-            bucket = out.setdefault((k1, k2), {})
-            bucket[m] = bucket.get(m, Rat(0)) + cc * c
-    cells = {key: MultiPoly(bucket, weight_cap=tau.weight_cap)
-             for key, bucket in out.items()}
-    return ShiftSeries2(cells, tau.weight_cap, 0)
+def _fay_check(tau: TruncatedTau, bidegree: tuple[int, int],
+               signs: tuple[Key, Key, Key, Key]) -> bool:
+    lhs, rhs = fay_sides(tau, signs)
+    depth = (bidegree[0] + 1, bidegree[1] + 1)
+    if sum(depth) > lhs.cap:
+        raise InsufficientCutoffError(
+            f"tau weight cap {tau.weight_cap} cannot reach shift bidegree "
+            f"{bidegree}")
+    return lhs.agrees_with(rhs, depth)
 
 
-def _multinomial(e: int, i: int, j: int) -> int:
-    return math.comb(e, i) * math.comb(e - i, j)
+DIFFERENTIAL_FAY = ((1, 0), (0, 1), (0, 0), (1, 1))
+SHIFTED_FAY = ((1, -1), (0, 0), (1, 0), (0, -1))
 
 
 def differential_fay_check(tau: TruncatedTau,
@@ -542,18 +466,7 @@ def differential_fay_check(tau: TruncatedTau,
     """s1 s2 {tau(T+[s1]), tau(T+[s2])} = (s1 - s2)
     (tau(T+[s1]) tau(T+[s2]) - tau(T) tau(T+[s1]+[s2])), through the
     requested shift bidegree and the tau truncation's reliable cells."""
-    a1 = shifted_tau(tau, 1, 0)
-    a2 = shifted_tau(tau, 0, 1)
-    a12 = shifted_tau(tau, 1, 1)
-    base = shifted_tau(tau, 0, 0)
-    lhs = (a1 * a2.dx() - a1.dx() * a2).shift_s(1, 1)
-    diff = a1 * a2 - base * a12
-    rhs = diff.shift_s(1, 0) - diff.shift_s(0, 1)
-    if not lhs.covers_bidegree(bidegree[0] + 1, bidegree[1] + 1):
-        raise InsufficientCutoffError(
-            f"tau weight cap {tau.weight_cap} cannot reach shift bidegree "
-            f"{bidegree}")
-    return lhs.agrees_with(rhs, (bidegree[0] + 1, bidegree[1] + 1))
+    return _fay_check(tau, bidegree, DIFFERENTIAL_FAY)
 
 
 def shifted_fay_check(tau: TruncatedTau,
@@ -565,18 +478,7 @@ def shifted_fay_check(tau: TruncatedTau,
     substitution puts the mixed-shift factor in the first Wronskian slot
     (quoting it with the slots swapped flips the sign of the left side).
     """
-    base = shifted_tau(tau, 0, 0)
-    mixed = shifted_tau(tau, 1, -1)
-    plus1 = shifted_tau(tau, 1, 0)
-    minus2 = shifted_tau(tau, 0, -1)
-    lhs = (mixed * base.dx() - mixed.dx() * base).shift_s(1, 1)
-    diff = mixed * base - plus1 * minus2
-    rhs = diff.shift_s(1, 0) - diff.shift_s(0, 1)
-    if not lhs.covers_bidegree(bidegree[0] + 1, bidegree[1] + 1):
-        raise InsufficientCutoffError(
-            f"tau weight cap {tau.weight_cap} cannot reach shift bidegree "
-            f"{bidegree}")
-    return lhs.agrees_with(rhs, (bidegree[0] + 1, bidegree[1] + 1))
+    return _fay_check(tau, bidegree, SHIFTED_FAY)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from airytau.airy import (ALTERNATING, airy_d_check, airy_frame, build_kernel,
-                          cached_kernel, check_all_routes, closed_entry,
+                          check_all_routes, closed_entry,
                           diagonal_closed_coeff, faber_zagier_identity_check,
                           kernel_closed, kernel_diagonal, kernel_from_csv,
                           kernel_gmatrix, kernel_series, kernel_to_csv,
@@ -151,16 +151,6 @@ def test_csv_roundtrip(kernel12):
 def test_congruence_invariant_enforced():
     with pytest.raises(CrossCheckError):
         kernel_from_csv("m,n,value\n0,0,1/2\n", 3)
-
-
-def test_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("WK_KERNEL_CACHE", str(tmp_path))
-    first = cached_kernel(5)
-    path = tmp_path / "kernel-M5-standard.csv"
-    assert path.exists()
-    # poison detection: the cached file is the source of truth next time
-    second = cached_kernel(5)
-    assert second.table == first.table and second.route == "cache"
 
 
 def test_required_order():

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from airytau.cli import canonical_json, main
 from airytau.errors import (CrossCheckError, InsufficientCutoffError,
                             InvalidKeyError)
@@ -148,20 +150,28 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert code == 2 and "unknown config key" in err
 
 
+@pytest.mark.parametrize("flag", ["--degree", "--vars"])
+def test_removed_cap_flags_rejected(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "--cutoff", "4", flag, "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["degree", "vars"])
+def test_removed_cap_config_keys_rejected(key, tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text(f"cutoff = 4\n{key} = 3\n")
+    code, out, err = run(capsys, "kernel", "--config", str(config))
+    assert code == 2 and out == "" and "unknown config key" in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "kernel.csv"
     code, out, _ = run(capsys, "kernel", "--cutoff", "5", "--out",
                        str(target))
     assert code == 0 and out == ""
     assert target.read_text().startswith("m,n,value")
-
-
-def test_kernel_cache_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("WK_KERNEL_CACHE", str(tmp_path))
-    code, first, _ = run(capsys, "kernel", "--cutoff", "4")
-    assert (tmp_path / "kernel-M4-standard.csv").exists()
-    code, second, _ = run(capsys, "kernel", "--cutoff", "4")
-    assert first == second
 
 
 def test_verify_small_suite(capsys):

@@ -25,6 +25,12 @@ CASES = [
     ("verify_sato_json", ["verify", "--suite", "sato", "--format", "json"],
      0),
     ("npoint_exit3", ["npoint", "--orders", "3,9", "--cutoff", "8"], 3),
+    ("verify_kp_small_json",
+     ["verify", "--suite", "kp", "--truncation", "small", "--format",
+      "json"], 0),
+    ("kernel_alternating_c6", ["kernel", "--cutoff", "6", "--alternating"],
+     0),
+    ("correlator_two_keys", ["correlator", "--indices", "0,0,0,1;1,1"], 0),
 ]
 
 

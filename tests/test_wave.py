@@ -1,30 +1,44 @@
 from __future__ import annotations
 
 import importlib
+import json
 import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from airytau.airy import slope_series, wave_series
 from airytau.errors import InsufficientCutoffError, InvalidKeyError
-from airytau.multipoly import MultiPoly
+from airytau.multipoly import MultiPoly, mono_str
 from airytau.npoint import free_energy
-from airytau.rational import Rat
-from airytau.wave import (INF, ShiftSeries2, TruncatedTau, WaveSeries,
-                          bilinear_matrix,
-                          differential_fay_check, dual_wave,
+from airytau.rational import Rat, format_rat
+from airytau.wave import (DIFFERENTIAL_FAY, INF, SHIFTED_FAY, TruncatedTau,
+                          WaveSeries, bilinear_matrix,
+                          differential_fay_check, dual_wave, fay_sides,
                           gradient_series, matrix_one_point_series,
                           matrix_two_point_coeff, one_point_expressions,
                           padded_weight_cap, reliable_weight_cap,
-                          shifted_fay_check, tau_from_free_energy,
-                          theorem_one_point_check, time_ladder, wave,
-                          wave_pairing_check, wronskian)
+                          shifted_fay_check, shifted_tau,
+                          tau_from_free_energy, theorem_one_point_check,
+                          time_ladder, wave, wave_pairing_check, wronskian)
 from oracles import full_product_pruned, sato_quotient_cells
 
 # the package re-exports the function ``wave``, which shadows the module name
 wave_module = importlib.import_module("airytau.wave")
+
+GOLDEN = Path(__file__).parent / "golden" / "wave_layer.json"
+
+
+def _cells(series):
+    return {key: dict(poly.terms) for key, poly in series.cells.items()}
+
+
+def _xi_cells(series):
+    """One-variable cells keyed by xi exponent: depth k is the xi^(-k)
+    cell."""
+    return {-k: terms for (k,), terms in _cells(series).items()}
 
 
 def vacuum_tau(weight=9):
@@ -36,8 +50,8 @@ def vacuum_tau(weight=9):
 def test_vacuum_wave_is_bare_exponential():
     w = wave(vacuum_tau())
     assert w.tag == 1
-    assert list(w.coeffs) == [0]
-    assert w.coeffs[0] == MultiPoly.const(1)
+    assert list(_xi_cells(w)) == [0]
+    assert _xi_cells(w)[0] == MultiPoly.const(1).terms
     ws = dual_wave(vacuum_tau())
     assert ws.tag == -1
 
@@ -69,7 +83,7 @@ def test_wave_x_derivative_at_origin(tau12):
 def test_wronskian_antisymmetry(tau9):
     w = wave(tau9)
     self_pair = wronskian(w, w)
-    assert all(p.is_zero() for p in self_pair.coeffs.values())
+    assert all(not cell for cell in _xi_cells(self_pair).values())
 
 
 def test_pairing_equals_minus_two_xi(tau12):
@@ -99,7 +113,7 @@ def test_one_point_expressions_match_diagonal(tau12):
 
 def test_two_point_data_in_gradient(tau12, engine):
     lhs = time_ladder(tau12) + gradient_series(tau12)
-    cell = lhs.coeffs[-6].coeff(((1, 1),))
+    cell = _xi_cells(lhs)[-6][((1, 1),)]
     assert cell == engine.connected((1, 5))
 
 
@@ -145,7 +159,7 @@ def test_theta_vacuum_entries():
 def test_theta_is_traceless(tau9):
     theta = bilinear_matrix(tau9)
     trace = theta[0][0] + theta[1][1]
-    assert all(p.is_zero() for p in trace.coeffs.values())
+    assert all(not cell for cell in _xi_cells(trace).values())
 
 
 def test_matrix_one_point_matches_engine(tau12, engine):
@@ -173,9 +187,9 @@ def test_wave_satisfies_spectral_square(tau12):
     w = wave(tau12)
     w_xx = w.dx().dx()
     u = tau12.free_energy.deriv(1).deriv(1)
-    u_wave = WaveSeries(0, {0: u}, tau12.weight_cap - 2, 0,
+    u_wave = WaveSeries(0, {(0,): u}, tau12.weight_cap - 2, 0,
                         tau12.index_cap)
-    rhs = w.shift_exp(2) - (u_wave * w).scale(2)
+    rhs = w.shift(-2) - (u_wave * w).scale(2)
     assert w_xx.agrees_with(rhs)
 
 
@@ -215,10 +229,6 @@ def test_tau_from_free_energy_invariants(engine):
 # full product pruned afterwards.
 # ---------------------------------------------------------------------------
 
-def _cells(cells):
-    return {key: dict(poly.terms) for key, poly in cells.items()}
-
-
 def _random_poly(rng):
     terms = {}
     for _ in range(rng.randint(0, 5)):
@@ -242,7 +252,7 @@ def _random_wave(rng):
     cap, twmin = _random_meta(rng)
     exps = rng.sample(range(-6, 5), rng.randint(1, 5))
     return WaveSeries(rng.choice((-1, 0, 1)),
-                      {e: _random_poly(rng) for e in exps}, cap, twmin,
+                      {(-e,): _random_poly(rng) for e in exps}, cap, twmin,
                       rng.choice((1, 3, 5)))
 
 
@@ -250,7 +260,8 @@ def _random_shift(rng):
     cap, twmin = _random_meta(rng)
     keys = {(rng.randint(-1, 3), rng.randint(-1, 3))
             for _ in range(rng.randint(1, 5))}
-    return ShiftSeries2({key: _random_poly(rng) for key in keys}, cap, twmin)
+    return WaveSeries(0, {key: _random_poly(rng) for key in keys}, cap,
+                      twmin, 1)
 
 
 def _product_cap(a, b):
@@ -270,16 +281,16 @@ def test_wave_product_equals_full_product_then_prune(seed):
     prod = a * b
     assert (prod.tag, prod.cap, prod.twmin) == (a.tag + b.tag, cap,
                                                 a.twmin + b.twmin)
-    assert _cells(prod.coeffs) == full_product_pruned(
-        _cells(a.coeffs), _cells(b.coeffs), operator.add,
+    assert _xi_cells(prod) == full_product_pruned(
+        _xi_cells(a), _xi_cells(b), operator.add,
         lambda e: _cell_cap(cap, e))
 
     # dxi multiplies by the prefactor ladder tag * sum n T_n xi^(n-1)
-    termwise = {e - 1: {m: c * e for m, c in p.terms.items()}
-                for e, p in a.coeffs.items() if e != 0}
+    termwise = {e - 1: {m: c * e for m, c in p.items()}
+                for e, p in _xi_cells(a).items() if e != 0}
     ladder = {n - 1: {((n, 1),): Fraction(n * a.tag)}
               for n in range(1, a.index_cap + 1, 2)} if a.tag else {}
-    merged = full_product_pruned(_cells(a.coeffs), ladder, operator.add,
+    merged = full_product_pruned(_xi_cells(a), ladder, operator.add,
                                  lambda e: None)
     for e, cell in termwise.items():
         bucket = merged.setdefault(e, {})
@@ -288,7 +299,7 @@ def test_wave_product_equals_full_product_then_prune(seed):
     dcap = INF if a.cap >= INF else a.cap + 1
     expected = full_product_pruned(merged, {0: {(): Fraction(1)}},
                                    operator.add, lambda e: _cell_cap(dcap, e))
-    assert _cells(a.dxi().coeffs) == expected
+    assert _xi_cells(a.dxi()) == expected
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -298,8 +309,8 @@ def test_shift_product_equals_full_product_then_prune(seed):
     cap = _product_cap(a, b)
     prod = a * b
     assert (prod.cap, prod.twmin) == (cap, a.twmin + b.twmin)
-    assert _cells(prod.cells) == full_product_pruned(
-        _cells(a.cells), _cells(b.cells),
+    assert _cells(prod) == full_product_pruned(
+        _cells(a), _cells(b),
         lambda x, y: (x[0] + y[0], x[1] + y[1]),
         lambda key: _cell_cap(cap, -key[0] - key[1]))
 
@@ -316,7 +327,7 @@ def test_wave_quotients_match_full_product_oracle(tau12):
         for build, direction, tag in ((wave, -1, 1), (dual_wave, 1, -1)):
             w = build(tau)
             assert (w.tag, w.cap, w.twmin) == (tag, tau.weight_cap, 0)
-            assert _cells(w.coeffs) == sato_quotient_cells(
+            assert _xi_cells(w) == sato_quotient_cells(
                 tau.poly.terms, inverse, tau.weight_cap, direction)
 
 
@@ -360,3 +371,98 @@ def test_theta_at_zero_built_once_per_tau(tau9, engine, monkeypatch):
         with pytest.raises(InvalidKeyError):
             matrix_two_point_coeff(non_kdv, 1, 1)
     assert len(builds) == 6
+
+
+def test_shifted_tau_embeds_one_variable_shift(tau9):
+    t1 = MultiPoly.var(1, weight_cap=8)
+    f = MultiPoly({((1, 1),): Fraction(1), ((1, 1), (3, 1)): Fraction(1, 2)},
+                  weight_cap=8)
+    toys = (TruncatedTau(t1.exp(), t1, 8, 1, "toy"),
+            TruncatedTau(f.exp(), f, 8, 3, "toy"))
+    for tau in (tau9,) + toys:
+        for s in (1, -1):
+            one = shifted_tau(tau, (s,))
+            assert one.cells
+            for signs, embed in (((s, 0), lambda k: (k, 0)),
+                                 ((0, s), lambda k: (0, k))):
+                two = shifted_tau(tau, signs)
+                assert (two.tag, two.cap, two.twmin) == (0, tau.weight_cap, 0)
+                assert _cells(two) == {embed(k): terms
+                                       for (k,), terms in _cells(one).items()}
+
+
+# ---------------------------------------------------------------------------
+# Golden cells of the wave layer, recorded before the wave and shift
+# containers were merged.  One-variable cells are keyed by xi exponent and
+# Fay cells by the two shift depths, so the record does not depend on how
+# the container stores its keys.
+# ---------------------------------------------------------------------------
+
+def _golden_record(series, xi):
+    if xi:
+        cells = sorted((-k, m, c) for (k,), p in series.cells.items()
+                       for m, c in p.terms.items())
+    else:
+        cells = sorted((key, m, c) for key, p in series.cells.items()
+                       for m, c in p.terms.items())
+    return {"tag": series.tag,
+            "cap": None if series.cap >= INF else series.cap,
+            "twmin": series.twmin,
+            "cells": [f"{k if xi else ','.join(map(str, k))} {mono_str(m)} "
+                      f"{format_rat(c)}" for k, m, c in cells]}
+
+
+def _golden_entries(tau):
+    w, ws = wave(tau), dual_wave(tau)
+    entries = {"wave": w, "dual_wave": ws, "wave_dxi": w.dxi(),
+               "dual_wave_dx": ws.dx(), "wronskian": wronskian(w, ws)}
+    for i, expr in enumerate(one_point_expressions(tau)):
+        entries[f"one_point_{i}"] = expr
+    out = {name: _golden_record(series, True)
+           for name, series in entries.items()}
+    for label, signs in (("differential_fay", DIFFERENTIAL_FAY),
+                         ("shifted_fay", SHIFTED_FAY)):
+        lhs, rhs = fay_sides(tau, signs)
+        out[f"{label}_lhs"] = _golden_record(lhs, False)
+        out[f"{label}_rhs"] = _golden_record(rhs, False)
+    return out
+
+
+def test_wave_layer_matches_golden(tau9, tau12, engine):
+    fdeg = free_energy(engine, 9, index_cap=9, degree_cap=3)
+    toy = MultiPoly.var(1, weight_cap=8)
+    taus = {
+        "tau9": tau9,
+        "tau12": tau12,
+        "tau12_unpadded": tau_from_free_energy(tau12.free_energy, 12),
+        "degree_capped": TruncatedTau(
+            fdeg.exp(), fdeg, reliable_weight_cap(degree_cap=3, index_cap=9),
+            9, "degree-capped"),
+        "toy_exp_t1": TruncatedTau(toy.exp(), toy, 8, 1, "toy"),
+    }
+    golden = json.loads(GOLDEN.read_text())
+    assert set(golden) == set(taus)
+    for name, tau in taus.items():
+        assert _golden_entries(tau) == golden[name], name
+
+
+def test_agrees_with_reads_exactly_the_reliable_cells_within_depth():
+    base_cells = {(1, 1): MultiPoly({((1, 1),): Fraction(1)})}
+
+    def plus(key, mono):
+        cells = dict(base_cells)
+        bump = MultiPoly({mono: Fraction(1)})
+        cells[key] = cells[key] + bump if key in cells else bump
+        return WaveSeries(0, cells, INF, 0, 3)
+
+    base = WaveSeries(0, base_cells, 6, 0, 3)
+    # TW of the differing cell: weight 4 + depth 2 = 6 is read, 5 + 2 is not
+    assert not base.agrees_with(plus((1, 1), ((1, 1), (3, 1))))
+    assert base.agrees_with(plus((1, 1), ((1, 2), (3, 1))))
+    # depth (1, 2) reads key (1, 2) but not (2, 1)
+    assert not base.agrees_with(plus((1, 2), ((1, 1),)), (1, 2))
+    assert base.agrees_with(plus((2, 1), ((1, 1),)), (1, 2))
+    assert not base.agrees_with(plus((2, 1), ((1, 1),)))
+    # a different prefactor never agrees
+    assert not WaveSeries(1, {}, INF, 0, 3).agrees_with(
+        WaveSeries(0, {}, INF, 0, 3))
