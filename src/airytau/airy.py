@@ -99,30 +99,19 @@ def _alt_flag(convention: str) -> bool:
 # Closed-form entries (standard convention).
 # ---------------------------------------------------------------------------
 
-def _falling(a: int, j: int) -> int:
-    out = 1
-    for i in range(j):
-        out *= a - i
-    return out
-
-
-def _b_const(n: int) -> Rat:
-    return Rat(2 ** n * double_factorial(6 * n + 1), math.factorial(2 * n))
-
-
-def _b_poly(n: int, x: int) -> Rat:
-    """Degree n-1 polynomial correction evaluated at integer x."""
-    acc = Rat(0)
-    for j in range(1, n + 1):
-        acc += Rat(108 ** j) * _b_const(n - j) * _falling(x + n, j - 1)
-    return acc / 6
-
-
 def closed_entry(m: int, n: int) -> Rat:
     """Closed form of the table value at row m, column n (both >= 0).
 
     Vanishes off the residue class m + n = 2 (mod 3); on it, the value
-    depends on (m mod 3) through three cases sharing one product prefactor.
+    depends on (m mod 3) through three cases sharing one product prefactor
+
+        (6M+1)!! M (M+1)...(M+N-1) (2M+1)(2M+3)...(2M+2N-1)
+        / (36^(M+N) (2M+2N)!)
+
+    times the tail B(N, M) + b(N)/(6M+-1), where b(k) = 2^k (6k+1)!!/(2k)!
+    and B(N, M) = (1/6) sum_{j=1..N} 108^j b(N-j) (M+N)(M+N-1)...(M+N-j+2).
+    The tail is summed on integers over its common denominator
+    6 (6M+-1) (2N)!, and one rational is built at the end.
     """
     if m < 0 or n < 0:
         raise InvalidKeyError("indices must be nonnegative")
@@ -141,14 +130,20 @@ def closed_entry(m: int, n: int) -> Rat:
         big_m, big_n = (m + 2) // 3, (n - 1) // 3
         shift = -1    # denominator 6M-1
         sign = (-1) ** (big_n + 1)
-    pref = Rat(double_factorial(6 * big_m + 1),
-               36 ** (big_m + big_n) * math.factorial(2 * (big_m + big_n)))
-    for j in range(big_n):
-        pref *= big_m + j
-    for j in range(1, big_n + 1):
-        pref *= 2 * big_m + 2 * j - 1
-    tail = _b_poly(big_n, big_m) + _b_const(big_n) / (6 * big_m + shift)
-    return sign * pref * tail
+    top = big_m + big_n
+    pref_num = (double_factorial(6 * big_m + 1)
+                * math.perm(top - 1, big_n)
+                * math.prod(range(2 * big_m + 1, 2 * top, 2)))
+    pref_den = 36 ** top * math.factorial(2 * top)
+    # 6 (2N)! b(N-j) = 6 2^(N-j) (6(N-j)+1)!! (2N)!/(2N-2j)!
+    poly = sum(108 ** j * 2 ** (big_n - j)
+               * double_factorial(6 * (big_n - j) + 1)
+               * math.perm(2 * big_n, 2 * j) * math.perm(top, j - 1)
+               for j in range(1, big_n + 1))
+    den = 6 * big_m + shift
+    tail_num = poly * den + 6 * 2 ** big_n * double_factorial(6 * big_n + 1)
+    tail_den = 6 * den * math.factorial(2 * big_n)
+    return Rat(sign * pref_num * tail_num, pref_den * tail_den)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +516,7 @@ def kernel_to_csv(kernel: Kernel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def kernel_from_csv(text: str, cutoff: int, route: str = "cache",
+def kernel_from_csv(text: str, cutoff: int, route: str = "csv",
                     convention: str = STANDARD) -> Kernel:
     table: dict[tuple[int, int], Rat] = {}
     for line in text.splitlines()[1:]:

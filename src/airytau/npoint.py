@@ -78,25 +78,31 @@ def _scale_base(*tables) -> int:
 
     Each trial prime enters D to the smallest power that clears its share
     of every denominator at that term's exponent -(p+q) >= 1; a cofactor
-    left over after the trial primes is folded into D whole.
+    left over after the trial primes is folded into D whole.  A denominator
+    is factored once, at its smallest exponent, where it demands the most.
     """
-    powers: dict[int, int] = {}
-    cofactor = 1
+    exponents: dict[int, int] = {}
     for table in tables:
         for p, terms in table.items():
             for q, c in terms:
                 den = c.denominator
-                for prime in _TRIAL_PRIMES:
-                    if den == 1:
-                        break
-                    k = 0
-                    while den % prime == 0:
-                        den //= prime
-                        k += 1
-                    if k:
-                        power = -(-k // -(p + q))
-                        powers[prime] = max(powers.get(prime, 0), power)
-                cofactor = math.lcm(cofactor, den)
+                if den != 1:
+                    exponents[den] = min(exponents.get(den, -(p + q)),
+                                         -(p + q))
+    powers: dict[int, int] = {}
+    cofactor = 1
+    for den, exponent in exponents.items():
+        for prime in _TRIAL_PRIMES:
+            if den == 1:
+                break
+            k = 0
+            while den % prime == 0:
+                den //= prime
+                k += 1
+            if k:
+                power = -(-k // exponent)
+                powers[prime] = max(powers.get(prime, 0), power)
+        cofactor = math.lcm(cofactor, den)
     return cofactor * math.prod(prime ** k for prime, k in powers.items())
 
 
@@ -111,12 +117,13 @@ def _scale_table(table, base: int) -> dict[int, list[tuple[int, int]]]:
     for p, terms in table.items():
         row = scaled[p] = []
         for q, c in terms:
-            value = c * base ** -(p + q)
-            if value.denominator != 1:
+            k = -(p + q)
+            value, rest = divmod(c.numerator * base ** k, c.denominator)
+            if rest:
                 raise CrossCheckError(
                     f"edge term ({p}, {q}) = {c} is not integral at scale "
-                    f"{base}^{-(p + q)}")
-            row.append((q, value.numerator))
+                    f"{base}^{k}")
+            row.append((q, value))
     return scaled
 
 
@@ -124,7 +131,17 @@ def _cycle_sum(js: tuple[int, ...], lt_table, gt_table) -> int:
     """Sum over all n-cycles of the transfer-chain contraction, times the
     cycle sign (-1)^(n-1), on scaled integer edge tables.  DP over (visited
     set, last vertex) merges the shared prefixes of the (n-1)! cycles.
-    Requires n >= 2."""
+    Requires n >= 2.
+
+    Only the first rows p0 with -j0 <= p0 <= -1 can close.  A cycle leaves
+    vertex 0 on the ascending table and returns to it on the descending
+    one, and the two exponents meeting at vertex 0 sum to -j0 - 1.  Every p
+    of the ascending table (kernel rows -m-1, Cauchy rows -1-k) is <= -1,
+    and so is every q of the descending table (kernel columns -n-1, Cauchy
+    columns -1-k); the closing exponent -j0 - 1 - p0 <= -1 gives p0 >= -j0.
+    Only the loop over first rows skips: the later ascending edges read the
+    whole table, and the vertex labels stay as given, because they fix the
+    Cauchy expansion regions."""
     n = len(js)
     full = (1 << n) - 1
     # the two exponents meeting at vertex i sum to sums[i]
@@ -135,7 +152,10 @@ def _cycle_sum(js: tuple[int, ...], lt_table, gt_table) -> int:
 
     total = 0
     masks = states_masks(n)
-    for p0, first_terms in lt_table.items():
+    for p0 in range(-js[0], 0):
+        first_terms = lt_table.get(p0)
+        if first_terms is None:
+            continue
         # every first edge (0 -> v) shares the ascending table; seed each
         # second vertex with the same exponent split of the first factor
         # (shared read-only: the DP only writes to larger visited sets)
@@ -195,8 +215,7 @@ def ahat_entry(kernel, i: int, j: int, window: int):
     if i == j:
         coeffs: dict[int, Rat] = {}
         for s in range(min(window, kernel.cutoff) + 1):
-            value = sum((kernel.entry(m, s - m) for m in range(s + 1)),
-                        Rat(0))
+            value = _diagonal_value(kernel, s + 1)
             if value != 0:
                 coeffs[-s - 2] = value
         return Series1(f"xi{i}", coeffs, min(window, kernel.cutoff) + 2)
@@ -519,10 +538,13 @@ def free_energy(engine: NPointEngine, weight_cap: int,
     The coefficient of prod T_(2m_i+1) is the connected coefficient divided
     by the product of multiplicities' factorials (exponential generating
     convention).  Missing kernel reach surfaces as an error naming the key.
+    Orders are queried in ascending order, as ``intersection_number`` does,
+    so both share the engine's cache and the smallest order sits at vertex
+    0, where the cycle sum has the fewest first rows.
     """
     terms: dict[Monomial, Rat] = {}
     for ms in valid_keys(weight_cap, index_cap, degree_cap):
-        js = tuple(2 * m + 1 for m in ms)
+        js = tuple(2 * m + 1 for m in reversed(ms))
         try:
             value = engine.connected(js, window=window)
         except InsufficientCutoffError as exc:

@@ -19,7 +19,6 @@ use is safe and results do not depend on evaluation order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator
 
 from .errors import InvalidKeyError, WindowError

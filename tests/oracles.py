@@ -172,6 +172,64 @@ def sato_quotient_cells(tau_terms: dict, inverse_terms: dict,
                                lambda e, _: e, lambda e: weight_cap + e)
 
 
+def _double_factorial(n: int) -> int:
+    result = 1
+    while n > 1:
+        result *= n
+        n -= 2
+    return result
+
+
+def _falling(a: int, j: int) -> int:
+    out = 1
+    for i in range(j):
+        out *= a - i
+    return out
+
+
+def _b_const(n: int) -> Fraction:
+    return Fraction(2 ** n * _double_factorial(6 * n + 1),
+                    math.factorial(2 * n))
+
+
+def _b_poly(n: int, x: int) -> Fraction:
+    """Degree n-1 polynomial correction evaluated at integer x."""
+    acc = Fraction(0)
+    for j in range(1, n + 1):
+        acc += Fraction(108 ** j) * _b_const(n - j) * _falling(x + n, j - 1)
+    return acc / 6
+
+
+def closed_entry_fraction(m: int, n: int) -> Fraction:
+    """The closed-form table value at row m, column n (both >= 0), as a
+    chain of Fraction operations: the three-case product formula with its
+    polynomial correction evaluated term by term."""
+    if (m + n) % 3 != 2:
+        return Fraction(0)
+    r = m % 3
+    if r == 2:        # rows 3M-1, columns 3N
+        big_m, big_n = (m + 1) // 3, n // 3
+        shift = 1     # denominator 6M+1
+        sign = (-1) ** big_n
+    elif r == 0:      # rows 3M-3, columns 3N+2
+        big_m, big_n = m // 3 + 1, (n - 2) // 3
+        shift = 1
+        sign = (-1) ** big_n
+    else:             # rows 3M-2, columns 3N+1
+        big_m, big_n = (m + 2) // 3, (n - 1) // 3
+        shift = -1    # denominator 6M-1
+        sign = (-1) ** (big_n + 1)
+    pref = Fraction(_double_factorial(6 * big_m + 1),
+                    36 ** (big_m + big_n)
+                    * math.factorial(2 * (big_m + big_n)))
+    for j in range(big_n):
+        pref *= big_m + j
+    for j in range(1, big_n + 1):
+        pref *= 2 * big_m + 2 * j - 1
+    tail = _b_poly(big_n, big_m) + _b_const(big_n) / (6 * big_m + shift)
+    return sign * pref * tail
+
+
 # Reference correlator values from the independent literature on psi-class
 # integrals (topological-recursion computations), frozen as cross-checks of
 # the recursion oracle itself.

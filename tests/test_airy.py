@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
 import pytest
@@ -10,13 +9,15 @@ from airytau.airy import (ALTERNATING, airy_d_check, airy_frame, build_kernel,
                           check_all_routes, closed_entry,
                           diagonal_closed_coeff, faber_zagier_identity_check,
                           kernel_closed, kernel_diagonal, kernel_from_csv,
-                          kernel_gmatrix, kernel_series, kernel_to_csv,
+                          kernel_series, kernel_to_csv,
                           required_order, slope_series, transition_matrix,
                           wave_series)
 from airytau.errors import (CrossCheckError, InsufficientCutoffError,
                             InvalidKeyError)
 from airytau.rational import Rat, double_factorial
 from airytau.series import Series1
+
+from oracles import closed_entry_fraction
 
 
 def test_wave_series_coefficients():
@@ -56,6 +57,12 @@ def test_closed_entries():
     assert closed_entry(1, 0) == 0
     with pytest.raises(InvalidKeyError):
         closed_entry(-1, 0)
+
+
+def test_closed_entries_match_fraction_oracle():
+    for m in range(46):
+        for n in range(46):
+            assert closed_entry(m, n) == closed_entry_fraction(m, n), (m, n)
 
 
 def test_kernel_entry_orientation():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from airytau.npoint import (NPointEngine, disconnected_coeff,
                             genus_of, intersection_number, mobius_connect,
                             mobius_disconnect, puncture_check, set_partitions,
                             valid_keys)
-from airytau.rational import Rat
+from airytau.rational import Rat, double_factorial
 from airytau.verify import _RandomKernel, dvv_correlator
 from airytau.airy import kernel_closed
 
@@ -89,6 +90,19 @@ def test_puncture_examples(engine):
         puncture_check(engine, (1, 1))      # no zero present
     with pytest.raises(InvalidKeyError):
         puncture_check(engine, (0, 0, 0))   # no valid lowering
+
+
+@pytest.mark.parametrize("js", [(3, 9), (1, 3, 5), (1, 1, 3, 7),
+                                (1, 1, 1, 1, 3, 5)])
+def test_connected_on_every_vertex_order(engine, js):
+    # the cycle sum skips first rows by the order at vertex 0, so every
+    # order must reach vertex 0, the largest one included
+    ms = tuple((j - 1) // 2 for j in js)
+    expected = dvv_correlator(tuple(sorted(ms)))
+    for j in js:
+        expected *= double_factorial(j)
+    for order in set(itertools.permutations(js)):
+        assert engine.connected(order) == expected, order
 
 
 def test_orders_validation(engine):
