@@ -189,17 +189,6 @@ class Kernel:
                 for m, n in sorted(self.table, key=lambda k: (k[0] + k[1],
                                                               k[0]))]
 
-    def diagonal_coeff(self, j: int) -> Rat:
-        """Coefficient of xi^(-j-1) of the restriction to equal arguments,
-        i.e. the antidiagonal sum over m + n = j - 1."""
-        s = j - 1
-        if s > self.cutoff:
-            raise InsufficientCutoffError(
-                f"diagonal order {j} needs entries beyond cutoff "
-                f"{self.cutoff}")
-        return sum((self.table.get((m, s - m), Rat(0))
-                    for m in range(s + 1)), Rat(0))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Kernel) and self.cutoff == other.cutoff
                 and self.table == other.table)
@@ -385,7 +374,8 @@ def airy_frame(count: int, order: int | None = None,
 
 def kernel_frame(cutoff: int, order: int | None = None,
                  convention: str = STANDARD) -> Kernel:
-    """Gauss-normalize the Airy frame and transpose its coordinate table."""
+    """Gauss-normalize the Airy frame and read its affine coordinates
+    entry by entry into a kernel table."""
     from .grassmann import AdmissibleFrame
 
     order = required_order(cutoff) if order is None else order

@@ -105,7 +105,7 @@ def cmd_correlator(args: argparse.Namespace) -> int:
         value = intersection_number(engine, ms)
         records.append({"indices": list(ms), "genus": genus,
                         "value": format_rat(value), "cutoff": cutoff,
-                        "certified_cutoff": cutoff + 3})
+                        "certified_cutoff": engine.certified_cutoff(js)})
     if fmt == "json":
         _emit(canonical_json(records), args.out)
     elif fmt == "csv":

@@ -47,6 +47,16 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(merged.items()))
 
 
+def _mono_deriv(mono: Monomial, index: int) -> tuple[Monomial, int] | None:
+    """d/dT_index of a monomial as (monomial, factor), or None when T_index
+    does not occur in it."""
+    for pos, (idx, exp) in enumerate(mono):
+        if idx == index:
+            rest = ((idx, exp - 1),) if exp > 1 else ()
+            return mono[:pos] + rest + mono[pos + 1:], exp
+    return None
+
+
 def mono_var(index: int, exp: int = 1) -> Monomial:
     if index < 1 or exp < 1:
         raise InvalidKeyError(f"bad variable power T_{index}^{exp}")
@@ -192,15 +202,10 @@ class MultiPoly:
         wcap = None if self.weight_cap is None else self.weight_cap - index
         out: dict[Monomial, Rat] = {}
         for mono, c in self.terms.items():
-            for pos, (idx, exp) in enumerate(mono):
-                if idx != index:
-                    continue
-                if exp == 1:
-                    new = mono[:pos] + mono[pos + 1:]
-                else:
-                    new = mono[:pos] + ((idx, exp - 1),) + mono[pos + 1:]
+            d = _mono_deriv(mono, index)
+            if d is not None:
+                new, exp = d
                 out[new] = out.get(new, Rat(0)) + c * exp
-                break
         return MultiPoly(out, dcap, wcap)
 
     def exp(self) -> MultiPoly:

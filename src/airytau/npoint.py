@@ -18,8 +18,12 @@ with the base D derived from the table's denominators (12 for the Airy
 kernel).  The exponents along a contributing cycle sum to -(sum(j) + n), so
 each cycle term carries the same scale D^(sum(j) + n) and one exact division
 at the end recovers the rational.  Correctness of the truncation is certified
-empirically: every reported coefficient is recomputed with the kernel cutoff
-and window grown by 3 and must reproduce the identical rational.
+by regrowth: every reported coefficient is recomputed with the kernel cutoff
+grown by 3, and at least to the reach sum(j) - 1, with the window grown by
+the same amount, and must reproduce the identical rational.  The reach holds
+every kernel entry a contributing cycle can use: its factors carry total
+exponent -(sum(j) + n), a Cauchy factor carries -1 and a kernel factor
+(m, m') carries -(m + m' + 2), so m + m' <= sum(j) - 1.
 
 Intersection numbers divide the connected coefficients at odd orders
 j_i = 2 m_i + 1 by the double factorials (2 m_i + 1)!!.
@@ -42,7 +46,10 @@ GROWTH = 3
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def _diagonal_value(kernel, j: int) -> Rat:
+def antidiagonal_sum(kernel, j: int) -> Rat:
+    """Coefficient of xi^(-j-1) of the kernel restricted to equal
+    arguments: the sum of the entries (m, j - 1 - m).  Works on any object
+    with ``cutoff`` and ``entry(m, n)``."""
     s = j - 1
     if s > kernel.cutoff:
         raise InsufficientCutoffError(
@@ -215,7 +222,7 @@ def ahat_entry(kernel, i: int, j: int, window: int):
     if i == j:
         coeffs: dict[int, Rat] = {}
         for s in range(min(window, kernel.cutoff) + 1):
-            value = _diagonal_value(kernel, s + 1)
+            value = antidiagonal_sum(kernel, s + 1)
             if value != 0:
                 coeffs[-s - 2] = value
         return Series1(f"xi{i}", coeffs, min(window, kernel.cutoff) + 2)
@@ -231,15 +238,14 @@ class NPointEngine:
     """Cycle-sum evaluator bound to a kernel family.
 
     ``kernel_factory(cutoff)`` must return a table object exposing
-    ``cutoff`` and ``entry(m, n)``; certification rebuilds it at cutoff+3.
-    Edge tables are scaled to integers once per cutoff/window and kept.
+    ``cutoff`` and ``entry(m, n)``; certification rebuilds it at
+    ``certified_cutoff``.  Edge tables are scaled to integers once per
+    cutoff/window and kept.
     """
 
-    def __init__(self, kernel_factory: Callable[[int], object], cutoff: int,
-                 certify: bool = True):
+    def __init__(self, kernel_factory: Callable[[int], object], cutoff: int):
         self.factory = kernel_factory
         self.cutoff = cutoff
-        self.certify = certify
         self._kernels: dict[int, object] = {}
         self._tables: dict[tuple[int, int], tuple[dict, dict, int]] = {}
         self._cache: dict[tuple[tuple[int, ...], int | None], Rat] = {}
@@ -271,11 +277,16 @@ class NPointEngine:
         if any(j < 1 for j in js):
             raise InvalidKeyError(f"orders must be >= 1: {js}")
         if len(js) == 1:
-            return _diagonal_value(self.kernel(cutoff), js[0])
+            return antidiagonal_sum(self.kernel(cutoff), js[0])
         w = cutoff + sum(js) + 2 if window is None else window
         lt, gt, base = self._table(cutoff, w)
         return Rat(_cycle_sum(tuple(js), lt, gt),
                    base ** (sum(js) + len(js)))
+
+    def certified_cutoff(self, js: tuple[int, ...]) -> int:
+        """The kernel cutoff a coefficient is recomputed at: cutoff + 3,
+        and at least the reach sum(js) - 1."""
+        return max(self.cutoff + GROWTH, sum(js) - 1)
 
     def connected(self, js: Iterable[int],
                   window: int | None = None) -> Rat:
@@ -286,9 +297,10 @@ class NPointEngine:
         if key in self._cache:
             return self._cache[key]
         value = self.connected_at(js, self.cutoff, window)
-        if self.certify and len(js) > 1:
+        if len(js) > 1:
             w = (self.cutoff + sum(js) + 2 if window is None else window)
-            grown = self.connected_at(js, self.cutoff + GROWTH, w + GROWTH)
+            cutoff = self.certified_cutoff(js)
+            grown = self.connected_at(js, cutoff, w + cutoff - self.cutoff)
             if grown != value:
                 raise InsufficientCutoffError(
                     f"coefficient at {js} unstable under cutoff growth "
@@ -362,7 +374,7 @@ def disconnected_coeff(kernel, js: tuple[int, ...],
         head, rest = remaining[0], remaining[1:]
         total = Rat(0)
         # head alone as a fixed point
-        total += _diagonal_value(kernel, js[head]) * rec(rest)
+        total += antidiagonal_sum(kernel, js[head]) * rec(rest)
         # cycles of length >= 2 through head
         for size in range(1, len(rest) + 1):
             for combo in itertools.combinations(rest, size):

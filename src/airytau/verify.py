@@ -25,9 +25,10 @@ from .grassmann import (AdmissibleFrame, kernel_pairing_form, plucker_minor,
                         tau_minus_two_point, tau_plus_two_point,
                         tau_polynomial)
 from .multipoly import MultiPoly
-from .npoint import (NPointEngine, disconnected_family, free_energy,
-                     genus0_check, genus_of, intersection_number,
-                     mobius_connect, mobius_disconnect, puncture_check)
+from .npoint import (NPointEngine, antidiagonal_sum, disconnected_family,
+                     free_energy, genus0_check, genus_of,
+                     intersection_number, mobius_connect, mobius_disconnect,
+                     puncture_check)
 from .partitions import Partition, partitions_up_to
 from .rational import Rat, double_factorial
 from .schur import (PowerSums, hook_minus_identity_check,
@@ -236,7 +237,7 @@ def suite_airy(ctx: VerifyContext) -> list[CheckResult]:
         kernel = kernel_closed(cutoff)
         series = kernel_diagonal(cutoff + 1)
         for j in range(1, cutoff + 1):
-            if kernel.diagonal_coeff(j) != series.coeff(-j - 1):
+            if antidiagonal_sum(kernel, j) != series.coeff(-j - 1):
                 return f"antidiagonal sum differs at order {j}"
         return True
 
@@ -606,7 +607,7 @@ class _RandomKernel:
 
 def _cycle_reference(kernel, js: tuple[int, ...]) -> Rat:
     """Connected value via an independent throwaway engine instance."""
-    engine = NPointEngine(lambda m: kernel, kernel.cutoff, certify=False)
+    engine = NPointEngine(lambda m: kernel, kernel.cutoff)
     return engine.connected_at(tuple(js), kernel.cutoff, window=18)
 
 

@@ -6,22 +6,22 @@ Everything here comes from one operation, the Miwa shift
 T_n -> T_n + sign * s^n / n (``shifted_tau``).  The wave function is
 exp(sum T_n xi^n) tau(T - [1/xi]) / tau(T) with s = 1/xi, and the Fay
 identities compare products of tau(T +- [s1] +- [s2]).  Both live in one
-graded container, ``WaveSeries``: polynomial cells in the time variables
-keyed by shift depths (k_1, ..., k_r), the coefficient of
-s_1^k_1 ... s_r^k_r.  A wave series has one shift variable and also carries
-the exponential prefactor exp(tag * sum T_n xi^n), which is only ever
-tracked symbolically (tags add under products, and x- and
-xi-derivatives act on it by the product rule); expanding it would create
-unbounded positive powers of xi.
+graded container, ``WaveSeries``: a sparse table of terms keyed by shift
+depths (k_1, ..., k_r) and a monomial in the time variables, the
+coefficient of s_1^k_1 ... s_r^k_r times that monomial.  A wave series has
+one shift variable and also carries the exponential prefactor
+exp(tag * sum T_n xi^n), which is only ever tracked symbolically (tags add
+under products, and x- and xi-derivatives act on it by the product rule);
+expanding it would create unbounded positive powers of xi.
 
 Reliability bookkeeping rides on the total-weight grading
-TW(cell) = weight(monomial) + sum(depths): a tau truncation that is complete
-through weight W determines every cell with TW <= W exactly, TW adds under
+TW(term) = weight(monomial) + sum(depths): a tau truncation that is complete
+through weight W determines every term with TW <= W exactly, TW adds under
 multiplication, and each derivative shifts it by one.  Every object carries
-its TW cap and stores nothing beyond it.  Products truncate at the
-destination cell's cap while they multiply: a monomial pair whose weights
-already exceed it is never multiplied, which gives exactly the cells of the
-full product pruned at the cap.
+its TW cap and stores nothing beyond it.  Products truncate at the cap while
+they multiply: a pair of terms whose TW already exceeds it is never
+multiplied, which gives exactly the terms of the full product pruned at the
+cap.
 
 The matrix checks read the 2x2 bilinear matrix only at T = 0; those four
 series are built once per tau (``TruncatedTau.theta_at_zero``) and shared
@@ -30,13 +30,18 @@ by every one- and two-point query on it.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, itemgetter
+
 from .errors import InsufficientCutoffError, InvalidKeyError
-from .multipoly import (MONO_ONE, Monomial, MultiPoly, mono_mul,
-                        mono_weight)
-from .rational import Rat
+from .multipoly import (MONO_ONE, Monomial, MultiPoly, _mono_deriv,
+                        mono_mul, mono_str, mono_var, mono_weight)
+from .npoint import valid_keys
+from .rational import Rat, format_rat
 from .series import Laurent2, Series1, geometric_inv_diff_squares_sq
 
 INF = 10 ** 9
@@ -44,30 +49,6 @@ INF = 10 ** 9
 
 def _cap_add(cap: int, delta: int) -> int:
     return INF if cap >= INF else cap + delta
-
-
-def _capped_mul(p: MultiPoly, q: MultiPoly, cap: int) -> MultiPoly:
-    """p * q keeping only the monomials of weight <= cap (all of them when
-    cap is INF), ignoring the operands' own caps.
-
-    Inside the wave layer the honest truncation bound of a product cell is
-    set by the destination (exponent-dependent) rule, which can exceed the
-    operands' own weight caps, so the caller passes the destination cell's
-    cap.  Weight adds under products: once a pair's weights exceed the cap
-    no later pair of the weight-sorted right factor can fit, so the result
-    equals the full product pruned at the cap.
-    """
-    right = sorted(((mono_weight(m), m, c) for m, c in q.terms.items()),
-                   key=lambda t: t[0])
-    out: dict[Monomial, Rat] = {}
-    for m1, c1 in p.terms.items():
-        room = cap - mono_weight(m1)
-        for w2, m2, c2 in right:
-            if w2 > room:
-                break
-            key = mono_mul(m1, m2)
-            out[key] = out.get(key, Rat(0)) + c1 * c2
-    return MultiPoly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -138,80 +119,59 @@ def reliable_weight_cap(degree_cap: int | None = None,
 
 
 def _min_weight_beyond_index(index_cap: int) -> int:
-    from .npoint import genus_of
-
-    best = None
-    start = index_cap + 1 if index_cap % 2 == 0 else index_cap + 2
-    for idx in range(start, index_cap + 13, 2):
-        m0 = (idx - 1) // 2
-        for extras in _small_multisets(m0):
-            key = tuple(sorted((m0,) + extras))
-            if genus_of(key) is not None:
-                weight = sum(2 * m + 1 for m in key)
-                if best is None or weight < best:
-                    best = weight
-    if best is None:
-        raise InsufficientCutoffError("no valid key beyond the index cap")
-    return best
-
-
-def _small_multisets(cap: int):
-    yield ()
-    for a in range(3):
-        yield (a,)
-        for b in range(a, 3):
-            yield (a, b)
+    """The smallest weight of a valid key whose largest index
+    2 * ms[0] + 1 exceeds the index cap."""
+    return next(weight for weight in itertools.count(index_cap + 1)
+                if any(2 * ms[0] + 1 > index_cap
+                       for ms in valid_keys(weight)))
 
 
 # ---------------------------------------------------------------------------
-# Graded cells and the Miwa shift.
+# Graded terms and the Miwa shift.
 # ---------------------------------------------------------------------------
 
 Key = tuple[int, ...]
+Term = tuple[Key, Monomial]
 
 
-def _accumulate(out: dict[Key, MultiPoly], key: Key, poly: MultiPoly) -> None:
-    out[key] = out[key] + poly if key in out else poly
+def _tw(term: Term) -> int:
+    key, mono = term
+    return sum(key) + mono_weight(mono)
 
 
 class WaveSeries:
-    """Polynomial cells in T keyed by shift depths (k_1, ..., k_r), read as
-    the coefficient of s_1^k_1 ... s_r^k_r, with the TW cap and floor.
+    """Sparse terms ``{(depths (k_1, ..., k_r), monomial): coefficient}``,
+    read as the coefficient of s_1^k_1 ... s_r^k_r times the monomial in T,
+    with the TW cap and floor.
 
-    TW(cell) = weight(monomial) + sum(key).  A wave series has one shift
-    variable s = 1/xi (depth k is the xi^(-k) cell) and carries the
-    exponential prefactor exp(tag * sum T_n xi^n); a shift expansion of tau
-    has tag 0.
+    TW(term) = weight(monomial) + sum(depths); the constructor keeps only
+    the nonzero terms with TW <= cap.  A wave series has one shift variable
+    s = 1/xi (depth k is a power xi^(-k)) and carries the exponential
+    prefactor exp(tag * sum T_n xi^n); a shift expansion of tau has tag 0.
     """
 
-    __slots__ = ("tag", "cells", "cap", "twmin", "index_cap")
+    __slots__ = ("tag", "terms", "cap", "twmin", "index_cap")
 
-    def __init__(self, tag: int, cells: dict[Key, MultiPoly], cap: int,
+    def __init__(self, tag: int, terms: dict[Term, Rat], cap: int,
                  twmin: int, index_cap: int):
         self.tag = tag
         self.cap = cap
         self.twmin = twmin
         self.index_cap = index_cap
-        clean: dict[Key, MultiPoly] = {}
-        for key, poly in cells.items():
-            kept = poly if cap >= INF else poly.with_caps(
-                weight_cap=cap - sum(key))
-            if not kept.is_zero():
-                clean[key] = kept
-        self.cells = clean
+        self.terms = {term: c for term, c in terms.items()
+                      if c != 0 and _tw(term) <= cap}
 
     @classmethod
     def const(cls, value, index_cap: int) -> WaveSeries:
-        poly = MultiPoly.const(value)
-        return cls(0, {(0,): poly} if value != 0 else {}, INF, 0, index_cap)
+        return cls(0, {((0,), MONO_ONE): Rat(value)}, INF, 0, index_cap)
 
     def __add__(self, other: WaveSeries) -> WaveSeries:
         if self.tag != other.tag:
             raise InvalidKeyError(
                 f"cannot add prefactor tags {self.tag} and {other.tag}")
-        out = dict(self.cells)
-        for key, poly in other.cells.items():
-            _accumulate(out, key, poly)
+        out = defaultdict(Rat, self.terms)
+        for term, c in other.terms.items():
+            out[term] += c
         return WaveSeries(self.tag, out, min(self.cap, other.cap),
                           min(self.twmin, other.twmin),
                           min(self.index_cap, other.index_cap))
@@ -220,20 +180,28 @@ class WaveSeries:
         return self + other.scale(-1)
 
     def scale(self, factor) -> WaveSeries:
+        f = Rat(factor)
         return WaveSeries(self.tag,
-                          {k: p.scale(factor) for k, p in self.cells.items()},
+                          {term: c * f for term, c in self.terms.items()},
                           self.cap, self.twmin, self.index_cap)
 
     def __mul__(self, other: WaveSeries) -> WaveSeries:
+        """Once a pair's TW exceeds the cap, no later term of the
+        TW-sorted right factor can fit, so the product equals the full
+        product pruned at the cap."""
         cap = min(_cap_add(self.cap, other.twmin),
                   _cap_add(other.cap, self.twmin))
-        out: dict[Key, MultiPoly] = {}
-        for k1, p in self.cells.items():
-            for k2, q in other.cells.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                room = _cap_add(cap, -sum(key))
-                if room >= 0:
-                    _accumulate(out, key, _capped_mul(p, q, room))
+        right = sorted(((_tw(term), term, c)
+                        for term, c in other.terms.items()),
+                       key=itemgetter(0))
+        out = defaultdict(Rat)
+        for term, c1 in self.terms.items():
+            k1, m1 = term
+            room = _cap_add(cap, -_tw(term))
+            for tw2, (k2, m2), c2 in right:
+                if tw2 > room:
+                    break
+                out[tuple(map(add, k1, k2)), mono_mul(m1, m2)] += c1 * c2
         return WaveSeries(self.tag + other.tag, out, cap,
                           self.twmin + other.twmin,
                           min(self.index_cap, other.index_cap))
@@ -243,74 +211,65 @@ class WaveSeries:
         multiplies by xi^k."""
         total = sum(deltas)
         return WaveSeries(self.tag,
-                          {tuple(k + d for k, d in zip(key, deltas)): p
-                           for key, p in self.cells.items()},
+                          {(tuple(map(add, key, deltas)), mono): c
+                           for (key, mono), c in self.terms.items()},
                           _cap_add(self.cap, total), self.twmin + total,
                           self.index_cap)
 
     def dx(self) -> WaveSeries:
         """d/dx with x identified with T_1, acting on the prefactor too
         (tag * xi lowers the first depth by one)."""
-        out: dict[Key, MultiPoly] = {}
-        for key, p in self.cells.items():
-            d = MultiPoly(p.deriv(1).terms)
-            if not d.is_zero():
-                _accumulate(out, key, d)
+        out = defaultdict(Rat)
+        for (key, mono), c in self.terms.items():
+            d = _mono_deriv(mono, 1)
+            if d is not None:
+                out[key, d[0]] += c * d[1]
             if self.tag != 0:
-                _accumulate(out, (key[0] - 1,) + key[1:],
-                            MultiPoly(p.terms).scale(self.tag))
+                out[(key[0] - 1,) + key[1:], mono] += c * self.tag
         return WaveSeries(self.tag, out, _cap_add(self.cap, -1),
                           self.twmin - 1, self.index_cap)
 
     def dxi(self) -> WaveSeries:
         """d/dxi of a wave series: term-wise on xi^(-k) plus the prefactor
         divergence tag * sum n T_n xi^(n-1) (odd n up to the index cap)."""
-        out: dict[Key, MultiPoly] = {}
-        for (k,), p in self.cells.items():
+        ladder = ([(n, mono_var(n)) for n in range(1, self.index_cap + 1, 2)]
+                  if self.tag != 0 else [])
+        out = defaultdict(Rat)
+        for ((k,), mono), c in self.terms.items():
             if k != 0:
-                _accumulate(out, (k + 1,), MultiPoly(p.terms).scale(-k))
-            if self.tag != 0:
-                for n in range(1, self.index_cap + 1, 2):
-                    term = _capped_mul(p, MultiPoly.var(n),
-                                       _cap_add(self.cap, n - k))
-                    if not term.is_zero():
-                        _accumulate(out, (k - n + 1,),
-                                    term.scale(n * self.tag))
+                out[(k + 1,), mono] -= c * k
+            for n, var in ladder:
+                out[(k - n + 1,), mono_mul(mono, var)] += c * n * self.tag
         return WaveSeries(self.tag, out, _cap_add(self.cap, 1),
                           self.twmin + 1, self.index_cap)
 
     def eval_zero(self, var: str = "xi") -> Series1:
         """Set all T to zero in a wave series; the reliability order equals
         the TW cap."""
-        coeffs = {-k: p.constant for (k,), p in self.cells.items()}
+        coeffs = {-k: c for ((k,), mono), c in self.terms.items()
+                  if mono == MONO_ONE}
         order = None if self.cap >= INF else self.cap
         return Series1(var, coeffs, order)
 
     def agrees_with(self, other: WaveSeries,
                     depth: Key | None = None) -> bool:
-        """Equal tags and equal cells within both TW caps, skipping keys
+        """Equal tags and equal terms within both TW caps, skipping keys
         deeper than ``depth`` in any shift variable."""
         if self.tag != other.tag:
             return False
         cap = min(self.cap, other.cap)
-        zero = MultiPoly.zero()
-        for key in set(self.cells) | set(other.cells):
-            if depth is not None and any(k > d for k, d in zip(key, depth)):
-                continue
-            p = self.cells.get(key, zero)
-            q = other.cells.get(key, zero)
-            room = cap - sum(key)
-            for mono in set(p.terms) | set(q.terms):
-                if mono_weight(mono) > room:
-                    continue
-                if p.terms.get(mono, Rat(0)) != q.terms.get(mono, Rat(0)):
-                    return False
-        return True
+        zero = Rat(0)
+        return all(self.terms.get(term, zero) == other.terms.get(term, zero)
+                   for term in self.terms.keys() | other.terms.keys()
+                   if _tw(term) <= cap and (depth is None or all(
+                       k <= d for k, d in zip(term[0], depth))))
 
     def __repr__(self) -> str:
         head = {1: "exp(+S)*", -1: "exp(-S)*", 0: ""}.get(
             self.tag, f"exp({self.tag}S)*")
-        bits = [f"s^{key}*[{p!r}]" for key, p in sorted(self.cells.items())]
+        bits = [f"s^{key}*({format_rat(self.terms[key, mono])})*"
+                f"{mono_str(mono)}"
+                for key, mono in sorted(self.terms)]
         return head + (" + ".join(bits) or "0") + f"  [TW<={self.cap}]"
 
 
@@ -319,7 +278,7 @@ def shifted_tau(tau: TruncatedTau, signs: Key) -> WaveSeries:
     T_n -> T_n + sum_v sign_v s_v^n / n expanded in the shift variables; a
     sign of 0 omits that shift."""
     origin = (0,) * len(signs)
-    out: dict[Key, dict[Monomial, Rat]] = {}
+    out = defaultdict(Rat)
     for mono, c in tau.poly.terms.items():
         parts: list[tuple[Key, Monomial, Rat]] = [(origin, MONO_ONE, c)]
         for idx, e in mono:
@@ -339,11 +298,8 @@ def shifted_tau(tau: TruncatedTau, signs: Key) -> WaveSeries:
                       c0 * cf)
                      for k0, m0, c0 in parts for key, left, cf in factor]
         for key, m, cf in parts:
-            bucket = out.setdefault(key, {})
-            bucket[m] = bucket.get(m, Rat(0)) + cf
-    cells = {key: MultiPoly(bucket, weight_cap=tau.weight_cap)
-             for key, bucket in out.items()}
-    return WaveSeries(0, cells, tau.weight_cap, 0, tau.index_cap)
+            out[key, m] += cf
+    return WaveSeries(0, out, tau.weight_cap, 0, tau.index_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +318,9 @@ def dual_wave(tau: TruncatedTau) -> WaveSeries:
 
 def _sato_quotient(tau: TruncatedTau, shift_dir: int, tag: int) -> WaveSeries:
     """The shift expansion with s = 1/xi times exp(tag * S) / tau(T)."""
-    inverse = WaveSeries(tag, {(0,): tau.poly.inverse()}, tau.weight_cap, 0,
-                         tau.index_cap)
+    inverse = WaveSeries(tag, {((0,), m): c
+                               for m, c in tau.poly.inverse().terms.items()},
+                         tau.weight_cap, 0, tau.index_cap)
     return shifted_tau(tau, (shift_dir,)) * inverse
 
 
@@ -378,21 +335,21 @@ def wronskian(p: WaveSeries, q: WaveSeries) -> WaveSeries:
 
 def gradient_series(tau: TruncatedTau) -> WaveSeries:
     """sum_n xi^(-n-1) dF/dT_n as a prefactor-free wave object."""
-    cells = {(n + 1,): tau.free_energy.deriv(n)
-             for n in range(1, tau.index_cap + 1)}
-    return WaveSeries(0, cells, tau.weight_cap + 1, 0, tau.index_cap)
+    terms = {((n + 1,), m): c for n in range(1, tau.index_cap + 1)
+             for m, c in tau.free_energy.deriv(n).terms.items()}
+    return WaveSeries(0, terms, tau.weight_cap + 1, 0, tau.index_cap)
 
 
 def time_ladder(tau: TruncatedTau) -> WaveSeries:
     """sum_n n T_n xi^(n-1) over the tracked (odd) indices.
 
     The wave layer works in the ring of odd time variables throughout; even
-    times never mix into odd-index cells under any operation used here, so
+    times never mix into odd-index terms under any operation used here, so
     restricting both sides of every identity to this ring is consistent.
     """
-    cells = {(1 - n,): MultiPoly.var(n).scale(n)
+    terms = {((1 - n,), mono_var(n)): Rat(n)
              for n in range(1, tau.index_cap + 1, 2)}
-    return WaveSeries(0, cells, INF, 1, tau.index_cap)
+    return WaveSeries(0, terms, INF, 1, tau.index_cap)
 
 
 def one_point_expressions(tau: TruncatedTau) -> list[WaveSeries]:
@@ -414,7 +371,7 @@ def one_point_expressions(tau: TruncatedTau) -> list[WaveSeries]:
 
 def theorem_one_point_check(tau: TruncatedTau) -> bool:
     """All wave-side expressions agree with the ladder-plus-gradient side,
-    and with each other, within the shared reliable cells."""
+    and with each other, within the shared reliable terms."""
     lhs = time_ladder(tau) + gradient_series(tau)
     exprs = one_point_expressions(tau)
     for expr in exprs:
@@ -427,7 +384,7 @@ def theorem_one_point_check(tau: TruncatedTau) -> bool:
 def wave_pairing_check(tau: TruncatedTau) -> bool:
     """The Wronskian of the wave pair at equal spectral points is -2 xi."""
     pair = wronskian(wave(tau), dual_wave(tau))
-    target = WaveSeries(0, {(-1,): MultiPoly.const(-2)}, INF, -1,
+    target = WaveSeries(0, {((-1,), MONO_ONE): Rat(-2)}, INF, -1,
                         tau.index_cap)
     return pair.agrees_with(target)
 
@@ -465,7 +422,7 @@ def differential_fay_check(tau: TruncatedTau,
                            bidegree: tuple[int, int]) -> bool:
     """s1 s2 {tau(T+[s1]), tau(T+[s2])} = (s1 - s2)
     (tau(T+[s1]) tau(T+[s2]) - tau(T) tau(T+[s1]+[s2])), through the
-    requested shift bidegree and the tau truncation's reliable cells."""
+    requested shift bidegree and the tau truncation's reliable terms."""
     return _fay_check(tau, bidegree, DIFFERENTIAL_FAY)
 
 

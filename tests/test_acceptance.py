@@ -212,7 +212,7 @@ def test_criterion_10_property_suites(engine):
             engine.connected(js), js
         assert mobius_disconnect(connected) == family
     rand = _RandomKernel(random.Random(99), 4)
-    probe = NPointEngine(lambda m: rand, 4, certify=False)
+    probe = NPointEngine(lambda m: rand, 4)
     for js in ((2, 3), (1, 2, 2), (1, 1, 2, 3)):
         family = disconnected_family(rand, js, window=16)
         connected = mobius_connect(family)

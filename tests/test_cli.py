@@ -65,6 +65,20 @@ def test_npoint_insufficient_cutoff(capsys):
     assert "cutoff" in err
 
 
+def test_correlator_cutoff_below_reach(capsys):
+    # regrowth to cutoff + 3 = 7 alone would certify 0; the value is 1/82944
+    code, out, err = run(capsys, "correlator", "--indices", "8,0",
+                         "--cutoff", "4")
+    assert code == 3 and out == ""
+    assert "(0 -> 425425/1024)" in err
+    code, out, _ = run(capsys, "correlator", "--indices", "8,0",
+                       "--cutoff", "17", "--format", "json")
+    assert code == 0
+    [record] = json.loads(out)
+    assert record["value"] == "1/82944"
+    assert record["certified_cutoff"] == 20
+
+
 def test_kernel_csv(capsys):
     code, out, _ = run(capsys, "kernel", "--cutoff", "5")
     assert code == 0

@@ -29,10 +29,10 @@ def test_shift_substitution_example():
     # tau = 1 + T_1^2 under T_1 -> T_1 - s
     square = MultiPoly.var(1, weight_cap=6) * MultiPoly.var(1, weight_cap=6)
     poly = MultiPoly.const(1, weight_cap=6) + square
-    shifted = shifted_tau(TruncatedTau(poly, poly.log(), 6, 1), (-1,)).cells
-    assert shifted[(0,)].coeff(((1, 2),)) == 1
-    assert shifted[(1,)].coeff(((1, 1),)) == -2
-    assert shifted[(2,)].coeff(MONO_ONE) == 1
+    shifted = shifted_tau(TruncatedTau(poly, poly.log(), 6, 1), (-1,)).terms
+    assert shifted[(0,), ((1, 2),)] == 1
+    assert shifted[(1,), ((1, 1),)] == -2
+    assert shifted[(2,), MONO_ONE] == 1
 
 
 def test_exp_log_roundtrip():

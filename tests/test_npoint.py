@@ -124,6 +124,27 @@ def test_certification_catches_small_cutoff():
         engine.connected((3, 15))
 
 
+# Keys and explicit cutoffs at which a regrowth of only +3 stays below the
+# reach sum(j) - 1 and reproduces a wrong value (0).
+BELOW_REACH = (((8, 0), 2), ((8, 0), 3), ((8, 0), 4), ((7, 1), 2),
+               ((7, 1), 3), ((6, 2), 2), ((6, 0, 0), 2), ((6, 0, 0), 3),
+               ((7, 0, 0, 0), 2), ((7, 0, 0, 0), 3), ((6, 1, 0, 0), 2),
+               ((6, 1, 0, 0), 3), ((6, 0, 0, 0, 0, 0), 2))
+
+
+@pytest.mark.parametrize("ms, cutoff", BELOW_REACH)
+def test_certification_regrows_to_reach(ms, cutoff):
+    js = tuple(2 * m + 1 for m in sorted(ms))
+    engine = NPointEngine(kernel_closed, cutoff)
+    assert engine.certified_cutoff(js) == sum(js) - 1
+    assert engine.connected_at(js, cutoff) == 0
+    with pytest.raises(InsufficientCutoffError, match="unstable"):
+        intersection_number(engine, ms)
+    at_reach = NPointEngine(kernel_closed, sum(js) - 1)
+    assert at_reach.certified_cutoff(js) == sum(js) + 2
+    assert intersection_number(at_reach, ms) == dvv_correlator(ms)
+
+
 def test_set_partitions_count():
     # Bell numbers 1, 1, 2, 5, 15
     for n, bell in ((0, 1), (1, 1), (2, 2), (3, 5), (4, 15)):
@@ -200,7 +221,7 @@ def test_cycle_vs_determinant_airy(engine):
 def test_cycle_vs_determinant_random_kernel():
     rng = random.Random(91)
     kernel = _RandomKernel(rng, 4)
-    probe = NPointEngine(lambda m: kernel, 4, certify=False)
+    probe = NPointEngine(lambda m: kernel, 4)
     for js in ((1, 2), (2, 1, 3), (1, 1, 2, 2)):
         family = disconnected_family(kernel, js, window=16)
         connected = mobius_connect(family)
@@ -230,7 +251,7 @@ def test_cycle_vs_determinant_prime_denominator_kernels():
     # tables with no grading rule, at orders of both parities
     for seed in range(3):
         kernel = _PrimeDenominatorKernel(random.Random(seed), 4)
-        probe = NPointEngine(lambda m: kernel, 4, certify=False)
+        probe = NPointEngine(lambda m: kernel, 4)
         for js in ((1, 2), (3, 3), (2, 1, 4), (1, 1, 2, 2)):
             family = disconnected_family(kernel, js, window=16)
             connected = mobius_connect(family)

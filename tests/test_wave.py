@@ -32,7 +32,17 @@ GOLDEN = Path(__file__).parent / "golden" / "wave_layer.json"
 
 
 def _cells(series):
-    return {key: dict(poly.terms) for key, poly in series.cells.items()}
+    """Terms grouped by shift depths: {key: {monomial: coefficient}}."""
+    cells = {}
+    for (key, mono), c in series.terms.items():
+        cells.setdefault(key, {})[mono] = c
+    return cells
+
+
+def _terms(cells):
+    """Terms of {key: MultiPoly} cells."""
+    return {(key, mono): c for key, poly in cells.items()
+            for mono, c in poly.terms.items()}
 
 
 def _xi_cells(series):
@@ -187,7 +197,7 @@ def test_wave_satisfies_spectral_square(tau12):
     w = wave(tau12)
     w_xx = w.dx().dx()
     u = tau12.free_energy.deriv(1).deriv(1)
-    u_wave = WaveSeries(0, {(0,): u}, tau12.weight_cap - 2, 0,
+    u_wave = WaveSeries(0, _terms({(0,): u}), tau12.weight_cap - 2, 0,
                         tau12.index_cap)
     rhs = w.shift(-2) - (u_wave * w).scale(2)
     assert w_xx.agrees_with(rhs)
@@ -197,6 +207,10 @@ def test_reliable_weight_cap():
     assert reliable_weight_cap(degree_cap=3) == 5
     assert reliable_weight_cap(degree_cap=3, index_cap=9) == 5
     assert reliable_weight_cap(index_cap=9) == 11
+    # recorded before the key search moved onto npoint.valid_keys
+    caps = (0, 1, 2, 3, 4, 5, 10, 11, 16, 17, 23, 24)
+    assert [reliable_weight_cap(index_cap=j) for j in caps] == \
+        [2, 2, 2, 5, 5, 8, 11, 14, 17, 20, 26, 26]
     assert reliable_weight_cap() is None
     assert padded_weight_cap(15) == 17
     assert padded_weight_cap(9) == 11
@@ -252,7 +266,8 @@ def _random_wave(rng):
     cap, twmin = _random_meta(rng)
     exps = rng.sample(range(-6, 5), rng.randint(1, 5))
     return WaveSeries(rng.choice((-1, 0, 1)),
-                      {(-e,): _random_poly(rng) for e in exps}, cap, twmin,
+                      _terms({(-e,): _random_poly(rng) for e in exps}), cap,
+                      twmin,
                       rng.choice((1, 3, 5)))
 
 
@@ -260,8 +275,8 @@ def _random_shift(rng):
     cap, twmin = _random_meta(rng)
     keys = {(rng.randint(-1, 3), rng.randint(-1, 3))
             for _ in range(rng.randint(1, 5))}
-    return WaveSeries(0, {key: _random_poly(rng) for key in keys}, cap,
-                      twmin, 1)
+    return WaveSeries(0, _terms({key: _random_poly(rng) for key in keys}),
+                      cap, twmin, 1)
 
 
 def _product_cap(a, b):
@@ -382,7 +397,7 @@ def test_shifted_tau_embeds_one_variable_shift(tau9):
     for tau in (tau9,) + toys:
         for s in (1, -1):
             one = shifted_tau(tau, (s,))
-            assert one.cells
+            assert one.terms
             for signs, embed in (((s, 0), lambda k: (k, 0)),
                                  ((0, s), lambda k: (0, k))):
                 two = shifted_tau(tau, signs)
@@ -400,11 +415,9 @@ def test_shifted_tau_embeds_one_variable_shift(tau9):
 
 def _golden_record(series, xi):
     if xi:
-        cells = sorted((-k, m, c) for (k,), p in series.cells.items()
-                       for m, c in p.terms.items())
+        cells = sorted((-k, m, c) for ((k,), m), c in series.terms.items())
     else:
-        cells = sorted((key, m, c) for key, p in series.cells.items()
-                       for m, c in p.terms.items())
+        cells = sorted((key, m, c) for (key, m), c in series.terms.items())
     return {"tag": series.tag,
             "cap": None if series.cap >= INF else series.cap,
             "twmin": series.twmin,
@@ -447,15 +460,14 @@ def test_wave_layer_matches_golden(tau9, tau12, engine):
 
 
 def test_agrees_with_reads_exactly_the_reliable_cells_within_depth():
-    base_cells = {(1, 1): MultiPoly({((1, 1),): Fraction(1)})}
+    base_terms = {((1, 1), ((1, 1),)): Fraction(1)}
 
     def plus(key, mono):
-        cells = dict(base_cells)
-        bump = MultiPoly({mono: Fraction(1)})
-        cells[key] = cells[key] + bump if key in cells else bump
-        return WaveSeries(0, cells, INF, 0, 3)
+        terms = dict(base_terms)
+        terms[key, mono] = terms.get((key, mono), Fraction(0)) + 1
+        return WaveSeries(0, terms, INF, 0, 3)
 
-    base = WaveSeries(0, base_cells, 6, 0, 3)
+    base = WaveSeries(0, base_terms, 6, 0, 3)
     # TW of the differing cell: weight 4 + depth 2 = 6 is read, 5 + 2 is not
     assert not base.agrees_with(plus((1, 1), ((1, 1), (3, 1))))
     assert base.agrees_with(plus((1, 1), ((1, 2), (3, 1))))
