@@ -19,6 +19,15 @@ produce the same table:
 Entry-wise agreement of all routes is the package's central acceptance
 check.  Entries vanish unless m + n = 2 (mod 3).
 
+Each route builds only the cells it reads.  The two expansion routes divide
+by x^s - y^s through the running sum G(ex, ey) = f(ex+s, ey) + G(ex+s, ey-s)
+of ``Laurent2.div_diff_powers``, on a square window of exponents: s = 2 on
+[-cutoff-1, 2]^2 for ``kernel_series`` (the table plus the nonnegative cells
+that must cancel), s = 1 on [-cutoff//2-1, -1]^2 for each ``kernel_gmatrix``
+block.  Before the outer products their univariate factors are cut to the
+exponents that can reach the window (proved in each docstring).  The frame
+route cuts every element to order cutoff + 1 before elimination.
+
 A documented ``alternating`` flag switches a, b to their sign-alternated
 partners (the Faber-Zagier series c, q), the opposite time-scaling
 convention; the closed-form route applies to the standard convention only.
@@ -29,9 +38,8 @@ from __future__ import annotations
 import math
 
 from .errors import CrossCheckError, InsufficientCutoffError, InvalidKeyError
-from .rational import Rat, double_factorial, format_rat, parse_rat
-from .series import (Laurent2, Series1, geometric_inv_diff,
-                     geometric_inv_diff_squares)
+from .rational import ZERO, Rat, double_factorial, format_rat, parse_rat
+from .series import Laurent2, Series1
 
 STANDARD = "standard"
 ALTERNATING = "alternating"
@@ -181,7 +189,7 @@ class Kernel:
         if m > self.cutoff or n > self.cutoff or m < 0 or n < 0:
             raise InsufficientCutoffError(
                 f"entry ({m},{n}) beyond kernel cutoff {self.cutoff}")
-        return self.table.get((m, n), Rat(0))
+        return self.table.get((m, n), ZERO)
 
     def rows(self) -> list[tuple[int, int, Rat]]:
         """Nonzero entries sorted by (m+n, m)."""
@@ -225,6 +233,20 @@ def kernel_series(cutoff: int, order: int | None = None,
                   convention: str = STANDARD, check: bool = True) -> Kernel:
     """Expand 1/(x-y) + (a(x) b(-y) - a(-y) b(x))/(x^2-y^2) in |x| > |y|.
 
+    As 1/(x-y) = (x+y)/(x^2-y^2), the whole function is one numerator f
+    divided by x^2 - y^2 through the running sum of
+    ``Laurent2.div_diff_powers``, on the window [-cutoff-1, 2]^2: the table
+    cells plus the nonnegative cells that must cancel.  The top x-exponent
+    of f is 1, so a window cell (ex, ey) reads f(ex + 2j, ey + 2 - 2j) for
+    1 <= j <= (1 - ex)/2 only, and the factors are cut before the outer
+    products to the exponents those reads reach:
+
+    * x >= -(cutoff-1), since ex + 2j >= -cutoff-1 + 2;
+    * y >= -(2 cutoff+1), since ey + 2 - 2j >= ey + ex + 1 >= -2 cutoff - 1.
+
+    Both cuts are tight: one step tighter changes a table.  Every read lies
+    inside the exact window of the order-truncated inputs, so every window
+    cell is exact, and the guard sees all nonnegative ones.
     The table is read off transposed (rows index the y-exponent), matching
     the affine-coordinate orientation of the other routes.
     """
@@ -235,35 +257,24 @@ def kernel_series(cutoff: int, order: int | None = None,
             f"for cutoff {cutoff}")
     a, b = series_pair(order, convention)
     pair = ("x", "y")
-    ax = a.rename("x")
-    bx = b.rename("x")
-    a_neg_y = a.negate_var().rename("y")
-    b_neg_y = b.negate_var().rename("y")
+    xcut, ycut = cutoff - 1, 2 * cutoff + 1
+    ax = a.rename("x").truncated(xcut)
+    bx = b.rename("x").truncated(xcut)
+    a_neg_y = a.negate_var().rename("y").truncated(ycut)
+    b_neg_y = b.negate_var().rename("y").truncated(ycut)
     numerator = Laurent2.outer(ax, b_neg_y, pair) \
-        - Laurent2.outer(bx, a_neg_y, pair)
-
-    pos = 2  # keep a couple of nonnegative exponents for the cancellation check
-    k2max = (order + pos) // 2 + 1
-    gf = numerator.mul(geometric_inv_diff_squares(pair, k2max),
-                       xmin=-cutoff - 1, ymin=-cutoff - 1)
-    gf = gf + geometric_inv_diff(pair, pos)
-    gf = gf.restrict(xmin=-cutoff - 1, xmax=pos, ymin=-cutoff - 1, ymax=pos)
-
-    if check:
-        # all nonnegative-exponent cells cancel within the graded window
-        for ex, ey, value in gf.cells():
-            if ex + ey < 1 - order:
-                continue
-            if (ex >= 0 or ey >= 0) and value != 0:
-                raise CrossCheckError(
-                    f"uncancelled term x^{ex} y^{ey}: {format_rat(value)}")
+        - Laurent2.outer(bx, a_neg_y, pair) \
+        + Laurent2(pair, {(1, 0): Rat(1), (0, 1): Rat(1)})
+    gf = numerator.div_diff_powers(2, -cutoff - 1, 2)
 
     table = {}
-    for m in range(cutoff + 1):
-        for n in range(cutoff + 1):
-            value = gf.coeff(-n - 1, -m - 1)
-            if value != 0:
-                table[(m, n)] = value
+    for ex, ey, value in gf.cells():
+        if ex >= 0 or ey >= 0:
+            if check:
+                raise CrossCheckError(
+                    f"uncancelled term x^{ex} y^{ey}: {format_rat(value)}")
+            continue
+        table[(-ey - 1, -ex - 1)] = value
     return Kernel(cutoff, table, "series", convention)
 
 
@@ -310,7 +321,19 @@ def kernel_gmatrix(cutoff: int, order: int | None = None,
     """Assemble the table from (1/(x-y)) (I - G(x) G(y)^(-1)).
 
     G(y)^(-1) is the adjugate, using det G = 1; the determinant is verified
-    within the window first.
+    within the window first.  Each block is divided by x - y through the
+    running sum of ``Laurent2.div_diff_powers`` on the window
+    [-half-1, -1]^2 with half = cutoff//2: block cell (-m-1, -n-1) lands at
+    row 2m + r', column 2n + c' of the table, which keeps rows and columns
+    <= cutoff, so m, n <= half.  The top x-exponent of every block
+    numerator is 0, so a window cell (ex, ey) reads f(ex + j, ey + 1 - j)
+    for 1 <= j <= -ex only, and the series are cut before the outer
+    products to the exponents those reads reach:
+
+    * x >= -half, since ex + j >= -half-1 + 1;
+    * y >= -(2 half+1), since ey + 1 - j >= ey + ex + 1 >= -2 half - 1.
+
+    The window and both cuts are tight: one step tighter changes a table.
     """
     order = required_order(cutoff) if order is None else order
     if order < required_order(cutoff):
@@ -325,33 +348,26 @@ def kernel_gmatrix(cutoff: int, order: int | None = None,
             "transition matrix determinant differs from 1 inside the window")
     ginv = [[g[1][1], -g[0][1]], [-g[1][0], g[0][0]]]
 
+    half = cutoff // 2
+    xcut, ycut = half, 2 * half + 1
+    gx = [[f.rename("x").truncated(xcut) for f in row] for row in g]
+    giy = [[f.rename("y").truncated(ycut) for f in row] for row in ginv]
     pair = ("x", "y")
-    half = cutoff // 2 + 1
-    k1max = order
-    cauchy = geometric_inv_diff(pair, k1max)
     table: dict[tuple[int, int], Rat] = {}
     for r in range(2):
         for c in range(2):
-            prod = Laurent2.zero(pair)
+            block = Laurent2.const(pair, 1) if r == c else Laurent2.zero(pair)
             for s in range(2):
-                prod = prod + Laurent2.outer(g[r][s].rename("x"),
-                                             ginv[s][c].rename("y"), pair)
-            block = Laurent2.zero(pair)
-            if r == c:
-                block = Laurent2.const(pair, 1)
-            block = (block - prod).mul(cauchy, xmin=-half - 2, ymin=-half - 2)
+                block = block - Laurent2.outer(gx[r][s], giy[s][c], pair)
+            block = block.div_diff_powers(1, -half - 1, -1)
             # block cell (-m-1, -n-1) is the closed-table value at
             # row 2m+r', column 2n+c' with r' = 1 - r, c' = c.
-            for mm in range(half + 1):
-                for nn in range(half + 1):
-                    value = block.coeff(-mm - 1, -nn - 1)
-                    if value == 0:
-                        continue
-                    row = 2 * mm + (1 - r)
-                    col = 2 * nn + c
-                    if row <= cutoff and col <= cutoff:
-                        # transpose into the affine orientation
-                        table[(col, row)] = value
+            for (ex, ey), value in block.coeffs.items():
+                row = 2 * (-ex - 1) + (1 - r)
+                col = 2 * (-ey - 1) + c
+                if row <= cutoff and col <= cutoff:
+                    # transpose into the affine orientation
+                    table[(col, row)] = value
     return Kernel(cutoff, table, "gmatrix", convention)
 
 
@@ -380,14 +396,7 @@ def kernel_frame(cutoff: int, order: int | None = None,
 
     order = required_order(cutoff) if order is None else order
     frame = AdmissibleFrame(airy_frame(cutoff + 1, order, convention))
-    coords = frame.normalize(cutoff)
-    table = {}
-    for m in range(cutoff + 1):
-        for n in range(cutoff + 1):
-            value = coords.entry(m, n)
-            if value != 0:
-                table[(m, n)] = value
-    return Kernel(cutoff, table, "frame", convention)
+    return Kernel(cutoff, frame.normalize(cutoff).table, "frame", convention)
 
 
 ROUTES = {
@@ -413,14 +422,17 @@ def build_kernel(cutoff: int, route: str = "closed",
 def check_all_routes(cutoff: int, convention: str = STANDARD) -> Kernel:
     """Build every applicable route and demand entry-wise equality.
 
-    Returns the reference kernel; raises CrossCheckError naming the first
-    differing entry otherwise.
+    Tables hold no zeros, so whole tables are compared first; only when two
+    differ are entries walked.  Returns the reference kernel; raises
+    CrossCheckError naming the first differing entry otherwise.
     """
     names = ["closed", "series", "gmatrix", "frame"] if convention == STANDARD \
         else ["series", "gmatrix", "frame"]
     kernels = [build_kernel(cutoff, name, convention) for name in names]
     reference = kernels[0]
     for other in kernels[1:]:
+        if other.table == reference.table:
+            continue
         for m in range(cutoff + 1):
             for n in range(cutoff + 1):
                 left = reference.entry(m, n)

@@ -64,13 +64,20 @@ class AdmissibleFrame:
 
     def normalize(self, cutoff: int) -> AffineCoords:
         """Gauss-eliminate every nonnegative exponent except the leading one
-        and read off the affine coordinates down to depth ``cutoff``."""
+        and read off the affine coordinates down to depth ``cutoff``.
+
+        Each element is first truncated to order cutoff + 1.  This is exact:
+        column z^e of the result depends only on column z^e of the inputs
+        and on the pivots, which sit at nonnegative exponents.  An element
+        reliable to less than that depth still raises WindowError.
+        """
         if len(self.elements) <= cutoff:
             raise InsufficientCutoffError(
                 f"frame has {len(self.elements)} elements, cutoff {cutoff} "
                 f"needs {cutoff + 1}")
         normalized: list[Series1] = []
         for n, f in enumerate(self.elements[:cutoff + 1]):
+            f = f.truncated(cutoff + 1)
             for k in range(n - 1, -1, -1):
                 c = f.get(k)
                 if c != 0:

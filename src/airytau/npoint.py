@@ -62,14 +62,15 @@ def _edge_table(kernel, window: int, ascending: bool
     """Terms of one off-diagonal factor, keyed by the first exponent.
 
     ``ascending`` says whether the factor's first argument has the smaller
-    point label, which fixes the expansion region of the Cauchy part.
+    point label, which fixes the expansion region of the Cauchy part.  The
+    kernel terms come from the sparse ``kernel.table`` {(m, n): value}, so a
+    duck-typed kernel needs that attribute, holding entries within its
+    cutoff only.
     """
     table: dict[int, list[tuple[int, Rat]]] = {}
-    for m in range(kernel.cutoff + 1):
-        for n in range(kernel.cutoff + 1):
-            value = kernel.entry(m, n)
-            if value != 0:
-                table.setdefault(-m - 1, []).append((-n - 1, value))
+    for (m, n), value in sorted(kernel.table.items()):
+        if value != 0:
+            table.setdefault(-m - 1, []).append((-n - 1, value))
     if ascending:
         for k in range(window + 1):
             table.setdefault(-1 - k, []).append((k, Rat(1)))

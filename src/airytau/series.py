@@ -349,6 +349,38 @@ class Laurent2:
                 out[key] = out.get(key, Rat(0)) + c1 * c2
         return Laurent2(self.vars, out)
 
+    def div_diff_powers(self, s: int, lo: int, hi: int) -> Laurent2:
+        """Quotient by x**s - y**s expanded in |x| > |y|, keeping only the
+        cells whose two exponents both lie in [lo, hi].
+
+        From f = G (x**s - y**s) each cell obeys the running sum
+        G(ex, ey) = f(ex+s, ey) + G(ex+s, ey-s), and G vanishes above the
+        top x-exponent T of f, less s (a Laurent polynomial always has a
+        finite T).  So each chain (ex + k s, ey - k s) is summed from the top
+        down: one addition per cell and no multiplication.  Chain cells with
+        ey < lo are summed but not kept.
+        """
+        if s < 1:
+            raise InvalidKeyError(f"power {s} must be >= 1")
+        f = self.coeffs
+        out: dict[tuple[int, int], Rat] = {}
+        if not f:
+            return Laurent2(self.vars, out)
+        top = max(x for x, _ in f)
+        for d in range(2 * lo, 2 * hi + 1):  # ex + ey, fixed along a chain
+            for start in range(top - s, top - 2 * s, -1):  # the s residues
+                acc = 0
+                for ex in range(start, lo - 1, -s):
+                    ey = d - ex
+                    if ey > hi:
+                        break
+                    c = f.get((ex + s, ey))
+                    if c is not None:
+                        acc += c
+                    if acc and ey >= lo and ex <= hi:
+                        out[(ex, ey)] = acc
+        return Laurent2(self.vars, out)
+
     def __mul__(self, other):
         if isinstance(other, Laurent2):
             return self.mul(other)
@@ -385,16 +417,6 @@ class Laurent2:
         body = " + ".join(f"({format_rat(c)}){u}^{x}{v}^{y}"
                           for x, y, c in self.cells())
         return body or "0"
-
-
-def geometric_inv_diff(vars: tuple[str, str], kmax: int) -> Laurent2:
-    """Expansion of 1/(x - y) in the region |x| > |y|, truncated at y**kmax."""
-    return Laurent2(vars, {(-1 - k, k): Rat(1) for k in range(kmax + 1)})
-
-
-def geometric_inv_diff_squares(vars: tuple[str, str], kmax: int) -> Laurent2:
-    """Expansion of 1/(x**2 - y**2) in |x| > |y|, truncated at y**(2*kmax)."""
-    return Laurent2(vars, {(-2 - 2 * k, 2 * k): Rat(1) for k in range(kmax + 1)})
 
 
 def geometric_inv_diff_squares_sq(vars: tuple[str, str],

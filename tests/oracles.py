@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from airytau.partitions import Partition
+from airytau.series import Laurent2
 
 
 def convolve(a: dict[int, Fraction], b: dict[int, Fraction]
@@ -22,6 +23,17 @@ def convolve(a: dict[int, Fraction], b: dict[int, Fraction]
         for e2, c2 in b.items():
             out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
     return {e: c for e, c in out.items() if c != 0}
+
+
+def geometric_inv_diff(vars: tuple[str, str], kmax: int) -> Laurent2:
+    """Expansion of 1/(x - y) in the region |x| > |y|, truncated at y**kmax."""
+    return Laurent2(vars, {(-1 - k, k): Fraction(1) for k in range(kmax + 1)})
+
+
+def geometric_inv_diff_squares(vars: tuple[str, str], kmax: int) -> Laurent2:
+    """Expansion of 1/(x**2 - y**2) in |x| > |y|, truncated at y**(2*kmax)."""
+    return Laurent2(vars, {(-2 - 2 * k, 2 * k): Fraction(1)
+                           for k in range(kmax + 1)})
 
 
 def det_leibniz(rows: list[list]) -> Fraction:

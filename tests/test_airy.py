@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from airytau.airy import (ALTERNATING, airy_d_check, airy_frame, build_kernel,
-                          check_all_routes, closed_entry,
-                          diagonal_closed_coeff, faber_zagier_identity_check,
-                          kernel_closed, kernel_diagonal, kernel_from_csv,
-                          kernel_series, kernel_to_csv,
-                          required_order, slope_series, transition_matrix,
-                          wave_series)
+from airytau import airy as airy_module
+from airytau.airy import (ALTERNATING, STANDARD, Kernel, airy_d_check,
+                          airy_frame, build_kernel, check_all_routes,
+                          closed_entry, diagonal_closed_coeff,
+                          faber_zagier_identity_check, kernel_closed,
+                          kernel_diagonal, kernel_from_csv, kernel_series,
+                          kernel_to_csv, required_order, slope_series,
+                          transition_matrix, wave_series)
 from airytau.errors import (CrossCheckError, InsufficientCutoffError,
                             InvalidKeyError)
 from airytau.npoint import antidiagonal_sum
@@ -93,6 +94,63 @@ def test_series_route_cancellation_guard():
     # the cancellation check runs on every build; reaching here means all
     # nonnegative-exponent cells vanished inside the graded window
     kernel_series(6, check=True)
+
+
+@pytest.mark.parametrize("which, exp", [(0, -3), (1, -2), (0, -9)])
+def test_series_route_guard_sees_nonnegative_cells(monkeypatch, which, exp):
+    # one perturbed input coefficient leaves terms at nonnegative exponents,
+    # which only a division that still builds those cells can see
+    real = airy_module.series_pair
+
+    def perturbed(order, convention=STANDARD):
+        pair = list(real(order, convention))
+        f = pair[which]
+        pair[which] = f + Series1.monomial(f.var, exp, Rat(1, 7))
+        return tuple(pair)
+
+    monkeypatch.setattr(airy_module, "series_pair", perturbed)
+    with pytest.raises(CrossCheckError, match="uncancelled term"):
+        kernel_series(12)
+    assert kernel_series(12, check=False) != kernel_closed(12)
+
+
+@pytest.mark.parametrize("route, cell, message", [
+    ("gmatrix", (0, 2), "route gmatrix differs from closed at (0,2): "
+                        "29/24 vs 5/24"),
+    ("frame", (5, 0), "route frame differs from closed at (5,0): "
+                      "0 vs -385/1152"),
+])
+def test_check_all_routes_names_first_difference(monkeypatch, route, cell,
+                                                 message):
+    real = airy_module.ROUTES[route]
+
+    def perturbed(cutoff, convention=STANDARD):
+        kernel = real(cutoff, convention=convention)
+        table = dict(kernel.table)
+        if route == "gmatrix":
+            table[cell] += 1
+        else:
+            del table[cell]
+        return Kernel(cutoff, table, route, convention)
+
+    monkeypatch.setitem(airy_module.ROUTES, route, perturbed)
+    with pytest.raises(CrossCheckError) as caught:
+        check_all_routes(6)
+    assert str(caught.value) == message
+
+
+def test_routes_equal_closed_at_every_cutoff():
+    # the truncated factors and division windows of each route, at every
+    # cutoff and in both conventions
+    for cutoff in range(2, 34):
+        closed = kernel_closed(cutoff)
+        for route in ("series", "gmatrix", "frame"):
+            assert build_kernel(cutoff, route) == closed, (route, cutoff)
+        alternating = kernel_series(cutoff, convention=ALTERNATING)
+        assert alternating != closed
+        for route in ("gmatrix", "frame"):
+            assert build_kernel(cutoff, route, ALTERNATING) == alternating, \
+                (route, cutoff)
 
 
 def test_gmatrix_determinant_is_one():

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airytau.airy import slope_series, wave_series
-from airytau.errors import WindowError
+from airytau.errors import InvalidKeyError, WindowError
 from airytau.rational import Rat
-from airytau.series import (Laurent2, Series1, geometric_inv_diff,
-                            geometric_inv_diff_squares)
+from airytau.series import Laurent2, Series1
 
-from oracles import convolve
+from oracles import (convolve, geometric_inv_diff,
+                     geometric_inv_diff_squares)
 
 
 def s(coeffs, order=None, var="z"):
@@ -197,3 +197,33 @@ def test_laurent2_windowed_mul_equals_full_product_restricted():
                 key = (x1 + x2, y1 + y2)
                 full[key] = full.get(key, Fraction(0)) + c1 * c2
         assert a.mul(b).coeffs == {k: c for k, c in full.items() if c != 0}
+
+
+def test_div_diff_powers_equals_geometric_product_restricted():
+    rng = random.Random(29)
+    pair = ("x", "y")
+    for _ in range(200):
+        f = _random_laurent2(rng, rng.randint(0, 12))
+        power = rng.choice((1, 2))
+        lo = rng.randint(-14, 4)
+        hi = rng.randint(lo, 8)
+        # y-exponents of f are >= -6, so terms past y**(hi + 6) never land
+        # in the window
+        kmax = (hi + 6) // power + 1
+        geometric = (geometric_inv_diff if power == 1
+                     else geometric_inv_diff_squares)(pair, kmax)
+        expected = f.mul(geometric).restrict(xmin=lo, xmax=hi,
+                                             ymin=lo, ymax=hi)
+        assert f.div_diff_powers(power, lo, hi) == expected
+
+
+def test_div_diff_powers_examples():
+    pair = ("x", "y")
+    one = Laurent2.const(pair, 1)
+    assert one.div_diff_powers(1, -3, 1) == geometric_inv_diff(pair, 1)
+    # (x + y) / (x**2 - y**2) = 1 / (x - y)
+    x_plus_y = Laurent2(pair, {(1, 0): Rat(1), (0, 1): Rat(1)})
+    assert x_plus_y.div_diff_powers(2, -4, 3) == geometric_inv_diff(pair, 3)
+    assert Laurent2.zero(pair).div_diff_powers(2, -5, 5).is_zero()
+    with pytest.raises(InvalidKeyError):
+        one.div_diff_powers(0, -3, 1)
