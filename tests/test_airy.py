@@ -119,7 +119,7 @@ def test_series_route_guard_sees_nonnegative_cells(monkeypatch, which, exp):
                         "29/24 vs 5/24"),
     ("frame", (5, 0), "route frame differs from closed at (5,0): "
                       "0 vs -385/1152"),
-])
+], ids=["gmatrix", "frame"])
 def test_check_all_routes_names_first_difference(monkeypatch, route, cell,
                                                  message):
     real = airy_module.ROUTES[route]
