@@ -13,15 +13,15 @@ from .airy import (Kernel, build_kernel, check_all_routes, closed_entry,
                    kernel_series, slope_series, wave_series)
 from .errors import (AirytauError, CrossCheckError, InsufficientCutoffError,
                      InvalidKeyError, WindowError)
-from .grassmann import (AdmissibleFrame, AffineCoords, frame_dump,
-                        frame_parse, plucker_from_admissible, plucker_minor,
+from .grassmann import (AdmissibleFrame, AffineCoords,
+                        plucker_from_admissible, plucker_minor,
                         reduction_check, tau_minus_two_point,
                         tau_plus_two_point, tau_polynomial, tau_schur_coeffs)
 from .multipoly import MultiPoly
-from .npoint import (NPointEngine, ahat_entry, disconnected_coeff,
-                     disconnected_family, free_energy, genus0_check,
-                     genus_of, intersection_number, mobius_connect,
-                     mobius_disconnect, puncture_check)
+from .npoint import (NPointEngine, disconnected_coeff, disconnected_family,
+                     free_energy, genus0_check, genus_of,
+                     intersection_number, mobius_connect, mobius_disconnect,
+                     puncture_check)
 from .partitions import Partition
 from .rational import Rat, double_factorial
 from .schur import PowerSums, schur_at

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 
 from .errors import CrossCheckError, InsufficientCutoffError, InvalidKeyError
-from .rational import ZERO, Rat, double_factorial, format_rat, parse_rat
+from .rational import ZERO, Rat, double_factorial, format_rat
 from .series import Laurent2, Series1
 
 STANDARD = "standard"
@@ -229,8 +229,7 @@ def required_order(cutoff: int) -> int:
     return 3 * cutoff + 6
 
 
-def kernel_series(cutoff: int, order: int | None = None,
-                  convention: str = STANDARD, check: bool = True) -> Kernel:
+def kernel_series(cutoff: int, convention: str = STANDARD) -> Kernel:
     """Expand 1/(x-y) + (a(x) b(-y) - a(-y) b(x))/(x^2-y^2) in |x| > |y|.
 
     As 1/(x-y) = (x+y)/(x^2-y^2), the whole function is one numerator f
@@ -245,17 +244,13 @@ def kernel_series(cutoff: int, order: int | None = None,
     * y >= -(2 cutoff+1), since ey + 2 - 2j >= ey + ex + 1 >= -2 cutoff - 1.
 
     Both cuts are tight: one step tighter changes a table.  Every read lies
-    inside the exact window of the order-truncated inputs, so every window
-    cell is exact, and the guard sees all nonnegative ones.
+    inside the exact window of the inputs truncated at
+    ``required_order(cutoff)``, so every window cell is exact, and the guard
+    sees all nonnegative ones.
     The table is read off transposed (rows index the y-exponent), matching
     the affine-coordinate orientation of the other routes.
     """
-    order = required_order(cutoff) if order is None else order
-    if order < required_order(cutoff):
-        raise InsufficientCutoffError(
-            f"series order {order} < required {required_order(cutoff)} "
-            f"for cutoff {cutoff}")
-    a, b = series_pair(order, convention)
+    a, b = series_pair(required_order(cutoff), convention)
     pair = ("x", "y")
     xcut, ycut = cutoff - 1, 2 * cutoff + 1
     ax = a.rename("x").truncated(xcut)
@@ -270,10 +265,8 @@ def kernel_series(cutoff: int, order: int | None = None,
     table = {}
     for ex, ey, value in gf.cells():
         if ex >= 0 or ey >= 0:
-            if check:
-                raise CrossCheckError(
-                    f"uncancelled term x^{ex} y^{ey}: {format_rat(value)}")
-            continue
+            raise CrossCheckError(
+                f"uncancelled term x^{ex} y^{ey}: {format_rat(value)}")
         table[(-ey - 1, -ex - 1)] = value
     return Kernel(cutoff, table, "series", convention)
 
@@ -316,8 +309,7 @@ def transition_matrix(order: int, convention: str = STANDARD
     return [[g11, g12], [g21, g22]]
 
 
-def kernel_gmatrix(cutoff: int, order: int | None = None,
-                   convention: str = STANDARD) -> Kernel:
+def kernel_gmatrix(cutoff: int, convention: str = STANDARD) -> Kernel:
     """Assemble the table from (1/(x-y)) (I - G(x) G(y)^(-1)).
 
     G(y)^(-1) is the adjugate, using det G = 1; the determinant is verified
@@ -335,11 +327,7 @@ def kernel_gmatrix(cutoff: int, order: int | None = None,
 
     The window and both cuts are tight: one step tighter changes a table.
     """
-    order = required_order(cutoff) if order is None else order
-    if order < required_order(cutoff):
-        raise InsufficientCutoffError(
-            f"series order {order} < required {required_order(cutoff)} "
-            f"for cutoff {cutoff}")
+    order = required_order(cutoff)
     g = transition_matrix(order, convention)
     det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
     det_window = min(x for x in (det.order, order // 2 - 1) if x is not None)
@@ -388,14 +376,13 @@ def airy_frame(count: int, order: int | None = None,
     return frame
 
 
-def kernel_frame(cutoff: int, order: int | None = None,
-                 convention: str = STANDARD) -> Kernel:
+def kernel_frame(cutoff: int, convention: str = STANDARD) -> Kernel:
     """Gauss-normalize the Airy frame and read its affine coordinates
     entry by entry into a kernel table."""
     from .grassmann import AdmissibleFrame
 
-    order = required_order(cutoff) if order is None else order
-    frame = AdmissibleFrame(airy_frame(cutoff + 1, order, convention))
+    frame = AdmissibleFrame(airy_frame(cutoff + 1, required_order(cutoff),
+                                       convention))
     return Kernel(cutoff, frame.normalize(cutoff).table, "frame", convention)
 
 
@@ -516,15 +503,3 @@ def kernel_to_csv(kernel: Kernel) -> str:
     for m, n, value in kernel.rows():
         lines.append(f"{m},{n},{format_rat(value)}")
     return "\n".join(lines) + "\n"
-
-
-def kernel_from_csv(text: str, cutoff: int, route: str = "csv",
-                    convention: str = STANDARD) -> Kernel:
-    table: dict[tuple[int, int], Rat] = {}
-    for line in text.splitlines()[1:]:
-        line = line.strip()
-        if not line:
-            continue
-        m_text, n_text, value_text = line.split(",")
-        table[(int(m_text), int(n_text))] = parse_rat(value_text)
-    return Kernel(cutoff, table, route, convention)

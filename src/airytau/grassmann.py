@@ -279,23 +279,3 @@ def d_operator(f: Series1) -> Series1:
     """z + 1/(2 z^2) - (1/z) d/dz, acting on a series in z."""
     return f.shift(1) + f.shift(-2).scale(Rat(1, 2)) \
         - f.derivative().shift(-1)
-
-
-# ---------------------------------------------------------------------------
-# Frame file format: one basis element per block, blank-line separated.
-# ---------------------------------------------------------------------------
-
-def frame_dump(frame: AdmissibleFrame) -> str:
-    return "\n".join(f.dump() for f in frame.elements)
-
-
-def frame_parse(text: str) -> AdmissibleFrame:
-    blocks: list[list[str]] = [[]]
-    for line in text.splitlines():
-        if line.strip():
-            blocks[-1].append(line)
-        elif blocks[-1]:
-            blocks.append([])
-    elements = [Series1.parse("\n".join(block))
-                for block in blocks if block]
-    return AdmissibleFrame(elements)

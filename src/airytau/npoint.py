@@ -17,13 +17,25 @@ integers: every term (p, q, c) of an edge table is multiplied by D^(-(p+q)),
 with the base D derived from the table's denominators (12 for the Airy
 kernel).  The exponents along a contributing cycle sum to -(sum(j) + n), so
 each cycle term carries the same scale D^(sum(j) + n) and one exact division
-at the end recovers the rational.  Correctness of the truncation is certified
-by regrowth: every reported coefficient is recomputed with the kernel cutoff
-grown by 3, and at least to the reach sum(j) - 1, with the window grown by
-the same amount, and must reproduce the identical rational.  The reach holds
-every kernel entry a contributing cycle can use: its factors carry total
-exponent -(sum(j) + n), a Cauchy factor carries -1 and a kernel factor
-(m, m') carries -(m + m' + 2), so m + m' <= sum(j) - 1.
+at the end recovers the rational.
+
+The truncation is proved, not found by trial.  Two bounds make the cycle
+sum at kernel cutoff C exact:
+
+* Reach.  The factors of a contributing cycle carry total exponent
+  -(sum(j) + n).  A Cauchy factor carries -1 and a kernel factor (m, m')
+  carries -(m + m' + 2), so every kernel entry a cycle can use has
+  m + m' <= sum(j) - 1.  At C >= sum(j) - 1 the table holds all of them,
+  and the value equals the value at every larger cutoff.  The reach is
+  tight: at C = sum(j) - 2 every multi-point key through weight 18 gives a
+  wrong value.
+* Cauchy window.  The Cauchy factor needs no term beyond k = C - 1 (proved
+  in ``_edge_table``).
+
+``NPointEngine.connected`` therefore computes once at or above the reach.
+Below it, the value is recomputed at ``certified_cutoff``, which is at
+least the reach, and must be the identical rational.  Either way a
+reported value is proved equal to the value at the certified cutoff.
 
 Intersection numbers divide the connected coefficients at odd orders
 j_i = 2 m_i + 1 by the double factorials (2 m_i + 1)!!.
@@ -57,8 +69,7 @@ def antidiagonal_sum(kernel, j: int) -> Rat:
     return sum((kernel.entry(m, s - m) for m in range(max(0, s) + 1)), Rat(0))
 
 
-def _edge_table(kernel, window: int, ascending: bool
-                ) -> dict[int, list[tuple[int, Rat]]]:
+def _edge_table(kernel, ascending: bool) -> dict[int, list[tuple[int, Rat]]]:
     """Terms of one off-diagonal factor, keyed by the first exponent.
 
     ``ascending`` says whether the factor's first argument has the smaller
@@ -66,16 +77,25 @@ def _edge_table(kernel, window: int, ascending: bool
     kernel terms come from the sparse ``kernel.table`` {(m, n): value}, so a
     duck-typed kernel needs that attribute, holding entries within its
     cutoff only.
+
+    The Cauchy terms stop at k = cutoff - 1, which is exact for orders
+    j >= 1.  A Cauchy term puts +k at one point, so the other factor at that
+    point carries -j-1-k.  A kernel term there has index j + k <= cutoff.
+    A Cauchy term there carries -1-(j+k), so it puts +(j+k) at its other
+    point.  So k grows along a chain of Cauchy terms, and the chain ends in
+    a kernel term: an all-Cauchy cycle would carry total exponent -n, not
+    -(sum(j) + n).  Hence k <= cutoff - 1, and one term fewer changes
+    values.
     """
     table: dict[int, list[tuple[int, Rat]]] = {}
     for (m, n), value in sorted(kernel.table.items()):
         if value != 0:
             table.setdefault(-m - 1, []).append((-n - 1, value))
     if ascending:
-        for k in range(window + 1):
+        for k in range(kernel.cutoff):
             table.setdefault(-1 - k, []).append((k, Rat(1)))
     else:
-        for k in range(window + 1):
+        for k in range(kernel.cutoff):
             table.setdefault(k, []).append((-1 - k, Rat(-1)))
     return table
 
@@ -210,46 +230,24 @@ def states_masks(n: int) -> list[int]:
     return masks
 
 
-def ahat_entry(kernel, i: int, j: int, window: int):
-    """One factor of the correlator determinant/cycle sums, as a series.
-
-    For i != j: the Cauchy factor expanded in the region
-    |xi_smaller-index| > |xi_larger-index| plus the kernel, as a two-variable
-    Laurent polynomial over (xi_i, xi_j) truncated to the window.  For i = j:
-    the diagonal restriction (no singular part) as a univariate series.
-    """
-    from .series import Laurent2, Series1
-
-    if i == j:
-        coeffs: dict[int, Rat] = {}
-        for s in range(min(window, kernel.cutoff) + 1):
-            value = antidiagonal_sum(kernel, s + 1)
-            if value != 0:
-                coeffs[-s - 2] = value
-        return Series1(f"xi{i}", coeffs, min(window, kernel.cutoff) + 2)
-    table = _edge_table(kernel, window, i < j)
-    cells = {}
-    for p, terms in table.items():
-        for q, c in terms:
-            cells[(p, q)] = cells.get((p, q), Rat(0)) + c
-    return Laurent2((f"xi{i}", f"xi{j}"), cells)
-
-
 class NPointEngine:
     """Cycle-sum evaluator bound to a kernel family.
 
     ``kernel_factory(cutoff)`` must return a table object exposing
-    ``cutoff`` and ``entry(m, n)``; certification rebuilds it at
-    ``certified_cutoff``.  Edge tables are scaled to integers once per
-    cutoff/window and kept.
+    ``cutoff``, ``entry(m, n)`` and the sparse ``table`` {(m, n): value}
+    within that cutoff.  The tables of one factory must agree on the entries
+    they share across cutoffs: only then is a value at the reach the value
+    at every larger cutoff.  A kernel and its scaled edge tables are built
+    once per cutoff and kept, so an engine at or above the reach of every
+    key it answers builds one kernel and one pair of edge tables.
     """
 
     def __init__(self, kernel_factory: Callable[[int], object], cutoff: int):
         self.factory = kernel_factory
         self.cutoff = cutoff
         self._kernels: dict[int, object] = {}
-        self._tables: dict[tuple[int, int], tuple[dict, dict, int]] = {}
-        self._cache: dict[tuple[tuple[int, ...], int | None], Rat] = {}
+        self._tables: dict[int, tuple[dict, dict, int]] = {}
+        self._cache: dict[tuple[int, ...], Rat] = {}
 
     def kernel(self, cutoff: int | None = None):
         m = self.cutoff if cutoff is None else cutoff
@@ -257,56 +255,52 @@ class NPointEngine:
             self._kernels[m] = self.factory(m)
         return self._kernels[m]
 
-    def _table(self, cutoff: int, window: int):
+    def _table(self, cutoff: int):
         """Ascending and descending edge tables scaled to integers, and
         their common scaling base."""
-        key = (cutoff, window)
-        if key not in self._tables:
+        if cutoff not in self._tables:
             kernel = self.kernel(cutoff)
-            lt = _edge_table(kernel, window, True)
-            gt = _edge_table(kernel, window, False)
+            lt = _edge_table(kernel, True)
+            gt = _edge_table(kernel, False)
             base = _scale_base(lt, gt)
-            self._tables[key] = (_scale_table(lt, base),
-                                 _scale_table(gt, base), base)
-        return self._tables[key]
+            self._tables[cutoff] = (_scale_table(lt, base),
+                                    _scale_table(gt, base), base)
+        return self._tables[cutoff]
 
-    def connected_at(self, js: tuple[int, ...], cutoff: int,
-                     window: int | None = None) -> Rat:
-        """Uncertified coefficient at one cutoff/window setting."""
+    def connected_at(self, js: tuple[int, ...], cutoff: int) -> Rat:
+        """Uncertified coefficient at one kernel cutoff."""
         if not js:
             raise InvalidKeyError("empty order tuple")
         if any(j < 1 for j in js):
             raise InvalidKeyError(f"orders must be >= 1: {js}")
         if len(js) == 1:
             return antidiagonal_sum(self.kernel(cutoff), js[0])
-        w = cutoff + sum(js) + 2 if window is None else window
-        lt, gt, base = self._table(cutoff, w)
+        lt, gt, base = self._table(cutoff)
         return Rat(_cycle_sum(tuple(js), lt, gt),
                    base ** (sum(js) + len(js)))
 
     def certified_cutoff(self, js: tuple[int, ...]) -> int:
-        """The kernel cutoff a coefficient is recomputed at: cutoff + 3,
-        and at least the reach sum(js) - 1."""
+        """The kernel cutoff a coefficient is certified at: cutoff + 3, and
+        at least the reach sum(js) - 1.  The reported value is proved equal
+        to the value there: by the reach when the engine's cutoff is at or
+        above it, and by recomputing there when it is below."""
         return max(self.cutoff + GROWTH, sum(js) - 1)
 
-    def connected(self, js: Iterable[int],
-                  window: int | None = None) -> Rat:
+    def connected(self, js: Iterable[int]) -> Rat:
         """Certified coefficient of the connected n-point generating
-        function at xi_i^(-j_i-1)."""
+        function at xi_i^(-j_i-1).  Only a multi-point key below its reach
+        is recomputed, at ``certified_cutoff``."""
         js = tuple(int(j) for j in js)
-        key = (js, window)
-        if key in self._cache:
-            return self._cache[key]
-        value = self.connected_at(js, self.cutoff, window)
-        if len(js) > 1:
-            w = (self.cutoff + sum(js) + 2 if window is None else window)
-            cutoff = self.certified_cutoff(js)
-            grown = self.connected_at(js, cutoff, w + cutoff - self.cutoff)
+        if js in self._cache:
+            return self._cache[js]
+        value = self.connected_at(js, self.cutoff)
+        if len(js) > 1 and self.cutoff < sum(js) - 1:
+            grown = self.connected_at(js, self.certified_cutoff(js))
             if grown != value:
                 raise InsufficientCutoffError(
                     f"coefficient at {js} unstable under cutoff growth "
                     f"({value} -> {grown}); increase the kernel cutoff")
-        self._cache[key] = value
+        self._cache[js] = value
         return value
 
 
@@ -357,17 +351,16 @@ def _chain_value(vertices: tuple[int, ...], js: tuple[int, ...],
 
 
 def disconnected_coeff(kernel, js: tuple[int, ...],
-                       labels: tuple[int, ...] | None = None,
-                       window: int | None = None) -> Rat:
+                       labels: tuple[int, ...] | None = None) -> Rat:
     """Coefficient of the determinant (full correlator) form on a label set.
 
     Permutations are enumerated through their cycle decompositions; fixed
     points contribute diagonal values, longer cycles the chain contraction.
+    Orders must be >= 1, as the Cauchy window of the edge tables assumes.
     """
     labels = tuple(range(len(js))) if labels is None else labels
-    w = (kernel.cutoff + sum(js) + 2) if window is None else window
-    lt = _edge_table(kernel, w, True)
-    gt = _edge_table(kernel, w, False)
+    lt = _edge_table(kernel, True)
+    gt = _edge_table(kernel, False)
 
     def rec(remaining: tuple[int, ...]) -> Rat:
         if not remaining:
@@ -390,16 +383,14 @@ def disconnected_coeff(kernel, js: tuple[int, ...],
     return rec(labels)
 
 
-def disconnected_family(kernel, js: tuple[int, ...],
-                        window: int | None = None
+def disconnected_family(kernel, js: tuple[int, ...]
                         ) -> dict[frozenset[int], Rat]:
     """Determinant-form coefficients for every nonempty label subset."""
     n = len(js)
     family = {}
     for mask in range(1, 1 << n):
         labels = tuple(i for i in range(n) if mask & (1 << i))
-        family[frozenset(labels)] = disconnected_coeff(kernel, js, labels,
-                                                       window)
+        family[frozenset(labels)] = disconnected_coeff(kernel, js, labels)
     return family
 
 
@@ -544,8 +535,7 @@ def valid_keys(weight_cap: int, index_cap: int | None = None,
 
 def free_energy(engine: NPointEngine, weight_cap: int,
                 index_cap: int | None = None,
-                degree_cap: int | None = None,
-                window: int | None = None) -> MultiPoly:
+                degree_cap: int | None = None) -> MultiPoly:
     """Assemble the free energy as a polynomial in the odd time variables.
 
     The coefficient of prod T_(2m_i+1) is the connected coefficient divided
@@ -559,7 +549,7 @@ def free_energy(engine: NPointEngine, weight_cap: int,
     for ms in valid_keys(weight_cap, index_cap, degree_cap):
         js = tuple(2 * m + 1 for m in reversed(ms))
         try:
-            value = engine.connected(js, window=window)
+            value = engine.connected(js)
         except InsufficientCutoffError as exc:
             raise InsufficientCutoffError(
                 f"free energy needs key {ms} beyond reach: {exc}") from exc

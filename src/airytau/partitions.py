@@ -85,16 +85,6 @@ class Partition:
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts) if self.parts else "-"
 
-    @classmethod
-    def parse(cls, text: str) -> Partition:
-        text = text.strip()
-        if text in ("", "-"):
-            return cls()
-        try:
-            return cls(int(p) for p in text.split(","))
-        except ValueError as exc:
-            raise InvalidKeyError(f"bad partition: {text!r}") from exc
-
     def frobenius_str(self) -> str:
         pairs = self.frobenius()
         arms = ",".join(str(m) for m, _ in pairs)

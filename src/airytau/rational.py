@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidKeyError
-
 Rat = Fraction
 
 ZERO = Rat(0)
@@ -26,14 +24,6 @@ def rat(numerator: int, denominator: int = 1) -> Rat:
 def format_rat(value: Rat) -> str:
     """Canonical string form: ``-7/24``, ``5/24``, ``1``, ``0``."""
     return str(Rat(value))
-
-
-def parse_rat(text: str) -> Rat:
-    """Parse ``p`` or ``p/q`` (surrounding whitespace allowed)."""
-    try:
-        return Rat(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidKeyError(f"not a rational: {text!r}") from exc
 
 
 def min_bound(a: int | None, b: int | None) -> int | None:

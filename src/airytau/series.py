@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import InvalidKeyError, WindowError
-from .rational import Rat, format_rat, min_bound, parse_rat
+from .rational import Rat, format_rat, min_bound
 
 
 class Series1:
@@ -205,26 +205,6 @@ class Series1:
             lines.append(f"{e}\t{format_rat(c)}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def parse(cls, text: str) -> Series1:
-        var, order = "z", None
-        coeffs: dict[int, Rat] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for field in line[1:].split():
-                    if field.startswith("var="):
-                        var = field[4:]
-                    elif field.startswith("reliable="):
-                        val = field[9:]
-                        order = None if val == "inf" else int(val)
-                continue
-            exp_text, _, coeff_text = line.partition("\t")
-            coeffs[int(exp_text)] = parse_rat(coeff_text)
-        return cls(var, coeffs, order)
-
 
 def _mul_order(na: int | None, ta: int | None, nb: int | None,
                tb: int | None) -> int | None:
@@ -392,11 +372,6 @@ class Laurent2:
         return Laurent2(self.vars,
                         {(x + dx, y + dy): c
                          for (x, y), c in self.coeffs.items()})
-
-    def swap(self) -> Laurent2:
-        """Interchange the two variables."""
-        return Laurent2((self.vars[1], self.vars[0]),
-                        {(y, x): c for (x, y), c in self.coeffs.items()})
 
     def restrict(self, xmin=None, xmax=None, ymin=None, ymax=None) -> Laurent2:
         def keep(key: tuple[int, int]) -> bool:

@@ -550,8 +550,7 @@ def suite_npoint(ctx: VerifyContext) -> list[CheckResult]:
         for ms in keys:
             js = tuple(2 * m + 1 for m in ms)
             base = engine.connected_at(js, engine.cutoff)
-            grown = engine.connected_at(js, engine.cutoff + 3,
-                                        engine.cutoff + sum(js) + 5)
+            grown = engine.connected_at(js, engine.cutoff + 3)
             if base != grown:
                 return f"unstable at {ms}"
         return True
@@ -574,7 +573,7 @@ def suite_npoint(ctx: VerifyContext) -> list[CheckResult]:
         # random rational test kernel, duck-typed table
         rand = _RandomKernel(rng, 5)
         for js in ((1, 2), (1, 2, 3), (2, 1, 1, 2)):
-            family = disconnected_family(rand, js, window=18)
+            family = disconnected_family(rand, js)
             connected = mobius_connect(family)
             cycles = _cycle_reference(rand, js)
             if connected[frozenset(range(len(js)))] != cycles:
@@ -608,7 +607,7 @@ class _RandomKernel:
 def _cycle_reference(kernel, js: tuple[int, ...]) -> Rat:
     """Connected value via an independent throwaway engine instance."""
     engine = NPointEngine(lambda m: kernel, kernel.cutoff)
-    return engine.connected_at(tuple(js), kernel.cutoff, window=18)
+    return engine.connected_at(tuple(js), kernel.cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,46 @@ def geometric_inv_diff_squares(vars: tuple[str, str], kmax: int) -> Laurent2:
                            for k in range(kmax + 1)})
 
 
+def cycle_sum_brute(table: dict[tuple[int, int], Fraction],
+                    js: tuple[int, ...], window: int) -> Fraction:
+    """Connected coefficient of x_0^(-j_0-1) ... x_(n-1)^(-j_(n-1)-1) of
+    (-1)^(n-1) times the sum over directed n-cycles of the product of
+    factors K(x_u, x_v), for n >= 2, by explicit products.
+
+    A factor holds the terms c x_u^(-m-1) x_v^(-m'-1) for every table entry
+    (m, m'): c, and the expansion of 1/(x_u - x_v) up to x^window: the terms
+    x_u^(-1-k) x_v^k when u < v, and -x_u^k x_v^(-1-k) when u > v.  Along
+    each cycle every choice of one term per factor is multiplied out, and a
+    choice is kept while the two exponents meeting at each point sum to
+    -j-1 there.
+    """
+    n = len(js)
+
+    def factor(u: int, v: int) -> list[tuple[int, int, Fraction]]:
+        terms = [(-m - 1, -k - 1, Fraction(c)) for (m, k), c in table.items()]
+        for k in range(window + 1):
+            terms.append((-1 - k, k, Fraction(1)) if u < v
+                         else (k, -1 - k, Fraction(-1)))
+        return terms
+
+    total = Fraction(0)
+    for rest in permutations(range(1, n)):
+        cycle = (0,) + rest
+        # (exponent at the cycle's first point, exponent the last chosen
+        # term puts at its second point, product of the chosen terms)
+        chosen = factor(cycle[0], cycle[1])
+        for i in range(1, n):
+            u, v = cycle[i], cycle[(i + 1) % n]
+            terms = factor(u, v)
+            chosen = [(first, q, c * c2)
+                      for first, last, c in chosen
+                      for p, q, c2 in terms
+                      if last + p == -js[u] - 1]
+        total += sum((c for first, last, c in chosen
+                      if first + last == -js[0] - 1), Fraction(0))
+    return -total if n % 2 == 0 else total
+
+
 def det_leibniz(rows: list[list]) -> Fraction:
     """Determinant by the permutation expansion, sign from the inversion
     count: sum over sigma of sgn(sigma) * prod_i rows[i][sigma(i)]."""

@@ -174,17 +174,6 @@ def test_reduction_checks():
         reduction_check(vacuum_frame(2), Series1.monomial("z", 5))
 
 
-def test_frame_dump_parse_roundtrip():
-    from airytau.grassmann import frame_dump, frame_parse
-
-    frame = AdmissibleFrame(airy_frame(4, 12))
-    text = frame_dump(frame)
-    blocks = text.count("# var=")
-    assert blocks == 4
-    back = frame_parse(text)
-    assert back.elements == frame.elements
-
-
 def test_d_operator_on_zero():
     assert d_operator(Series1.zero("z")).is_zero()
 

@@ -16,7 +16,7 @@ from airytau.rational import Rat, double_factorial
 from airytau.verify import _RandomKernel, dvv_correlator
 from airytau.airy import kernel_closed
 
-from oracles import LITERATURE_CORRELATORS
+from oracles import LITERATURE_CORRELATORS, cycle_sum_brute
 
 
 def test_genus_of():
@@ -173,30 +173,15 @@ def test_mobius_roundtrip_random():
         assert mobius_connect(mobius_disconnect(family)) == family
 
 
-def test_ahat_entries(engine):
-    from airytau.npoint import ahat_entry
-
-    kernel = engine.kernel()
-    diag = ahat_entry(kernel, 1, 1, 8)
-    assert diag.coeff(-4) == Rat(1, 8)   # antidiagonal sum 5/24 - 7/24 + 5/24
-    assert all(e <= -2 for e in diag.coeffs)  # no singular part
-    off = ahat_entry(kernel, 1, 2, 6)
-    assert off.coeff(-1, 0) == 1         # leading geometric term
-    assert off.coeff(-1, -3) == kernel.entry(0, 2)
-    mirrored = ahat_entry(kernel, 2, 1, 6)
-    assert mirrored.coeff(0, -1) == -1   # mirrored expansion sign
-    assert mirrored.coeff(-1, 0) == 0
-
-
 def test_edge_table_expansion_signs(engine):
     from airytau.npoint import _edge_table
 
     kernel = engine.kernel()
-    ascending = _edge_table(kernel, 3, True)
+    ascending = _edge_table(kernel, True)
     # leading geometric term of the first-index-smaller factor: +1 at
     # (first exponent -1, second exponent 0)
     assert (0, Rat(1)) in ascending[-1]
-    descending = _edge_table(kernel, 3, False)
+    descending = _edge_table(kernel, False)
     # mirrored region: -1 at (first exponent 0, second exponent -1)
     assert (-1, Rat(-1)) in descending[0]
     # kernel terms appear under both orderings
@@ -223,10 +208,10 @@ def test_cycle_vs_determinant_random_kernel():
     kernel = _RandomKernel(rng, 4)
     probe = NPointEngine(lambda m: kernel, 4)
     for js in ((1, 2), (2, 1, 3), (1, 1, 2, 2)):
-        family = disconnected_family(kernel, js, window=16)
+        family = disconnected_family(kernel, js)
         connected = mobius_connect(family)
         assert connected[frozenset(range(len(js)))] == \
-            probe.connected_at(js, 4, window=16), js
+            probe.connected_at(js, 4), js
 
 
 class _PrimeDenominatorKernel:
@@ -253,16 +238,85 @@ def test_cycle_vs_determinant_prime_denominator_kernels():
         kernel = _PrimeDenominatorKernel(random.Random(seed), 4)
         probe = NPointEngine(lambda m: kernel, 4)
         for js in ((1, 2), (3, 3), (2, 1, 4), (1, 1, 2, 2)):
-            family = disconnected_family(kernel, js, window=16)
+            family = disconnected_family(kernel, js)
             connected = mobius_connect(family)
             assert connected[frozenset(range(len(js)))] == \
-                probe.connected_at(js, 4, window=16), (seed, js)
+                probe.connected_at(js, 4), (seed, js)
+
+
+def test_cycle_sum_matches_brute_oracle_on_random_tables():
+    # the derived Cauchy window k <= cutoff - 1 against explicit products
+    # over every n-cycle with a much larger window; the determinant route
+    # shares the edge tables, so it cannot see a wrong window
+    rng = random.Random(4417)
+    for cutoff in range(3, 7):
+        for js in ((1, 2), (2, 1), (3, 2), (1, 1, 2), (2, 3, 1), (1, 2, 1, 3)):
+            kernel = _PrimeDenominatorKernel(rng, cutoff)
+            probe = NPointEngine(lambda m: kernel, cutoff)
+            expected = cycle_sum_brute(kernel.table, js, cutoff + sum(js) + 2)
+            assert probe.connected_at(js, cutoff) == expected, (cutoff, js)
+
+
+def _multi_point_keys_through_weight_18():
+    keys = [ms for ms in valid_keys(18) if len(ms) > 1]
+    assert len(keys) == 73
+    return keys
+
+
+def _counting_factory():
+    built = []
+
+    def factory(cutoff):
+        built.append(cutoff)
+        return kernel_closed(cutoff)
+
+    return factory, built
+
+
+def test_engine_at_reach_matches_dvv_through_weight_18():
+    for ms in _multi_point_keys_through_weight_18():
+        reach = sum(2 * m + 1 for m in ms) - 1
+        factory, built = _counting_factory()
+        engine = NPointEngine(factory, reach)
+        assert intersection_number(engine, ms) == dvv_correlator(ms), ms
+        assert built == [reach], ms
+
+
+def test_reach_is_tight():
+    # one cutoff below the reach loses an entry every key needs, so an
+    # engine there must recompute and refuse
+    for ms in _multi_point_keys_through_weight_18():
+        js = tuple(2 * m + 1 for m in sorted(ms))
+        probe = NPointEngine(kernel_closed, sum(js) - 2)
+        expected = dvv_correlator(ms)
+        for j in js:
+            expected *= double_factorial(j)
+        assert probe.connected_at(js, sum(js) - 2) != expected, ms
+        with pytest.raises(InsufficientCutoffError, match="unstable"):
+            probe.connected(js)
+
+
+def test_free_energy_builds_one_kernel_and_one_table_pair(monkeypatch):
+    from airytau import npoint
+
+    tables = []
+    real = npoint._edge_table
+
+    def counting(kernel, ascending):
+        tables.append(ascending)
+        return real(kernel, ascending)
+
+    monkeypatch.setattr(npoint, "_edge_table", counting)
+    factory, built = _counting_factory()
+    free_energy(NPointEngine(factory, 18), 11)
+    assert built == [18]
+    assert sorted(tables) == [False, True]
 
 
 def test_scale_table_rejects_too_small_base(engine):
     from airytau.npoint import _edge_table, _scale_base, _scale_table
 
-    table = _edge_table(engine.kernel(), 30, True)
+    table = _edge_table(engine.kernel(), True)
     base = _scale_base(table)
     assert base == 12
     assert all(isinstance(c, int)
@@ -272,7 +326,7 @@ def test_scale_table_rejects_too_small_base(engine):
         with pytest.raises(CrossCheckError):
             _scale_table(table, smaller)
     kernel = _PrimeDenominatorKernel(random.Random(5), 4)
-    table = _edge_table(kernel, 16, False)
+    table = _edge_table(kernel, False)
     base = _scale_base(table)
     assert base % (7 * 17 ** 2) == 0
     with pytest.raises(CrossCheckError):
@@ -289,8 +343,7 @@ def test_engine_matches_dvv_on_every_key_through_weight_15(engine):
 def test_truncation_stability(engine):
     for js in ((1, 5), (1, 1, 1), (3, 3), (1, 1, 3, 3)):
         base = engine.connected_at(js, engine.cutoff)
-        grown = engine.connected_at(js, engine.cutoff + 3,
-                                    engine.cutoff + sum(js) + 5)
+        grown = engine.connected_at(js, engine.cutoff + 3)
         assert base == grown
 
 
