@@ -201,9 +201,6 @@ class Kernel:
         return (isinstance(other, Kernel) and self.cutoff == other.cutoff
                 and self.table == other.table)
 
-    def __hash__(self):
-        return hash((self.cutoff, frozenset(self.table.items())))
-
 
 # ---------------------------------------------------------------------------
 # Route 1: closed form.
@@ -257,8 +254,8 @@ def kernel_series(cutoff: int, convention: str = STANDARD) -> Kernel:
     bx = b.rename("x").truncated(xcut)
     a_neg_y = a.negate_var().rename("y").truncated(ycut)
     b_neg_y = b.negate_var().rename("y").truncated(ycut)
-    numerator = Laurent2.outer(ax, b_neg_y, pair) \
-        - Laurent2.outer(bx, a_neg_y, pair) \
+    numerator = Laurent2.outer(ax, b_neg_y) \
+        - Laurent2.outer(bx, a_neg_y) \
         + Laurent2(pair, {(1, 0): Rat(1), (0, 1): Rat(1)})
     gf = numerator.div_diff_powers(2, -cutoff - 1, 2)
 
@@ -346,7 +343,7 @@ def kernel_gmatrix(cutoff: int, convention: str = STANDARD) -> Kernel:
         for c in range(2):
             block = Laurent2.const(pair, 1) if r == c else Laurent2.zero(pair)
             for s in range(2):
-                block = block - Laurent2.outer(gx[r][s], giy[s][c], pair)
+                block = block - Laurent2.outer(gx[r][s], giy[s][c])
             block = block.div_diff_powers(1, -half - 1, -1)
             # block cell (-m-1, -n-1) is the closed-table value at
             # row 2m+r', column 2n+c' with r' = 1 - r, c' = c.

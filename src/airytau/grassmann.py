@@ -43,9 +43,6 @@ class AffineCoords:
         return (isinstance(other, AffineCoords)
                 and self.cutoff == other.cutoff and self.table == other.table)
 
-    def __hash__(self):
-        return hash((self.cutoff, frozenset(self.table.items())))
-
 
 class AdmissibleFrame:
     """A finite list of basis elements f_n = z^n + lower-order terms."""

@@ -131,9 +131,6 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, MultiPoly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -224,24 +221,6 @@ class MultiPoly:
                 return result
             k += 1
             result = result + power.scale(Rat(1, math.factorial(k)))
-
-    def log(self) -> MultiPoly:
-        """log(self), requiring constant term 1 and at least one cap."""
-        if self.constant != 1:
-            raise InvalidKeyError("log requires constant term 1")
-        u = self - MultiPoly.const(1, self.degree_cap, self.weight_cap)
-        if self.degree_cap is None and self.weight_cap is None \
-                and not u.is_zero():
-            raise InvalidKeyError("log of an uncapped polynomial")
-        result = MultiPoly.zero(self.degree_cap, self.weight_cap)
-        power = MultiPoly.const(1, self.degree_cap, self.weight_cap)
-        k = 0
-        while True:
-            power = power.mul(u)
-            if power.is_zero():
-                return result
-            k += 1
-            result = result + power.scale(Rat((-1) ** (k + 1), k))
 
     def inverse(self) -> MultiPoly:
         """1/self for constant term 1, via the geometric series."""

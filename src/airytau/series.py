@@ -94,9 +94,6 @@ class Series1:
         return (isinstance(other, Series1) and self.var == other.var
                 and self.coeffs == other.coeffs and self.order == other.order)
 
-    def __hash__(self):
-        return hash((self.var, frozenset(self.coeffs.items()), self.order))
-
     def __repr__(self) -> str:
         body = " + ".join(f"({format_rat(c)}){self.var}^{e}"
                           for e, c in self.terms()) or "0"
@@ -261,15 +258,13 @@ class Laurent2:
         return cls(vars, {(ex, ey): Rat(value)})
 
     @classmethod
-    def outer(cls, fx: Series1, fy: Series1,
-              vars: tuple[str, str] | None = None) -> Laurent2:
+    def outer(cls, fx: Series1, fy: Series1) -> Laurent2:
         """Product f(x) * g(y) of two univariate series."""
-        pair = vars or (fx.var, fy.var)
         out: dict[tuple[int, int], Rat] = {}
         for e1, c1 in fx.coeffs.items():
             for e2, c2 in fy.coeffs.items():
                 out[(e1, e2)] = c1 * c2
-        return cls(pair, out)
+        return cls((fx.var, fy.var), out)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -285,9 +280,6 @@ class Laurent2:
     def __eq__(self, other) -> bool:
         return (isinstance(other, Laurent2) and self.vars == other.vars
                 and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.coeffs.items())))
 
     def __add__(self, other: Laurent2) -> Laurent2:
         self._check(other)
@@ -309,23 +301,12 @@ class Laurent2:
         return Laurent2(self.vars,
                         {k: c * f for k, c in self.coeffs.items()})
 
-    def mul(self, other: Laurent2, xmin: int | None = None,
-            ymin: int | None = None) -> Laurent2:
-        """Product, optionally discarding cells below (xmin, ymin); with
-        ``xmin`` each row stops at the first x-exponent below the window."""
+    def mul(self, other: Laurent2) -> Laurent2:
         self._check(other)
-        right = other.coeffs.items()
-        if xmin is not None:
-            right = sorted(right, key=lambda item: -item[0][0])
         out: dict[tuple[int, int], Rat] = {}
         for (x1, y1), c1 in self.coeffs.items():
-            for (x2, y2), c2 in right:
-                ex, ey = x1 + x2, y1 + y2
-                if xmin is not None and ex < xmin:
-                    break
-                if ymin is not None and ey < ymin:
-                    continue
-                key = (ex, ey)
+            for (x2, y2), c2 in other.coeffs.items():
+                key = (x1 + x2, y1 + y2)
                 out[key] = out.get(key, Rat(0)) + c1 * c2
         return Laurent2(self.vars, out)
 
@@ -392,10 +373,3 @@ class Laurent2:
         body = " + ".join(f"({format_rat(c)}){u}^{x}{v}^{y}"
                           for x, y, c in self.cells())
         return body or "0"
-
-
-def geometric_inv_diff_squares_sq(vars: tuple[str, str],
-                                  kmax: int) -> Laurent2:
-    """Expansion of 1/(x**2 - y**2)**2 in |x| > |y|."""
-    return Laurent2(vars,
-                    {(-4 - 2 * k, 2 * k): Rat(k + 1) for k in range(kmax + 1)})

@@ -692,10 +692,8 @@ def suite_kp(ctx: VerifyContext) -> list[CheckResult]:
     def vacuum_matrix():
         vac = TruncatedTau(MultiPoly.const(1, weight_cap=9),
                            MultiPoly.zero(weight_cap=9), 9, 9, "vacuum")
-        from .wave import bilinear_matrix
-        theta = bilinear_matrix(vac)
-        top_right = theta[0][1].eval_zero()
-        bottom_left = theta[1][0].eval_zero()
+        top_right = vac.theta_at_zero[0][1]
+        bottom_left = vac.theta_at_zero[1][0]
         if top_right.get(0) != -1 or any(e != 0 for e in top_right.coeffs):
             return "vacuum top-right entry"
         if bottom_left.get(2) != -1 or any(e != 2

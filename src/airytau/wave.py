@@ -23,9 +23,11 @@ they multiply: a pair of terms whose TW already exceeds it is never
 multiplied, which gives exactly the terms of the full product pruned at the
 cap.
 
-The matrix checks read the 2x2 bilinear matrix only at T = 0; those four
-series are built once per tau (``TruncatedTau.theta_at_zero``) and shared
-by every one- and two-point query on it.
+The matrix checks read the 2x2 bilinear matrix Theta only at T = 0, so it
+is built there directly from tau and dtau/dT_1 at the Miwa points
++-[1/z], with no wave series; its four entries are built once per tau
+(``TruncatedTau.theta_at_zero``) and shared by every one- and two-point
+query on it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .multipoly import (MONO_ONE, Monomial, MultiPoly, _mono_deriv,
                         mono_mul, mono_str, mono_var, mono_weight)
 from .npoint import valid_keys
 from .rational import Rat, format_rat
-from .series import Laurent2, Series1, geometric_inv_diff_squares_sq
+from .series import Series1
 
 INF = 10 ** 9
 
@@ -79,11 +81,10 @@ class TruncatedTau:
 
     @cached_property
     def theta_at_zero(self) -> tuple[tuple[Series1, ...], ...]:
-        """The entries of ``bilinear_matrix(self)`` at T = 0, as series in
-        z; built on first use and kept on this instance.  A failed build
-        (a non-2-reduced tau) raises and caches nothing."""
-        return tuple(tuple(entry.eval_zero("z") for entry in row)
-                     for row in bilinear_matrix(self))
+        """``bilinear_matrix(self)``, built on first use and kept on this
+        instance.  A failed build (a non-2-reduced tau) raises and caches
+        nothing."""
+        return bilinear_matrix(self)
 
 
 def tau_from_free_energy(free_energy: MultiPoly, weight_cap: int,
@@ -243,13 +244,13 @@ class WaveSeries:
         return WaveSeries(self.tag, out, _cap_add(self.cap, 1),
                           self.twmin + 1, self.index_cap)
 
-    def eval_zero(self, var: str = "xi") -> Series1:
+    def eval_zero(self) -> Series1:
         """Set all T to zero in a wave series; the reliability order equals
         the TW cap."""
         coeffs = {-k: c for ((k,), mono), c in self.terms.items()
                   if mono == MONO_ONE}
         order = None if self.cap >= INF else self.cap
-        return Series1(var, coeffs, order)
+        return Series1("xi", coeffs, order)
 
     def agrees_with(self, other: WaveSeries,
                     depth: Key | None = None) -> bool:
@@ -442,19 +443,52 @@ def shifted_fay_check(tau: TruncatedTau,
 # The 2x2 matrix of wave bilinears (2-reduced case).
 # ---------------------------------------------------------------------------
 
-def bilinear_matrix(tau: TruncatedTau) -> list[list[WaveSeries]]:
-    """[[-(w w*)_x/2, -w w*], [w_x w*_x, (w w*)_x/2]]; traceless by
-    construction."""
+def _at_miwa(poly: MultiPoly, sign: int, order: int) -> Series1:
+    """poly at the Miwa point T_n = sign * z^(-n) / n: a weight-w monomial
+    lands on z^(-w), and the series is exact through z^(-order)."""
+    coeffs = defaultdict(Rat)
+    for mono, c in poly.terms.items():
+        weight = mono_weight(mono)
+        if weight <= order:
+            for idx, e in mono:
+                c *= Rat(sign, idx) ** e
+            coeffs[-weight] += c
+    return Series1("z", coeffs, order)
+
+
+def bilinear_matrix(tau: TruncatedTau) -> tuple[tuple[Series1, ...], ...]:
+    """Theta(z) = [[-(w w*)_x/2, -w w*], [w_x w*_x, (w w*)_x/2]] at T = 0,
+    as series in z; traceless by construction.
+
+    With w = exp(S) a and w* = exp(-S) b, where a = tau(T - [1/z]) / tau(T)
+    and b = tau(T + [1/z]) / tau(T), one x-derivative reaches T = 0 only
+    from the monomials 1 and T_1 of a and b.  As tau(0) = 1, these are
+    f0 = tau(sign [1/z]) and f1 = (dtau/dT_1)(sign [1/z]) - c1 f0, with
+    sign -1 for a and +1 for b and c1 the T_1 coefficient of tau; the
+    prefactor adds -sign z f0 to the x-derivative.  For a tau complete
+    through weight W, f0 is exact through z^(-W) and f1 through z^(-W+1),
+    so the entries have orders W - 1, W, W - 2 and W - 1: the TW caps of
+    the T-dependent products.
+    """
     if not tau.is_kdv():
         raise InvalidKeyError(
             "the matrix cross-check applies to 2-reduced tau only "
             "(even time indices present)")
-    w = wave(tau)
-    ws = dual_wave(tau)
-    product = w * ws
-    product_x = product.dx()
-    return [[product_x.scale(Rat(-1, 2)), product.scale(-1)],
-            [w.dx() * ws.dx(), product_x.scale(Rat(1, 2))]]
+    cap = tau.weight_cap
+    slope = tau.poly.deriv(1)
+    c1 = tau.poly.coeff(mono_var(1))
+
+    def terms_at(sign):  # (f0, f1)
+        f0 = _at_miwa(tau.poly, sign, cap)
+        return f0, _at_miwa(slope, sign, cap - 1) - f0.scale(c1)
+
+    a0, a1 = terms_at(-1)
+    b0, b1 = terms_at(1)
+    product = a0 * b0
+    product_x = a1 * b0 + a0 * b1
+    return ((product_x.scale(Rat(-1, 2)), -product),
+            ((a0.shift(1) + a1) * (b1 - b0.shift(1)),
+             product_x.scale(Rat(1, 2))))
 
 
 def matrix_one_point_series(tau: TruncatedTau) -> Series1:
@@ -470,7 +504,10 @@ def matrix_two_point_coeff(tau: TruncatedTau, j: int, k: int) -> Rat:
 
     The subtraction term of the pair correlator has no all-negative cells,
     so on these cells the trace form reproduces the second derivatives of
-    the free energy directly.
+    the free energy directly.  With 1/(z1^2 - z2^2)^2 = sum_t (t + 1)
+    z1^(-4-2t) z2^(2t) in |z1| > |z2|, the coefficient is
+    sum_t (t + 1) sum_(r,c) Theta_rc[3 - j + 2t] Theta_cr[-k - 1 - 2t];
+    no entry has a term above z^2, so t stops at (j - 1) // 2.
     """
     entries = tau.theta_at_zero
     orders = [s.order for row in entries for s in row]
@@ -478,13 +515,7 @@ def matrix_two_point_coeff(tau: TruncatedTau, j: int, k: int) -> Rat:
         raise InsufficientCutoffError(
             f"tau weight cap {tau.weight_cap} too small for two-point "
             f"orders ({j},{k})")
-    pair = ("z1", "z2")
-    trace = Laurent2.zero(pair)
-    for r in range(2):
-        for c in range(2):
-            trace = trace + Laurent2.outer(entries[r][c], entries[c][r],
-                                           pair)
-    kmax = (max(j, k) + 3) // 2 + 1
-    product = trace.mul(geometric_inv_diff_squares_sq(pair, kmax),
-                        xmin=-j - 2, ymin=-k - 2)
-    return product.coeff(-j - 1, -k - 1)
+    return sum(((t + 1) * entries[r][c].get(3 - j + 2 * t)
+                * entries[c][r].get(-k - 1 - 2 * t)
+                for t in range((j + 1) // 2)
+                for r in range(2) for c in range(2)), Rat(0))

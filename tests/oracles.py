@@ -36,6 +36,14 @@ def geometric_inv_diff_squares(vars: tuple[str, str], kmax: int) -> Laurent2:
                            for k in range(kmax + 1)})
 
 
+def geometric_inv_diff_squares_sq(vars: tuple[str, str],
+                                  kmax: int) -> Laurent2:
+    """Expansion of 1/(x**2 - y**2)**2 in |x| > |y|, truncated at
+    y**(2*kmax)."""
+    return Laurent2(vars, {(-4 - 2 * k, 2 * k): Fraction(k + 1)
+                           for k in range(kmax + 1)})
+
+
 def cycle_sum_brute(table: dict[tuple[int, int], Fraction],
                     js: tuple[int, ...], window: int) -> Fraction:
     """Connected coefficient of x_0^(-j_0-1) ... x_(n-1)^(-j_(n-1)-1) of

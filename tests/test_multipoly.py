@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,18 +32,29 @@ def test_shift_substitution_example():
     # tau = 1 + T_1^2 under T_1 -> T_1 - s
     square = MultiPoly.var(1, weight_cap=6) * MultiPoly.var(1, weight_cap=6)
     poly = MultiPoly.const(1, weight_cap=6) + square
-    shifted = shifted_tau(TruncatedTau(poly, poly.log(), 6, 1), (-1,)).terms
+    shifted = shifted_tau(TruncatedTau(poly, MultiPoly.zero(weight_cap=6), 6,
+                                       1), (-1,)).terms
     assert shifted[(0,), ((1, 2),)] == 1
     assert shifted[(1,), ((1, 1),)] == -2
     assert shifted[(2,), MONO_ONE] == 1
 
 
-def test_exp_log_roundtrip():
-    f = (MultiPoly.var(1, weight_cap=7).scale(Rat(2, 3))
-         + MultiPoly.var(3, weight_cap=7).scale(Rat(-1, 5))
+def test_exp_matches_schoolbook_series():
+    a, b, c = Rat(2, 3), Rat(-1, 5), Rat(1, 4)
+    f = (MultiPoly.var(1, weight_cap=7).scale(a)
+         + MultiPoly.var(3, weight_cap=7).scale(b)
          + MultiPoly.var(1, weight_cap=7)
-         * MultiPoly.var(2, weight_cap=7).scale(Rat(1, 4)))
-    assert f.exp().log() == f
+         * MultiPoly.var(2, weight_cap=7).scale(c))
+    # the three terms commute, so exp(f) is the product of their series:
+    # a^i b^l c^m / (i! l! m!) T_1^(i+m) T_2^m T_3^l of weight i + 3l + 3m
+    expected = {}
+    for i, l, m in itertools.product(range(8), range(3), range(3)):
+        if i + 3 * l + 3 * m <= 7:
+            mono = tuple((idx, e) for idx, e in ((1, i + m), (2, m), (3, l))
+                         if e)
+            expected[mono] = (a ** i * b ** l * c ** m / math.factorial(i)
+                              / math.factorial(l) / math.factorial(m))
+    assert f.exp().terms == expected
     assert f.exp().inverse() * f.exp() == MultiPoly.const(1, weight_cap=7)
 
 

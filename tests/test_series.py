@@ -176,16 +176,8 @@ def _random_laurent2(rng, terms):
     return Laurent2(("x", "y"), coeffs)
 
 
-def test_laurent2_windowed_mul_equals_full_product_restricted():
+def test_laurent2_mul_equals_schoolbook_product():
     rng = random.Random(23)
-    for _ in range(200):
-        a = _random_laurent2(rng, rng.randint(0, 12))
-        b = _random_laurent2(rng, rng.randint(0, 12))
-        xmin = rng.choice([None, rng.randint(-10, 6)])
-        ymin = rng.choice([None, rng.randint(-10, 6)])
-        windowed = a.mul(b, xmin=xmin, ymin=ymin)
-        assert windowed == a.mul(b).restrict(xmin=xmin, ymin=ymin)
-    # the unwindowed product itself against a schoolbook product
     for _ in range(50):
         a = _random_laurent2(rng, rng.randint(0, 12))
         b = _random_laurent2(rng, rng.randint(0, 12))

@@ -23,7 +23,9 @@ from airytau.wave import (DIFFERENTIAL_FAY, INF, SHIFTED_FAY, TruncatedTau,
                           shifted_fay_check, shifted_tau,
                           tau_from_free_energy, theorem_one_point_check,
                           time_ladder, wave, wave_pairing_check, wronskian)
-from oracles import full_product_pruned, sato_quotient_cells
+from airytau.series import Laurent2
+from oracles import (full_product_pruned, geometric_inv_diff_squares_sq,
+                     sato_quotient_cells)
 
 # the package re-exports the function ``wave``, which shadows the module name
 wave_module = importlib.import_module("airytau.wave")
@@ -158,18 +160,77 @@ def test_theta_requires_kdv():
 
 def test_theta_vacuum_entries():
     theta = bilinear_matrix(vacuum_tau())
-    assert theta[0][0].eval_zero().is_zero()
-    assert theta[1][1].eval_zero().is_zero()
-    top_right = theta[0][1].eval_zero()
-    assert top_right.coeffs == {0: Rat(-1)}
-    bottom_left = theta[1][0].eval_zero()
-    assert bottom_left.coeffs == {2: Rat(-1)}
+    assert theta[0][0].is_zero()
+    assert theta[1][1].is_zero()
+    assert theta[0][1].coeffs == {0: Rat(-1)}
+    assert theta[1][0].coeffs == {2: Rat(-1)}
 
 
 def test_theta_is_traceless(tau9):
     theta = bilinear_matrix(tau9)
-    trace = theta[0][0] + theta[1][1]
-    assert all(not cell for cell in _xi_cells(trace).values())
+    assert not theta[0][0].is_zero()
+    assert (theta[0][0] + theta[1][1]).is_zero()
+
+
+def _theta_oracle(tau):
+    """Theta from the T-dependent wave pair: the products and
+    x-derivatives of ``wave`` and ``dual_wave``, then T = 0, in z."""
+    w, ws = wave(tau), dual_wave(tau)
+    product = w * ws
+    product_x = product.dx()
+    rows = ((product_x.scale(Rat(-1, 2)), product.scale(-1)),
+            (w.dx() * ws.dx(), product_x.scale(Rat(1, 2))))
+    return tuple(tuple(entry.eval_zero().rename("z") for entry in row)
+                 for row in rows)
+
+
+def _oracle_taus(tau9, tau12, tau15, engine):
+    fdeg = free_energy(engine, 9, index_cap=9, degree_cap=3)
+    t1 = MultiPoly.var(1, weight_cap=8)
+    return {
+        "tau9": tau9,
+        "tau12": tau12,
+        "tau15": tau15,
+        "tau12_unpadded": tau_from_free_energy(tau12.free_energy, 12),
+        "degree_capped": TruncatedTau(
+            fdeg.exp(), fdeg, reliable_weight_cap(degree_cap=3, index_cap=9),
+            9, "degree-capped"),
+        "toy_exp_t1": TruncatedTau(t1.exp(), t1, 8, 1, "toy"),
+        "vacuum": vacuum_tau(),
+    }
+
+
+def test_theta_matches_wave_product_oracle(tau9, tau12, tau15, engine):
+    for name, tau in _oracle_taus(tau9, tau12, tau15, engine).items():
+        theta = bilinear_matrix(tau)
+        assert theta == _theta_oracle(tau), name
+        cap = tau.weight_cap
+        assert [[s.order for s in row] for row in theta] == \
+            [[cap - 1, cap], [cap - 2, cap - 1]], name
+
+
+def test_two_point_sum_matches_trace_oracle(tau9, tau12, tau15, engine):
+    # the trace of Theta(z1) Theta(z2) times the expansion of
+    # 1/(z1^2 - z2^2)^2, read at one cell, on every pair through the cap;
+    # the smallest entry order is W - 2, so pairs with j + k > W - 4 raise
+    pair = ("z1", "z2")
+    for name, tau in _oracle_taus(tau9, tau12, tau15, engine).items():
+        cap = tau.weight_cap
+        theta = _theta_oracle(tau)
+        trace = Laurent2.zero(pair)
+        for r in range(2):
+            for c in range(2):
+                trace = trace + Laurent2.outer(theta[r][c].rename("z1"),
+                                               theta[c][r].rename("z2"))
+        product = trace.mul(geometric_inv_diff_squares_sq(pair, cap))
+        for j in range(-3, cap + 1):
+            for k in range(-3, cap + 1):
+                if j + k > cap - 4:
+                    with pytest.raises(InsufficientCutoffError):
+                        matrix_two_point_coeff(tau, j, k)
+                else:
+                    assert matrix_two_point_coeff(tau, j, k) == \
+                        product.coeff(-j - 1, -k - 1), (name, j, k)
 
 
 def test_matrix_one_point_matches_engine(tau12, engine):
