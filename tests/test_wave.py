@@ -14,6 +14,7 @@ from airytau.errors import InsufficientCutoffError, InvalidKeyError
 from airytau.multipoly import MultiPoly, mono_str
 from airytau.npoint import free_energy
 from airytau.rational import Rat, format_rat
+from airytau.series import Laurent2
 from airytau.wave import (DIFFERENTIAL_FAY, INF, SHIFTED_FAY, TruncatedTau,
                           WaveSeries, bilinear_matrix,
                           differential_fay_check, dual_wave, fay_sides,
@@ -23,7 +24,6 @@ from airytau.wave import (DIFFERENTIAL_FAY, INF, SHIFTED_FAY, TruncatedTau,
                           shifted_fay_check, shifted_tau,
                           tau_from_free_energy, theorem_one_point_check,
                           time_ladder, wave, wave_pairing_check, wronskian)
-from airytau.series import Laurent2
 from oracles import (full_product_pruned, geometric_inv_diff_squares_sq,
                      sato_quotient_cells)
 
