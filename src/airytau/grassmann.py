@@ -17,8 +17,9 @@ from .errors import InsufficientCutoffError, InvalidKeyError
 from .linalg import det_bareiss
 from .multipoly import MultiPoly
 from .partitions import Partition, partitions_up_to
-from .rational import Rat
-from .schur import PowerSums, minus_spec, plus_spec, schur_at
+from .rational import Rat, min_bound
+from .schur import (PowerSums, minus_spec, plus_spec, schur_at,
+                    schur_sum_in_times, shorter_route)
 from .series import Laurent2, Series1
 
 
@@ -72,16 +73,19 @@ class AdmissibleFrame:
             raise InsufficientCutoffError(
                 f"frame has {len(self.elements)} elements, cutoff {cutoff} "
                 f"needs {cutoff + 1}")
-        normalized: list[Series1] = []
-        for n, f in enumerate(self.elements[:cutoff + 1]):
-            f = f.truncated(cutoff + 1)
-            for k in range(n - 1, -1, -1):
-                c = f.get(k)
-                if c != 0:
-                    f = f - normalized[k].scale(c)
-            normalized.append(f)
+        rows: list[dict[int, Rat]] = []
         table: dict[tuple[int, int], Rat] = {}
-        for n, f in enumerate(normalized):
+        for n, f in enumerate(self.elements[:cutoff + 1]):
+            row = {e: c for e, c in f.coeffs.items() if e >= -cutoff - 1}
+            for k in range(n - 1, -1, -1):
+                c = row.get(k)
+                if c:
+                    for e, v in rows[k].items():
+                        row[e] = row.get(e, 0) - c * v
+            row = {e: c for e, c in row.items() if c}
+            rows.append(row)
+            # the rows above passed this read, so only f's window can fail
+            f = Series1(f.var, row, min_bound(f.order, cutoff + 1))
             for m in range(cutoff + 1):
                 value = f.coeff(-m - 1)  # WindowError if depth insufficient
                 if value != 0:
@@ -170,42 +174,29 @@ def tau_schur_coeffs(coords: AffineCoords, weight_cap: int
     return out
 
 
-def times_power_sums(weight_cap: int) -> PowerSums:
-    """The specialization p_k = k T_k over weight-capped polynomials."""
-    values = {k: MultiPoly.var(k, weight_cap=weight_cap).scale(k)
-              for k in range(1, weight_cap + 1)}
-    return PowerSums(values, MultiPoly.zero(weight_cap=weight_cap),
-                     MultiPoly.const(1, weight_cap=weight_cap), weight_cap)
-
-
 def tau_polynomial(coords: AffineCoords, weight_cap: int) -> MultiPoly:
     """The tau-function as a weight-complete polynomial in T_1, T_2, ...
 
     Each Schur polynomial is weight-homogeneous, so summing over partitions
-    of weight <= weight_cap yields the full truncation.  One specialization
-    serves every partition, so its h_k and e_k are generated once.
+    of weight <= weight_cap yields the full truncation.  The sum is taken by
+    characters (``schur_sum_in_times``), sharing no Schur-evaluation code
+    with the Jacobi-Trudi specializations below.
     """
-    return _schur_sum(coords, weight_cap, times_power_sums(weight_cap),
-                      MultiPoly.zero(weight_cap=weight_cap))
-
-
-def _schur_sum(coords: AffineCoords, weight_cap: int, spec: PowerSums,
-               zero: MultiPoly | Laurent2):
-    """sum_mu c_mu s_mu(spec) over the Schur expansion of tau through
-    weight_cap, starting from ``zero``."""
-    return sum((schur_at(mu, spec, _spec_route(mu)).scale(c)
-                for mu, c in tau_schur_coeffs(coords, weight_cap).items()),
-               zero)
+    return schur_sum_in_times(tau_schur_coeffs(coords, weight_cap),
+                              weight_cap)
 
 
 # ---------------------------------------------------------------------------
 # Two-point specializations of tau.
 # ---------------------------------------------------------------------------
 
-def _spec_route(mu: Partition) -> str:
-    if not mu.parts:
-        return "h"
-    return "h" if mu.length <= mu.parts[0] else "e"
+def _schur_sum(coords: AffineCoords, weight_cap: int, spec: PowerSums,
+               zero: Laurent2) -> Laurent2:
+    """sum_mu c_mu s_mu(spec) over the Schur expansion of tau through
+    weight_cap, starting from ``zero``."""
+    return sum((schur_at(mu, spec, shorter_route(mu)).scale(c)
+                for mu, c in tau_schur_coeffs(coords, weight_cap).items()),
+               zero)
 
 
 def tau_minus_two_point(coords: AffineCoords, weight_cap: int,

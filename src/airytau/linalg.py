@@ -8,8 +8,8 @@ Two routines cover every determinant in the package:
   intermediate division is an exact ``//``; one division by the product of
   the row scales at the end recovers the rational determinant.
 * ``det_ring`` -- division-free evaluation for matrices over a commutative
-  ring (Laurent polynomials, multivariate polynomials), by dynamic
-  programming over column subsets.  Cost O(2**n * n) ring multiplications,
+  ring (two-variable Laurent polynomials), by dynamic programming over
+  column subsets.  Cost O(2**n * n) ring multiplications,
   ample for the sizes that occur here (n <= ~10).
 """
 

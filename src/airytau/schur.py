@@ -1,20 +1,29 @@
 """Exact Schur-polynomial evaluation at power-sum specializations.
 
-Schur values are only ever needed *at* a specialization (rational numbers,
-Laurent polynomials in two variables, or polynomials in the time variables),
-never as abstract symmetric functions.  Evaluation goes through the two
-Jacobi-Trudi determinant routes: complete homogeneous h_k on the partition,
-or elementary e_k on its conjugate; both must agree, and the pair forms one
-of the package's standing cross-checks.
+Schur values are only ever needed *at* a specialization, never as abstract
+symmetric functions.  Two independent routes serve them:
 
-h_k and e_k are generated from the power sums by Newton's identities; the
-coefficient ring only needs +, -, * among elements and * by a Fraction.
+* the specializations (rational numbers, Laurent polynomials in two
+  variables) go through the two Jacobi-Trudi determinant routes: complete
+  homogeneous h_k on the partition, or elementary e_k on its conjugate; both
+  must agree, and the pair forms one of the package's standing
+  cross-checks.  h_k and e_k are generated from the power sums by Newton's
+  identities; the coefficient ring only needs +, -, * among elements and *
+  by a Fraction.
+* the polynomial in the time variables, p_k = k T_k, goes through
+  Frobenius' formula s_mu = sum_rho chi^mu_rho p_rho / z_rho, with the
+  characters chi^mu_rho computed by Murnaghan-Nakayama border-strip
+  removal; no polynomial arithmetic is involved.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
+from math import factorial, prod
+
 from .errors import InsufficientCutoffError
 from .linalg import det_bareiss, det_ring
+from .multipoly import MultiPoly
 from .partitions import Partition
 from .rational import Rat
 from .series import Laurent2
@@ -93,6 +102,14 @@ def _jacobi_trudi_det(gens: list, mu: Partition, zero, one):
     return det_ring(rows, zero, one)
 
 
+def shorter_route(mu: Partition) -> str:
+    """The Jacobi-Trudi route with the smaller determinant: h on mu when it
+    has no more rows than columns, else e on its conjugate."""
+    if not mu.parts:
+        return "h"
+    return "h" if mu.length <= mu.parts[0] else "e"
+
+
 def schur_at(mu: Partition, spec: PowerSums, route: str = "h"):
     """s_mu evaluated at the specialization, by either determinant route."""
     if spec.bound < mu.weight:
@@ -108,6 +125,80 @@ def schur_at(mu: Partition, spec: PowerSums, route: str = "h"):
         return _jacobi_trudi_det(spec.elementary(kmax), conj,
                                  spec.zero, spec.one)
     raise ValueError(f"unknown route {route!r}")
+
+
+# ---------------------------------------------------------------------------
+# Characters and the Schur expansion in the time variables.
+# ---------------------------------------------------------------------------
+
+def _beta_mask(mu: Partition) -> int:
+    """The beta set {mu_i + ell - i} of mu, ell its length, as a bitmask."""
+    mask = 0
+    for i, part in enumerate(mu.parts):
+        mask |= 1 << (part + mu.length - 1 - i)
+    return mask
+
+
+def _remove_strips(weights: dict[int, object], k: int) -> dict[int, object]:
+    """One Murnaghan-Nakayama step on a weighted sum of beta sets.
+
+    Removing a k-border strip moves a bead b to an empty position b - k, with
+    the sign (-1)^(beads strictly between).  Beads left filling 0, 1, ... are
+    dropped, so every partition keeps the one mask ``_beta_mask`` gives it
+    and equal partitions merge.  Zero weights are not kept.
+    """
+    out: dict[int, object] = defaultdict(int)
+    between = (1 << (k - 1)) - 1
+    for mask, weight in weights.items():
+        for b in range(k, mask.bit_length()):
+            if mask >> b & 1 and not mask >> (b - k) & 1:
+                moved = mask ^ (1 << b) ^ (1 << (b - k))
+                while moved & 1:
+                    moved >>= 1
+                if (mask >> (b - k + 1) & between).bit_count() & 1:
+                    out[moved] -= weight
+                else:
+                    out[moved] += weight
+    return {mask: weight for mask, weight in out.items() if weight}
+
+
+def character(mu: Partition, rho: Partition) -> int:
+    """The symmetric-group character chi^mu at the cycle type rho (same
+    weight), by removing border strips of the parts of rho in turn."""
+    weights = {_beta_mask(mu): 1}
+    for k in rho.parts:
+        weights = _remove_strips(weights, k)
+    return weights.get(0, 0)
+
+
+def schur_sum_in_times(coeffs: dict[Partition, Rat], weight_cap: int
+                       ) -> MultiPoly:
+    """sum_mu c_mu s_mu(T) at p_k = k T_k, complete through weight_cap.
+
+    By Frobenius' formula the coefficient of prod_k T_k^(m_k) is
+    sum_mu c_mu chi^mu_rho / prod_k m_k!, where rho has m_k parts equal to
+    k.  All of mu are carried as one weighted sum of beta sets, and the
+    parts of rho are removed largest first along a depth-first walk: the
+    empty mask after removing rho holds the sum for rho, every rho sharing
+    its largest parts shares their removals, and a branch whose sum
+    vanishes is not followed.
+    """
+    terms: dict = {}
+
+    def descend(weights: dict[int, Rat], parts: tuple[int, ...],
+                room: int) -> None:
+        value = weights.get(0)
+        if value:
+            counts = Counter(parts)
+            terms[tuple(sorted(counts.items()))] = Rat(
+                value, prod(factorial(m) for m in counts.values()))
+        for k in range(min(room, parts[-1] if parts else room), 0, -1):
+            removed = _remove_strips(weights, k)
+            if removed:
+                descend(removed, parts + (k,), room - k)
+
+    descend({_beta_mask(mu): c for mu, c in coeffs.items()}, (), weight_cap)
+    return MultiPoly(terms, weight_cap=weight_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +254,7 @@ def hook_minus_identity_check(arm: int, leg: int) -> bool:
     """Jacobi-Trudi evaluation of the hook at the difference specialization
     against its two-term closed form."""
     mu = Partition.hook(arm, leg)
-    spec = minus_spec(mu.weight)
-    value = schur_at(mu, spec, route="h")
+    value = schur_at(mu, minus_spec(mu.weight), shorter_route(mu))
     return value == hook_minus_closed(arm, leg)
 
 

@@ -253,11 +253,6 @@ class Laurent2:
         return cls(vars, {(0, 0): Rat(value)})
 
     @classmethod
-    def monomial(cls, vars: tuple[str, str], ex: int, ey: int,
-                 value=1) -> Laurent2:
-        return cls(vars, {(ex, ey): Rat(value)})
-
-    @classmethod
     def outer(cls, fx: Series1, fy: Series1) -> Laurent2:
         """Product f(x) * g(y) of two univariate series."""
         out: dict[tuple[int, int], Rat] = {}
@@ -348,21 +343,6 @@ class Laurent2:
         return self.scale(other)
 
     __rmul__ = __mul__
-
-    def shift(self, dx: int, dy: int) -> Laurent2:
-        return Laurent2(self.vars,
-                        {(x + dx, y + dy): c
-                         for (x, y), c in self.coeffs.items()})
-
-    def restrict(self, xmin=None, xmax=None, ymin=None, ymax=None) -> Laurent2:
-        def keep(key: tuple[int, int]) -> bool:
-            x, y = key
-            return ((xmin is None or x >= xmin) and (xmax is None or x <= xmax)
-                    and (ymin is None or y >= ymin)
-                    and (ymax is None or y <= ymax))
-
-        return Laurent2(self.vars,
-                        {k: c for k, c in self.coeffs.items() if keep(k)})
 
     def cells(self) -> Iterator[tuple[int, int, Rat]]:
         for (x, y), c in sorted(self.coeffs.items()):

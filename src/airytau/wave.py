@@ -507,11 +507,13 @@ def matrix_two_point_coeff(tau: TruncatedTau, j: int, k: int) -> Rat:
     the free energy directly.  With 1/(z1^2 - z2^2)^2 = sum_t (t + 1)
     z1^(-4-2t) z2^(2t) in |z1| > |z2|, the coefficient is
     sum_t (t + 1) sum_(r,c) Theta_rc[3 - j + 2t] Theta_cr[-k - 1 - 2t];
-    no entry has a term above z^2, so t stops at (j - 1) // 2.
+    no entry has a term above z^2, so t stops at (j - 1) // 2.  The sum
+    reads Theta no deeper than z^(-(j + k)), so with the smallest entry
+    order W - 2 every pair with j + k <= W - 2 is served.
     """
     entries = tau.theta_at_zero
     orders = [s.order for row in entries for s in row]
-    if any(o is not None and o < j + k + 2 for o in orders):
+    if any(o is not None and o < j + k for o in orders):
         raise InsufficientCutoffError(
             f"tau weight cap {tau.weight_cap} too small for two-point "
             f"orders ({j},{k})")

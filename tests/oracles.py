@@ -11,7 +11,9 @@ import math
 from fractions import Fraction
 from itertools import permutations, product
 
+from airytau.multipoly import MultiPoly
 from airytau.partitions import Partition
+from airytau.schur import PowerSums, schur_at
 from airytau.series import Laurent2
 
 
@@ -42,6 +44,12 @@ def geometric_inv_diff_squares_sq(vars: tuple[str, str],
     y**(2*kmax)."""
     return Laurent2(vars, {(-4 - 2 * k, 2 * k): Fraction(k + 1)
                            for k in range(kmax + 1)})
+
+
+def restrict(poly: Laurent2, lo: int, hi: int) -> Laurent2:
+    """The cells of poly whose two exponents both lie in [lo, hi]."""
+    return Laurent2(poly.vars, {(x, y): c for (x, y), c in poly.coeffs.items()
+                                if lo <= x <= hi and lo <= y <= hi})
 
 
 def cycle_sum_brute(table: dict[tuple[int, int], Fraction],
@@ -169,6 +177,23 @@ def standard_tableaux_count(mu: Partition) -> int:
 
     rec(1)
     return count
+
+
+def times_power_sums(weight_cap: int) -> PowerSums:
+    """The specialization p_k = k T_k over weight-capped polynomials."""
+    values = {k: MultiPoly.var(k, weight_cap=weight_cap).scale(k)
+              for k in range(1, weight_cap + 1)}
+    return PowerSums(values, MultiPoly.zero(weight_cap=weight_cap),
+                     MultiPoly.const(1, weight_cap=weight_cap), weight_cap)
+
+
+def schur_sum_jacobi_trudi(coeffs: dict[Partition, Fraction],
+                           weight_cap: int) -> MultiPoly:
+    """sum_mu c_mu s_mu(T) at p_k = k T_k, every s_mu a Jacobi-Trudi
+    determinant of complete homogeneous polynomials in T."""
+    spec = times_power_sums(weight_cap)
+    return sum((schur_at(mu, spec, "h").scale(c) for mu, c in coeffs.items()),
+               MultiPoly.zero(weight_cap=weight_cap))
 
 
 def _mono_product(a, b):

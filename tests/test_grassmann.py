@@ -4,19 +4,18 @@ import random
 
 import pytest
 
-from airytau import grassmann as grassmann_module
 from airytau.airy import airy_frame, required_order
 from airytau.errors import InsufficientCutoffError, InvalidKeyError
 from airytau.grassmann import (AdmissibleFrame, d_operator,
                                kernel_pairing_form, plucker_from_admissible,
                                plucker_minor, reduction_check,
                                tau_minus_two_point, tau_polynomial,
-                               tau_schur_coeffs, times_power_sums)
-from airytau.multipoly import MultiPoly
+                               tau_schur_coeffs)
 from airytau.partitions import Partition, partitions_up_to
 from airytau.rational import Rat
-from airytau.schur import schur_at
 from airytau.series import Series1
+
+from oracles import schur_sum_jacobi_trudi
 
 
 def _series(coeffs, order=None):
@@ -111,27 +110,21 @@ def test_plucker_admissible_matches_normalized():
                 plucker_minor(coords, mu), mu
 
 
-def test_tau_polynomial_builds_one_spec(monkeypatch):
-    coords = random_frame(random.Random(29), 9, 9).normalize(8)
-    weight = 7
-    # reference: a fresh specialization per partition, on the other route
-    expected = MultiPoly.zero(weight_cap=weight)
-    for mu, c in tau_schur_coeffs(coords, weight).items():
-        route = "e" if mu.length <= (mu.parts[0] if mu.parts else 0) \
-            else "h"
-        value = schur_at(mu, times_power_sums(weight), route)
-        expected = expected + value.scale(c)
+def test_tau_polynomial_matches_jacobi_trudi_oracle():
+    rng = random.Random(29)
+    for weight in (3, 5, 7, 8):
+        coords = random_frame(rng, 9, 9).normalize(8)
+        expected = schur_sum_jacobi_trudi(tau_schur_coeffs(coords, weight),
+                                          weight)
+        value = tau_polynomial(coords, weight)
+        assert value == expected, weight
+        assert (value.weight_cap, value.degree_cap) == (weight, None)
 
-    builds = []
-    original = grassmann_module.times_power_sums
 
-    def counting(cap):
-        builds.append(cap)
-        return original(cap)
-
-    monkeypatch.setattr(grassmann_module, "times_power_sums", counting)
-    assert tau_polynomial(coords, weight) == expected
-    assert builds == [weight]
+def test_airy_tau_polynomial_equals_exponential_tau(tau15):
+    frame = AdmissibleFrame(airy_frame(16, required_order(15)))
+    value = tau_polynomial(frame.normalize(15), 15)
+    assert value == tau15.poly.with_caps(weight_cap=15)
 
 
 def test_hook_matrix_example():

@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 
 from airytau.errors import InsufficientCutoffError
-from airytau.partitions import Partition, partitions_up_to
+from airytau.partitions import Partition, partitions_of, partitions_up_to
 from airytau.rational import Rat
-from airytau.schur import (PowerSums, hook_minus_closed,
+from airytau.schur import (PowerSums, character, hook_minus_closed,
                            hook_minus_identity_check,
                            minus_spec, minus_spec_h_alternating,
                            minus_spec_nonhook_vanishing, plus_spec,
-                           plus_spec_h, plus_spec_tall_vanishing, schur_at)
+                           plus_spec_h, plus_spec_tall_vanishing, schur_at,
+                           shorter_route)
 from airytau.series import Laurent2
 
 from oracles import schur_brute, standard_tableaux_count
@@ -169,3 +170,48 @@ def test_shared_spec_matches_fresh_spec_per_partition():
         for route in ("h", "e"):
             assert schur_at(mu, spec, route) == \
                 schur_at(mu, _rational_spec(41, 8), route), (mu, route)
+
+
+def test_character_at_identity_counts_standard_tableaux():
+    for mu in partitions_up_to(10):
+        identity = Partition((1,) * mu.weight)
+        assert character(mu, identity) == standard_tableaux_count(mu), mu
+
+
+def _centralizer_order(rho: Partition) -> int:
+    """z_rho = prod_k k^(m_k) m_k!."""
+    return math.prod(k ** rho.parts.count(k) * math.factorial(
+        rho.parts.count(k)) for k in set(rho.parts))
+
+
+def test_character_column_orthogonality():
+    for n in range(11):
+        shapes = list(partitions_of(n))
+        table = {(mu, rho): character(mu, rho)
+                 for mu in shapes for rho in shapes}
+        for rho in shapes:
+            for sigma in shapes:
+                total = sum(table[mu, rho] * table[mu, sigma]
+                            for mu in shapes)
+                expected = _centralizer_order(rho) if rho == sigma else 0
+                assert total == expected, (rho, sigma)
+
+
+def test_character_examples():
+    # chi^(2,1) on the classes of S_3, and a sign from a vertical strip
+    assert [character(Partition((2, 1)), Partition(rho))
+            for rho in ((1, 1, 1), (2, 1), (3,))] == [2, 0, -1]
+    assert character(Partition((1, 1, 1)), Partition((3,))) == 1
+    assert character(Partition((2, 2)), Partition((3, 1))) == -1
+    assert character(Partition(()), Partition(())) == 1
+
+
+def test_shorter_route_picks_the_smaller_determinant():
+    assert shorter_route(Partition(())) == "h"
+    assert shorter_route(Partition((3, 1))) == "h"
+    assert shorter_route(Partition((2, 2))) == "h"
+    assert shorter_route(Partition((1, 1, 1))) == "e"
+    for arm in range(5):
+        for leg in range(5):
+            hook = Partition.hook(arm, leg)
+            assert shorter_route(hook) == ("h" if leg <= arm else "e")

@@ -13,7 +13,7 @@ from airytau.rational import Rat
 from airytau.series import Laurent2, Series1
 
 from oracles import (convolve, geometric_inv_diff,
-                     geometric_inv_diff_squares)
+                     geometric_inv_diff_squares, restrict)
 
 
 def s(coeffs, order=None, var="z"):
@@ -202,8 +202,7 @@ def test_div_diff_powers_equals_geometric_product_restricted():
         kmax = (hi + 6) // power + 1
         geometric = (geometric_inv_diff if power == 1
                      else geometric_inv_diff_squares)(pair, kmax)
-        expected = f.mul(geometric).restrict(xmin=lo, xmax=hi,
-                                             ymin=lo, ymax=hi)
+        expected = restrict(f.mul(geometric), lo, hi)
         assert f.div_diff_powers(power, lo, hi) == expected
 
 

@@ -212,7 +212,8 @@ def test_theta_matches_wave_product_oracle(tau9, tau12, tau15, engine):
 def test_two_point_sum_matches_trace_oracle(tau9, tau12, tau15, engine):
     # the trace of Theta(z1) Theta(z2) times the expansion of
     # 1/(z1^2 - z2^2)^2, read at one cell, on every pair through the cap;
-    # the smallest entry order is W - 2, so pairs with j + k > W - 4 raise
+    # the sum reads down to z^(-(j + k)) and the smallest entry order is
+    # W - 2, so pairs with j + k > W - 2 raise
     pair = ("z1", "z2")
     for name, tau in _oracle_taus(tau9, tau12, tau15, engine).items():
         cap = tau.weight_cap
@@ -225,7 +226,7 @@ def test_two_point_sum_matches_trace_oracle(tau9, tau12, tau15, engine):
         product = trace.mul(geometric_inv_diff_squares_sq(pair, cap))
         for j in range(-3, cap + 1):
             for k in range(-3, cap + 1):
-                if j + k > cap - 4:
+                if j + k > cap - 2:
                     with pytest.raises(InsufficientCutoffError):
                         matrix_two_point_coeff(tau, j, k)
                 else:
@@ -427,8 +428,10 @@ def test_theta_at_zero_built_once_per_tau(tau9, engine, monkeypatch):
     series = matrix_one_point_series(tau)
     values = [matrix_two_point_coeff(tau, j, k) for j, k in pairs]
     assert values == [engine.connected(pair) for pair in pairs]
+    # W = 11 serves j + k <= 9
+    assert matrix_two_point_coeff(tau, 1, 7) == engine.connected((1, 7))
     with pytest.raises(InsufficientCutoffError):
-        matrix_two_point_coeff(tau, 1, 7)
+        matrix_two_point_coeff(tau, 1, 9)
     assert len(builds) == 1 and builds[0] is tau
 
     twin = fresh()
@@ -436,7 +439,7 @@ def test_theta_at_zero_built_once_per_tau(tau9, engine, monkeypatch):
     assert [matrix_two_point_coeff(twin, j, k) for j, k in pairs] == values
     assert matrix_one_point_series(twin) == series
     with pytest.raises(InsufficientCutoffError):
-        matrix_two_point_coeff(twin, 7, 1)
+        matrix_two_point_coeff(twin, 9, 1)
     assert len(builds) == 2 and builds[1] is twin
 
     f = MultiPoly.var(2, weight_cap=6)
