@@ -136,7 +136,16 @@ def cmd_npoint(args: argparse.Namespace) -> int:
         raise InvalidKeyError("orders must be >= 1")
     cutoff = _int_or(args.cutoff, max(12, sum(js) + 1))
     engine = NPointEngine(kernel_closed, cutoff)
-    value = engine.connected(js)
+    # The cycle sum visits up to j0 first rows.  The closed kernel is
+    # symmetric, so at or above the reach, where the value is exact, it is
+    # the same for every rotation of the key: run the one with the smallest
+    # order first.  Below the reach the key runs as given, so its
+    # certification outcome and message stay those of that key.
+    key = js
+    if cutoff >= sum(js) - 1:
+        start = js.index(min(js))
+        key = js[start:] + js[:start]
+    value = engine.connected(key)
     record = {"orders": list(js), "value": format_rat(value),
               "cutoff": cutoff}
     fmt = args.format or "text"

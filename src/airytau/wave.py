@@ -23,6 +23,16 @@ they multiply: a pair of terms whose TW already exceeds it is never
 multiplied, which gives exactly the terms of the full product pruned at the
 cap.
 
+A series holds integer numerators over one denominator: products multiply
+numerators and denominators, sums bring both sides to the lcm of theirs,
+and the x- and xi-derivatives and shifts only multiply numerators by
+integers.  The shift expansion itself runs on integers over a denominator
+proved in ``_shift_expansion``.  Rationals appear only where a series is
+built from or read as rational coefficients.  Each tau keeps its wave pair
+and its shift expansions by signs (``TruncatedTau.wave_pair`` and
+``shift_expansions``), so the one-point, pairing and Fay checks on one tau
+share them, and they go with the tau.
+
 The matrix checks read the 2x2 bilinear matrix Theta only at T = 0, so it
 is built there directly from tau and dtau/dT_1 at the Miwa points
 +-[1/z], with no wave series; its four entries are built once per tau
@@ -86,6 +96,23 @@ class TruncatedTau:
         nothing."""
         return bilinear_matrix(self)
 
+    @cached_property
+    def wave_pair(self) -> tuple[WaveSeries, WaveSeries]:
+        """(``wave(self)``, ``dual_wave(self)``), built together on first
+        use, sharing 1/tau, and kept on this instance."""
+        inverse = {((0,), m): c for m, c in self.poly.inverse().terms.items()}
+        return tuple(_sato_quotient(self, WaveSeries(tag, inverse,
+                                                     self.weight_cap, 0,
+                                                     self.index_cap),
+                                    -tag)
+                     for tag in (1, -1))
+
+    @cached_property
+    def shift_expansions(self) -> dict[Key, WaveSeries]:
+        """``shifted_tau(self, signs)`` by signs, filled on first use of
+        each and kept on this instance."""
+        return {}
+
 
 def tau_from_free_energy(free_energy: MultiPoly, weight_cap: int,
                          index_cap: int | None = None,
@@ -140,51 +167,91 @@ def _tw(term: Term) -> int:
     return sum(key) + mono_weight(mono)
 
 
+def _within(terms: dict, cap: int) -> dict:
+    """The terms with TW <= cap."""
+    return terms if cap >= INF else {term: c for term, c in terms.items()
+                                     if _tw(term) <= cap}
+
+
 class WaveSeries:
     """Sparse terms ``{(depths (k_1, ..., k_r), monomial): coefficient}``,
     read as the coefficient of s_1^k_1 ... s_r^k_r times the monomial in T,
     with the TW cap and floor.
 
-    TW(term) = weight(monomial) + sum(depths); the constructor keeps only
-    the nonzero terms with TW <= cap.  A wave series has one shift variable
-    s = 1/xi (depth k is a power xi^(-k)) and carries the exponential
-    prefactor exp(tag * sum T_n xi^n); a shift expansion of tau has tag 0.
+    TW(term) = weight(monomial) + sum(depths); only the nonzero terms with
+    TW <= cap are kept.  A wave series has one shift variable s = 1/xi
+    (depth k is a power xi^(-k)) and carries the exponential prefactor
+    exp(tag * sum T_n xi^n); a shift expansion of tau has tag 0.
+
+    The coefficients are integer numerators ``num`` over one positive
+    denominator ``den``, in lowest terms (den and the numerators share no
+    factor).  The constructor takes rationals and ``terms`` reads them back
+    as rationals; the arithmetic never leaves the integers.
     """
 
-    __slots__ = ("tag", "terms", "cap", "twmin", "index_cap")
+    __slots__ = ("tag", "num", "den", "cap", "twmin", "index_cap")
 
     def __init__(self, tag: int, terms: dict[Term, Rat], cap: int,
                  twmin: int, index_cap: int):
+        values = {term: Rat(c) for term, c in _within(terms, cap).items()}
+        den = math.lcm(*(c.denominator for c in values.values()))
+        self._fill(tag, {term: c.numerator * (den // c.denominator)
+                         for term, c in values.items()},
+                   den, cap, twmin, index_cap)
+
+    @classmethod
+    def _of(cls, tag: int, num: dict[Term, int], den: int, cap: int,
+            twmin: int, index_cap: int) -> WaveSeries:
+        """From numerators over ``den`` whose terms all have TW <= cap."""
+        out = cls.__new__(cls)
+        out._fill(tag, num, den, cap, twmin, index_cap)
+        return out
+
+    def _fill(self, tag, num, den, cap, twmin, index_cap) -> None:
         self.tag = tag
         self.cap = cap
         self.twmin = twmin
         self.index_cap = index_cap
-        self.terms = {term: c for term, c in terms.items()
-                      if c != 0 and _tw(term) <= cap}
+        num = {term: n for term, n in num.items() if n}
+        g = math.gcd(den, *num.values())
+        self.num = {term: n // g for term, n in num.items()} if g > 1 else num
+        self.den = den // g
+
+    @property
+    def terms(self) -> dict[Term, Rat]:
+        return {term: Rat(n, self.den) for term, n in self.num.items()}
 
     @classmethod
     def const(cls, value, index_cap: int) -> WaveSeries:
         return cls(0, {((0,), MONO_ONE): Rat(value)}, INF, 0, index_cap)
 
     def __add__(self, other: WaveSeries) -> WaveSeries:
+        return self._combine(other, 1)
+
+    def __sub__(self, other: WaveSeries) -> WaveSeries:
+        return self._combine(other, -1)
+
+    def _combine(self, other: WaveSeries, sign: int) -> WaveSeries:
+        """self + sign * other over the lcm of the two denominators."""
         if self.tag != other.tag:
             raise InvalidKeyError(
                 f"cannot add prefactor tags {self.tag} and {other.tag}")
-        out = defaultdict(Rat, self.terms)
-        for term, c in other.terms.items():
-            out[term] += c
-        return WaveSeries(self.tag, out, min(self.cap, other.cap),
-                          min(self.twmin, other.twmin),
-                          min(self.index_cap, other.index_cap))
-
-    def __sub__(self, other: WaveSeries) -> WaveSeries:
-        return self + other.scale(-1)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        cap = min(self.cap, other.cap)
+        out = {term: n * a for term, n in _within(self.num, cap).items()}
+        for term, n in _within(other.num, cap).items():
+            out[term] = out.get(term, 0) + n * b
+        return WaveSeries._of(self.tag, out, den, cap,
+                              min(self.twmin, other.twmin),
+                              min(self.index_cap, other.index_cap))
 
     def scale(self, factor) -> WaveSeries:
         f = Rat(factor)
-        return WaveSeries(self.tag,
-                          {term: c * f for term, c in self.terms.items()},
-                          self.cap, self.twmin, self.index_cap)
+        return WaveSeries._of(self.tag, {term: n * f.numerator
+                                         for term, n in self.num.items()},
+                              self.den * f.denominator, self.cap, self.twmin,
+                              self.index_cap)
 
     def __mul__(self, other: WaveSeries) -> WaveSeries:
         """Once a pair's TW exceeds the cap, no later term of the
@@ -192,62 +259,64 @@ class WaveSeries:
         product pruned at the cap."""
         cap = min(_cap_add(self.cap, other.twmin),
                   _cap_add(other.cap, self.twmin))
-        right = sorted(((_tw(term), term, c)
-                        for term, c in other.terms.items()),
+        right = sorted(((_tw(term), term, n)
+                        for term, n in other.num.items()),
                        key=itemgetter(0))
-        out = defaultdict(Rat)
-        for term, c1 in self.terms.items():
+        out = defaultdict(int)
+        for term, n1 in self.num.items():
             k1, m1 = term
             room = _cap_add(cap, -_tw(term))
-            for tw2, (k2, m2), c2 in right:
+            for tw2, (k2, m2), n2 in right:
                 if tw2 > room:
                     break
-                out[tuple(map(add, k1, k2)), mono_mul(m1, m2)] += c1 * c2
-        return WaveSeries(self.tag + other.tag, out, cap,
-                          self.twmin + other.twmin,
-                          min(self.index_cap, other.index_cap))
+                out[tuple(map(add, k1, k2)), mono_mul(m1, m2)] += n1 * n2
+        return WaveSeries._of(self.tag + other.tag, out,
+                              self.den * other.den, cap,
+                              self.twmin + other.twmin,
+                              min(self.index_cap, other.index_cap))
 
     def shift(self, *deltas: int) -> WaveSeries:
         """Multiply by s_1^d_1 ... s_r^d_r; on a wave series shift(-k)
         multiplies by xi^k."""
         total = sum(deltas)
-        return WaveSeries(self.tag,
-                          {(tuple(map(add, key, deltas)), mono): c
-                           for (key, mono), c in self.terms.items()},
-                          _cap_add(self.cap, total), self.twmin + total,
-                          self.index_cap)
+        return WaveSeries._of(self.tag,
+                              {(tuple(map(add, key, deltas)), mono): n
+                               for (key, mono), n in self.num.items()},
+                              self.den, _cap_add(self.cap, total),
+                              self.twmin + total, self.index_cap)
 
     def dx(self) -> WaveSeries:
         """d/dx with x identified with T_1, acting on the prefactor too
         (tag * xi lowers the first depth by one)."""
-        out = defaultdict(Rat)
-        for (key, mono), c in self.terms.items():
+        out = defaultdict(int)
+        for (key, mono), n in self.num.items():
             d = _mono_deriv(mono, 1)
             if d is not None:
-                out[key, d[0]] += c * d[1]
+                out[key, d[0]] += n * d[1]
             if self.tag != 0:
-                out[(key[0] - 1,) + key[1:], mono] += c * self.tag
-        return WaveSeries(self.tag, out, _cap_add(self.cap, -1),
-                          self.twmin - 1, self.index_cap)
+                out[(key[0] - 1,) + key[1:], mono] += n * self.tag
+        return WaveSeries._of(self.tag, out, self.den,
+                              _cap_add(self.cap, -1), self.twmin - 1,
+                              self.index_cap)
 
     def dxi(self) -> WaveSeries:
         """d/dxi of a wave series: term-wise on xi^(-k) plus the prefactor
         divergence tag * sum n T_n xi^(n-1) (odd n up to the index cap)."""
         ladder = ([(n, mono_var(n)) for n in range(1, self.index_cap + 1, 2)]
                   if self.tag != 0 else [])
-        out = defaultdict(Rat)
-        for ((k,), mono), c in self.terms.items():
+        out = defaultdict(int)
+        for ((k,), mono), n in self.num.items():
             if k != 0:
-                out[(k + 1,), mono] -= c * k
-            for n, var in ladder:
-                out[(k - n + 1,), mono_mul(mono, var)] += c * n * self.tag
-        return WaveSeries(self.tag, out, _cap_add(self.cap, 1),
-                          self.twmin + 1, self.index_cap)
+                out[(k + 1,), mono] -= n * k
+            for idx, var in ladder:
+                out[(k - idx + 1,), mono_mul(mono, var)] += n * idx * self.tag
+        return WaveSeries._of(self.tag, out, self.den, _cap_add(self.cap, 1),
+                              self.twmin + 1, self.index_cap)
 
     def eval_zero(self) -> Series1:
         """Set all T to zero in a wave series; the reliability order equals
         the TW cap."""
-        coeffs = {-k: c for ((k,), mono), c in self.terms.items()
+        coeffs = {-k: Rat(n, self.den) for ((k,), mono), n in self.num.items()
                   if mono == MONO_ONE}
         order = None if self.cap >= INF else self.cap
         return Series1("xi", coeffs, order)
@@ -255,52 +324,85 @@ class WaveSeries:
     def agrees_with(self, other: WaveSeries,
                     depth: Key | None = None) -> bool:
         """Equal tags and equal terms within both TW caps, skipping keys
-        deeper than ``depth`` in any shift variable."""
+        deeper than ``depth`` in any shift variable.  Coefficients are
+        compared across the two denominators: n1 / d1 == n2 / d2 exactly
+        when n1 * d2 == n2 * d1."""
         if self.tag != other.tag:
             return False
         cap = min(self.cap, other.cap)
-        zero = Rat(0)
-        return all(self.terms.get(term, zero) == other.terms.get(term, zero)
-                   for term in self.terms.keys() | other.terms.keys()
+        d1, d2 = self.den, other.den
+        return all(self.num.get(term, 0) * d2 == other.num.get(term, 0) * d1
+                   for term in self.num.keys() | other.num.keys()
                    if _tw(term) <= cap and (depth is None or all(
                        k <= d for k, d in zip(term[0], depth))))
 
     def __repr__(self) -> str:
         head = {1: "exp(+S)*", -1: "exp(-S)*", 0: ""}.get(
             self.tag, f"exp({self.tag}S)*")
-        bits = [f"s^{key}*({format_rat(self.terms[key, mono])})*"
+        bits = [f"s^{key}*({format_rat(Rat(self.num[key, mono], self.den))})*"
                 f"{mono_str(mono)}"
-                for key, mono in sorted(self.terms)]
+                for key, mono in sorted(self.num)]
         return head + (" + ".join(bits) or "0") + f"  [TW<={self.cap}]"
 
 
 def shifted_tau(tau: TruncatedTau, signs: Key) -> WaveSeries:
     """tau(T + sign_1 [s_1] + ... + sign_r [s_r]), the Miwa shift
     T_n -> T_n + sum_v sign_v s_v^n / n expanded in the shift variables; a
-    sign of 0 omits that shift."""
+    sign of 0 omits that shift.  Built once per tau and signs and kept on
+    the tau (``TruncatedTau.shift_expansions``)."""
+    expansions = tau.shift_expansions
+    if signs not in expansions:
+        expansions[signs] = _shift_expansion(tau, signs)
+    return expansions[signs]
+
+
+def _shift_expansion(tau: TruncatedTau, signs: Key) -> WaveSeries:
+    """The expansion behind ``shifted_tau``, on integers.
+
+    A monomial prod_idx T_idx^e_idx of weight w expands into terms
+    prod_idx T_idx^left_idx * prod_v s_v^(sum_idx idx * i_idx,v), each of
+    TW = w, since every factor s_v^idx / idx taken in place of a T_idx
+    trades weight idx for depth idx.  So a term is kept exactly when its
+    monomial has w <= W, the weight cap, and only those are expanded.
+
+    The coefficient of such a term is c * (multinomial) * prod signs *
+    prod_idx idx^(-t_idx), with t_idx = sum_v i_idx,v <= e_idx the number of
+    shift factors taken from T_idx^e_idx.  As idx * e_idx <= w <= W,
+    t_idx <= floor(W / idx), so prod_idx idx^t_idx divides
+    L = prod_idx idx^floor(W / idx) over the indices of the kept monomials.
+    With tau's kept coefficients c = N / D over their lcm D, every term is
+    (N * L / prod_idx idx^t_idx) * (multinomial) * prod signs over D * L,
+    and the division is exact.
+    """
+    cap = tau.weight_cap
+    kept = {mono: c for mono, c in tau.poly.terms.items()
+            if mono_weight(mono) <= cap}
+    den = math.lcm(*(c.denominator for c in kept.values()))
+    scale = math.prod(idx ** (cap // idx)
+                      for idx in {idx for mono in kept for idx, _ in mono})
+    active = [(v, sign) for v, sign in enumerate(signs) if sign != 0]
     origin = (0,) * len(signs)
-    out = defaultdict(Rat)
-    for mono, c in tau.poly.terms.items():
-        parts: list[tuple[Key, Monomial, Rat]] = [(origin, MONO_ONE, c)]
+    out = defaultdict(int)
+    for mono, c in kept.items():
+        parts: list[tuple[Key, Monomial, int]] = [
+            (origin, MONO_ONE, c.numerator * (den // c.denominator) * scale)]
         for idx, e in mono:
             # (T_idx + sum_v sign_v s_v^idx / idx)^e, one variable at a time:
-            # (key, power left on T_idx, coefficient)
-            factor: list[tuple[Key, int, Rat]] = [(origin, e, Rat(1))]
-            for v, sign in enumerate(signs):
-                if sign == 0:
-                    continue
-                step = Rat(sign, idx)
+            # (key, power left on T_idx, multinomial times signs)
+            factor: list[tuple[Key, int, int]] = [(origin, e, 1)]
+            for v, sign in active:
                 factor = [(key[:v] + (key[v] + idx * i,) + key[v + 1:],
-                           left - i, cf * math.comb(left, i) * step ** i)
+                           left - i, cf * math.comb(left, i) * sign ** i)
                           for key, left, cf in factor
                           for i in range(left + 1)]
-            parts = [(tuple(a + b for a, b in zip(k0, key)),
-                      m0 if left == 0 else mono_mul(m0, ((idx, left),)),
-                      c0 * cf)
+            # the indices of a monomial ascend, so appending keeps m0 sorted
+            parts = [(tuple(map(add, k0, key)),
+                      m0 if left == 0 else m0 + ((idx, left),),
+                      c0 * cf // idx ** (e - left))
                      for k0, m0, c0 in parts for key, left, cf in factor]
-        for key, m, cf in parts:
-            out[key, m] += cf
-    return WaveSeries(0, out, tau.weight_cap, 0, tau.index_cap)
+        for key, m, n in parts:
+            out[key, m] += n
+    return WaveSeries._of(0, out, den * scale, cap, 0, tau.index_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +411,19 @@ def shifted_tau(tau: TruncatedTau, signs: Key) -> WaveSeries:
 
 def wave(tau: TruncatedTau) -> WaveSeries:
     """exp(sum T_n xi^n) * tau(T - [1/xi]) / tau(T)."""
-    return _sato_quotient(tau, -1, +1)
+    return tau.wave_pair[0]
 
 
 def dual_wave(tau: TruncatedTau) -> WaveSeries:
     """exp(-sum T_n xi^n) * tau(T + [1/xi]) / tau(T)."""
-    return _sato_quotient(tau, +1, -1)
+    return tau.wave_pair[1]
 
 
-def _sato_quotient(tau: TruncatedTau, shift_dir: int, tag: int) -> WaveSeries:
-    """The shift expansion with s = 1/xi times exp(tag * S) / tau(T)."""
-    inverse = WaveSeries(tag, {((0,), m): c
-                               for m, c in tau.poly.inverse().terms.items()},
-                         tau.weight_cap, 0, tau.index_cap)
-    return shifted_tau(tau, (shift_dir,)) * inverse
+def _sato_quotient(tau: TruncatedTau, inverse: WaveSeries,
+                   shift_dir: int) -> WaveSeries:
+    """The shift expansion with s = 1/xi times ``inverse``, which is
+    exp(tag * S) / tau(T)."""
+    return _shift_expansion(tau, (shift_dir,)) * inverse
 
 
 def wronskian(p: WaveSeries, q: WaveSeries) -> WaveSeries:

@@ -339,3 +339,116 @@ LITERATURE_CORRELATORS = {
     (5, 3): Fraction(503, 1451520),
     (4, 4): Fraction(607, 1451520),
 }
+
+
+# ---------------------------------------------------------------------------
+# Plain-Fraction references for wave-layer terms {(depths, monomial): coeff}.
+# ---------------------------------------------------------------------------
+
+def term_tw(term) -> int:
+    key, mono = term
+    return sum(key) + _mono_weight(mono)
+
+
+def prune_terms(terms: dict, cap: int | None) -> dict:
+    """The nonzero terms with TW <= cap (``None`` keeps them all)."""
+    return {term: Fraction(c) for term, c in terms.items()
+            if c != 0 and (cap is None or term_tw(term) <= cap)}
+
+
+def fraction_combine(a: dict, b: dict, sign: int, cap: int | None) -> dict:
+    """a + sign * b, pruned at cap."""
+    out = dict(a)
+    for term, c in b.items():
+        out[term] = out.get(term, Fraction(0)) + sign * c
+    return prune_terms(out, cap)
+
+
+def fraction_shift(a: dict, deltas: tuple[int, ...]) -> dict:
+    return {(tuple(k + d for k, d in zip(key, deltas)), mono): c
+            for (key, mono), c in a.items()}
+
+
+def _mono_without(mono, index: int):
+    """(monomial / T_index, exponent of T_index) with exponent 0 when
+    T_index does not occur."""
+    powers = dict(mono)
+    e = powers.pop(index, 0)
+    if e > 1:
+        powers[index] = e - 1
+    return tuple(sorted(powers.items())), e
+
+
+def fraction_dx(a: dict, tag: int) -> dict:
+    """d/dT_1 of every term, plus tag times the term one depth shallower in
+    the first shift variable (the x-derivative of exp(tag * S))."""
+    out: dict = {}
+    for (key, mono), c in a.items():
+        rest, e = _mono_without(mono, 1)
+        if e:
+            out[key, rest] = out.get((key, rest), Fraction(0)) + c * e
+        shallower = ((key[0] - 1,) + key[1:], mono)
+        out[shallower] = out.get(shallower, Fraction(0)) + c * tag
+    return prune_terms(out, None)
+
+
+def fraction_dxi(a: dict, tag: int, index_cap: int) -> dict:
+    """d/dxi of sum c xi^(-k) T^m times exp(tag * S): -k c xi^(-k-1) T^m,
+    plus tag * n c xi^(n-1-k) T^m T_n for odd n <= index_cap."""
+    out: dict = {}
+    for ((k,), mono), c in a.items():
+        deeper = ((k + 1,), mono)
+        out[deeper] = out.get(deeper, Fraction(0)) - k * c
+        for n in range(1, index_cap + 1, 2):
+            term = ((k - n + 1,), _mono_product(mono, ((n, 1),)))
+            out[term] = out.get(term, Fraction(0)) + tag * n * c
+    return prune_terms(out, None)
+
+
+def fraction_agrees(a: dict, b: dict, cap: int | None,
+                    depth: tuple[int, ...] | None) -> bool:
+    """Equal coefficients on every term with TW <= cap and no depth beyond
+    ``depth``."""
+    for term in a.keys() | b.keys():
+        if cap is not None and term_tw(term) > cap:
+            continue
+        if depth is not None and any(k > d for k, d in zip(term[0], depth)):
+            continue
+        if a.get(term, Fraction(0)) != b.get(term, Fraction(0)):
+            return False
+    return True
+
+
+def shifted_tau_terms(tau_terms: dict, signs: tuple[int, ...],
+                      cap: int) -> dict:
+    """tau(T + sum_v sign_v [s_v]) pruned at TW <= cap: every T_idx^e splits
+    into T_idx^left * prod_v (sign_v s_v^idx / idx)^(i_v) with the
+    multinomial coefficient e! / (left! prod_v i_v!)."""
+    out: dict = {}
+    r = len(signs)
+    for mono, c in tau_terms.items():
+        choices = []
+        for idx, e in mono:
+            splits = []
+            for picks in product(range(e + 1), repeat=r):
+                if sum(picks) > e or any(i and not s
+                                         for i, s in zip(picks, signs)):
+                    continue
+                left = e - sum(picks)
+                coeff = Fraction(math.factorial(e), math.factorial(left))
+                for i, s in zip(picks, signs):
+                    coeff = coeff / math.factorial(i) * Fraction(s, idx) ** i
+                splits.append((idx, left, picks, coeff))
+            choices.append(splits)
+        for chosen in product(*choices):
+            key = [0] * r
+            rest = []
+            coeff = Fraction(c)
+            for idx, left, picks, cf in chosen:
+                coeff *= cf
+                key = [k + idx * i for k, i in zip(key, picks)]
+                if left:
+                    rest.append((idx, left))
+            term = (tuple(key), tuple(rest))
+            out[term] = out.get(term, Fraction(0)) + coeff
+    return prune_terms(out, cap)

@@ -58,6 +58,19 @@ def test_npoint_value(capsys):
     assert json.loads(out)["value"] == "5/8"
 
 
+def test_npoint_rotations_print_one_value(capsys):
+    # the key runs rotated with its smallest order first; the record keeps
+    # the orders as given
+    js = [13] + [1] * 8
+    for start in range(len(js)):
+        orders = js[start:] + js[:start]
+        code, out, _ = run(capsys, "npoint", "--orders",
+                           ",".join(map(str, orders)), "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"cutoff": 22, "orders": orders,
+                                   "value": "135135"}
+
+
 def test_npoint_insufficient_cutoff(capsys):
     code, _, err = run(capsys, "npoint", "--orders", "3,15",
                        "--cutoff", "8")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import math
 import operator
 import random
 from fractions import Fraction
@@ -24,8 +25,10 @@ from airytau.wave import (DIFFERENTIAL_FAY, INF, SHIFTED_FAY, TruncatedTau,
                           shifted_fay_check, shifted_tau,
                           tau_from_free_energy, theorem_one_point_check,
                           time_ladder, wave, wave_pairing_check, wronskian)
-from oracles import (full_product_pruned, geometric_inv_diff_squares_sq,
-                     sato_quotient_cells)
+from oracles import (fraction_agrees, fraction_combine, fraction_dx,
+                     fraction_dxi, fraction_shift, full_product_pruned,
+                     geometric_inv_diff_squares_sq, prune_terms,
+                     sato_quotient_cells, shifted_tau_terms)
 
 # the package re-exports the function ``wave``, which shadows the module name
 wave_module = importlib.import_module("airytau.wave")
@@ -542,3 +545,155 @@ def test_agrees_with_reads_exactly_the_reliable_cells_within_depth():
     # a different prefactor never agrees
     assert not WaveSeries(1, {}, INF, 0, 3).agrees_with(
         WaveSeries(0, {}, INF, 0, 3))
+
+
+# ---------------------------------------------------------------------------
+# Integer numerators over one denominator: every operation equals the same
+# operation on plain Fractions.
+# ---------------------------------------------------------------------------
+
+def _random_terms(rng, nvars, dens):
+    """Random terms whose coefficient denominators come from ``dens``."""
+    terms = {}
+    for _ in range(rng.randint(0, 8)):
+        key = tuple(rng.randint(-3, 4) for _ in range(nvars))
+        mono = {}
+        for _ in range(rng.randint(0, 3)):
+            idx = rng.choice((1, 3, 5, 7))
+            mono[idx] = mono.get(idx, 0) + rng.randint(1, 2)
+        terms[key, tuple(sorted(mono.items()))] = Fraction(
+            rng.randint(-12, 12), rng.choice(dens))
+    return terms
+
+
+def _cap_of(cap):
+    return None if cap >= INF else cap
+
+
+def _assert_lowest_terms(series):
+    assert series.den > 0
+    assert all(n != 0 for n in series.num.values())
+    assert math.gcd(series.den, *series.num.values()) == 1
+    assert all(_cap_of(series.cap) is None or
+               sum(k) + sum(i * e for i, e in m) <= series.cap
+               for k, m in series.num)
+
+
+def _random_pair(rng, nvars):
+    """Two series with the same tag and mismatched denominators."""
+    tag = rng.choice((-1, 0, 1)) if nvars == 1 else 0
+    out = []
+    for dens in ((1, 2, 4, 8, 3, 9), (1, 5, 7, 25, 6, 49)):
+        cap, twmin = _random_meta(rng)
+        out.append(WaveSeries(tag, _random_terms(rng, nvars, dens), cap,
+                              twmin, rng.choice((1, 3, 5))))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_integer_series_match_fraction_reference(seed):
+    rng = random.Random(1000 + seed)
+    nvars = 1 if seed % 2 else 2
+    a, b = _random_pair(rng, nvars)
+    for series in (a, b):
+        _assert_lowest_terms(series)
+    cap = min(a.cap, b.cap)
+    for sign, result in ((1, a + b), (-1, a - b)):
+        _assert_lowest_terms(result)
+        assert (result.tag, result.cap, result.twmin, result.index_cap) == \
+            (a.tag, cap, min(a.twmin, b.twmin), min(a.index_cap, b.index_cap))
+        assert result.terms == fraction_combine(a.terms, b.terms, sign,
+                                                _cap_of(cap))
+    factor = Fraction(rng.randint(-9, 9), rng.randint(1, 14))
+    scaled = a.scale(factor)
+    _assert_lowest_terms(scaled)
+    assert scaled.terms == prune_terms(
+        {term: c * factor for term, c in a.terms.items()}, None)
+    deltas = tuple(rng.randint(-2, 2) for _ in range(nvars))
+    shifted = a.shift(*deltas)
+    _assert_lowest_terms(shifted)
+    assert shifted.terms == fraction_shift(a.terms, deltas)
+    assert (shifted.cap, shifted.twmin) == (
+        INF if a.cap >= INF else a.cap + sum(deltas), a.twmin + sum(deltas))
+    dx = a.dx()
+    _assert_lowest_terms(dx)
+    assert dx.terms == fraction_dx(a.terms, a.tag)
+    if nvars == 1:
+        dxi = a.dxi()
+        _assert_lowest_terms(dxi)
+        assert dxi.terms == fraction_dxi(a.terms, a.tag, a.index_cap)
+    for depth in (None, (1,) * nvars, (3,) * nvars):
+        assert a.agrees_with(b, depth) == fraction_agrees(
+            a.terms, b.terms, _cap_of(cap), depth)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_agrees_with_across_denominators(seed):
+    rng = random.Random(2000 + seed)
+    nvars = 1 if seed % 2 else 2
+    a, _ = _random_pair(rng, nvars)
+    cap = rng.randint(0, 8)
+    base = WaveSeries(a.tag, a.terms, cap, a.twmin, a.index_cap)
+    # equal within the cap, differing beyond it with a new denominator
+    beyond = ((cap + 1,) + (0,) * (nvars - 1), ((1, 1),))
+    twin_terms = dict(base.terms)
+    twin_terms[beyond] = Fraction(rng.choice((1, 2, 4, 5, 8)), 7 * 11)
+    twin = WaveSeries(a.tag, twin_terms, INF, a.twmin, a.index_cap)
+    assert twin.den % 77 == 0
+    assert base.agrees_with(twin) and twin.agrees_with(base)
+    if base.num:
+        term = rng.choice(sorted(base.num))
+        twin_terms[term] += Fraction(1, 13)
+        changed = WaveSeries(a.tag, twin_terms, INF, a.twmin, a.index_cap)
+        assert not base.agrees_with(changed)
+        assert base.agrees_with(changed, tuple(k - 1 for k in term[0]))
+
+
+def _toy_odd_tau(weight_cap, poly_cap):
+    """A tau in odd times up to T_9 with coefficient denominators 2 ... 9;
+    with poly_cap above weight_cap, the polynomial holds monomials beyond
+    the completeness cap, as a degree-capped tau does."""
+    f = MultiPoly({((1, 1),): Fraction(1, 2), ((3, 1),): Fraction(-2, 3),
+                   ((1, 1), (3, 1)): Fraction(3, 5), ((5, 1),): Fraction(1, 4),
+                   ((7, 1),): Fraction(-5, 7), ((9, 1),): Fraction(2, 9),
+                   ((1, 2), (5, 1)): Fraction(7, 6)}, weight_cap=poly_cap)
+    return TruncatedTau(f.exp(), f, weight_cap, 9, "toy odd times")
+
+
+def test_shifted_tau_matches_fraction_reference():
+    signs_list = [(s,) for s in (-1, 0, 1)] + \
+        [(s, t) for s in (-1, 0, 1) for t in (-1, 0, 1)]
+    for tau in (_toy_odd_tau(11, 11), _toy_odd_tau(9, 14)):
+        for signs in signs_list:
+            series = shifted_tau(tau, signs)
+            _assert_lowest_terms(series)
+            assert (series.tag, series.cap, series.twmin) == \
+                (0, tau.weight_cap, 0)
+            assert series.terms == shifted_tau_terms(
+                tau.poly.terms, signs, tau.weight_cap), signs
+            assert shifted_tau(tau, signs) is series
+
+
+def test_one_wave_bundle_per_tau(tau9, monkeypatch):
+    quotients, expansions = [], []
+    for name, calls in (("_sato_quotient", quotients),
+                        ("_shift_expansion", expansions)):
+        original = getattr(wave_module, name)
+
+        def counting(*args, original=original, calls=calls):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(wave_module, name, counting)
+    tau = TruncatedTau(tau9.poly, tau9.free_energy, tau9.weight_cap,
+                       tau9.index_cap, tau9.provenance)
+    assert theorem_one_point_check(tau)
+    assert wave_pairing_check(tau)
+    assert len(quotients) == 2
+    assert wave(tau) is wave(tau) and dual_wave(tau) is dual_wave(tau)
+    # both Fay checks share (1, 0) and (0, 0): six expansions, not eight,
+    # after the two behind the quotients
+    assert differential_fay_check(tau, (3, 3))
+    assert shifted_fay_check(tau, (3, 3))
+    assert len(expansions) == 2 + len(set(DIFFERENTIAL_FAY + SHIFTED_FAY))
+    assert len(quotients) == 2
