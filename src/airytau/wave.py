@@ -25,9 +25,9 @@ cap.
 
 A series holds integer numerators over one denominator: products multiply
 numerators and denominators, sums bring both sides to the lcm of theirs,
-and the x- and xi-derivatives and shifts only multiply numerators by
-integers.  The shift expansion itself runs on integers over a denominator
-proved in ``_shift_expansion``.  Rationals appear only where a series is
+and shifts and the x- and xi-derivatives keep the denominator.  The shift
+expansion itself runs on integers over a denominator proved in
+``_shift_expansion``.  Rationals appear only where a series is
 built from or read as rational coefficients.  Each tau keeps its wave pair
 and its shift expansions by signs (``TruncatedTau.wave_pair`` and
 ``shift_expansions``), so the one-point, pairing and Fay checks on one tau
@@ -101,11 +101,7 @@ class TruncatedTau:
         """(``wave(self)``, ``dual_wave(self)``), built together on first
         use, sharing 1/tau, and kept on this instance."""
         inverse = {((0,), m): c for m, c in self.poly.inverse().terms.items()}
-        return tuple(_sato_quotient(self, WaveSeries(tag, inverse,
-                                                     self.weight_cap, 0,
-                                                     self.index_cap),
-                                    -tag)
-                     for tag in (1, -1))
+        return tuple(_sato_quotient(self, inverse, tag) for tag in (1, -1))
 
     @cached_property
     def shift_expansions(self) -> dict[Key, WaveSeries]:
@@ -219,6 +215,7 @@ class WaveSeries:
 
     @property
     def terms(self) -> dict[Term, Rat]:
+        """The coefficients as rationals, ``num[term] / den``."""
         return {term: Rat(n, self.den) for term, n in self.num.items()}
 
     @classmethod
@@ -419,11 +416,12 @@ def dual_wave(tau: TruncatedTau) -> WaveSeries:
     return tau.wave_pair[1]
 
 
-def _sato_quotient(tau: TruncatedTau, inverse: WaveSeries,
-                   shift_dir: int) -> WaveSeries:
-    """The shift expansion with s = 1/xi times ``inverse``, which is
-    exp(tag * S) / tau(T)."""
-    return _shift_expansion(tau, (shift_dir,)) * inverse
+def _sato_quotient(tau: TruncatedTau, inverse: dict[Term, Rat],
+                   tag: int) -> WaveSeries:
+    """exp(tag * S) * tau(T - tag [1/xi]) / tau(T), with ``inverse`` the
+    terms of 1/tau(T)."""
+    return _shift_expansion(tau, (-tag,)) * WaveSeries(
+        tag, inverse, tau.weight_cap, 0, tau.index_cap)
 
 
 def wronskian(p: WaveSeries, q: WaveSeries) -> WaveSeries:
