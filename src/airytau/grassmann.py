@@ -7,17 +7,26 @@ with integer exponents; the conventional half-integer shift of the underlying
 polarization is implicit and plays no role for any operation in scope, since
 nothing here mixes the two parities across the shift.
 
+Normalization and both Plucker routes run on Python ints, each row held
+as integer numerators over one positive denominator; a Fraction is built
+only for a table entry or a returned coordinate.  Normalization is
+back-substitution: a stored row holds its pivot and negative exponents
+only, so element n's own coefficients are its multipliers, and clearing
+each row to the lcm of the denominators it meets keeps it exact.
+
 Everything in this module is generic in the frame; the Airy-specific wiring
 lives in ``airy`` and ``verify``.
 """
 
 from __future__ import annotations
 
+import math
+
 from .errors import InsufficientCutoffError, InvalidKeyError
-from .linalg import det_bareiss
+from .linalg import det_int
 from .multipoly import MultiPoly
 from .partitions import Partition, partitions_up_to
-from .rational import Rat, min_bound
+from .rational import Rat
 from .schur import (PowerSums, minus_spec, plus_spec, schur_at,
                     schur_sum_in_times, shorter_route)
 from .series import Laurent2, Series1
@@ -25,14 +34,17 @@ from .series import Laurent2, Series1
 
 class AffineCoords:
     """Table a[n][m]: element n of the normalized basis is
-    z^n + sum_m a[n][m] z^(-m-1), for 0 <= n, m <= cutoff."""
+    z^n + sum_m a[n][m] z^(-m-1), for 0 <= n, m <= cutoff.
 
-    __slots__ = ("cutoff", "table")
+    Held as integer rows, a[n][m] = nums[n][m] / dens[n] with dens[n] > 0;
+    ``table`` holds the nonzero entries as rationals."""
 
-    def __init__(self, cutoff: int, table: dict[tuple[int, int], Rat]):
-        self.cutoff = cutoff
-        self.table = {key: c if isinstance(c, Rat) else Rat(c)
-                      for key, c in table.items() if c != 0}
+    __slots__ = ("cutoff", "nums", "dens", "table")
+
+    def __init__(self, cutoff: int, nums: list[list[int]], dens: list[int]):
+        self.cutoff, self.nums, self.dens = cutoff, nums, dens
+        self.table = {(n, m): Rat(v, dens[n]) for n, row in enumerate(nums)
+                      for m, v in enumerate(row) if v}
 
     def entry(self, n: int, m: int) -> Rat:
         if n < 0 or m < 0 or n > self.cutoff or m > self.cutoff:
@@ -50,6 +62,7 @@ class AdmissibleFrame:
 
     def __init__(self, elements: list[Series1]):
         self.elements = list(elements)
+        self._scaled = None
         for n, f in enumerate(self.elements):
             top = f.top
             if top is None or top != n or f.get(n) != 1:
@@ -60,50 +73,66 @@ class AdmissibleFrame:
     def __len__(self) -> int:
         return len(self.elements)
 
+    def scaled(self) -> list[tuple[dict[int, int], int]]:
+        """Each element as (exponent -> integer numerator, d), d > 0 the lcm
+        of its denominators; built on first use."""
+        if self._scaled is None:
+            self._scaled = []
+            for f in self.elements:
+                d = math.lcm(*(c.denominator for c in f.coeffs.values()))
+                self._scaled.append(({e: c.numerator * (d // c.denominator)
+                                      for e, c in f.coeffs.items()}, d))
+        return self._scaled
+
     def normalize(self, cutoff: int) -> AffineCoords:
         """Gauss-eliminate every nonnegative exponent except the leading one
         and read off the affine coordinates down to depth ``cutoff``.
 
-        Each element is first truncated to order cutoff + 1.  This is exact:
-        column z^e of the result depends only on column z^e of the inputs
-        and on the pivots, which sit at nonnegative exponents.  An element
-        reliable to less than that depth still raises WindowError.
+        Back-substitution: a stored row r_k holds z^k and negative exponents
+        only, so subtracting a multiple of it moves no other pivot, and
+        r_n = f_n - sum_{k<n} f_n[k] r_k.  With r_k = R_k / D_k on integers,
+        d the lcm of f_n's denominators and L that of the D_k used, den = d L
+        gives den r_n = den f_n - sum_k (den f_n[k] / D_k) R_k, each quotient
+        exact as D_k divides L; one gcd reduces the row.  Keeping only
+        z^-1 .. z^(-cutoff-1) is exact, as column z^e of r_n reads only
+        column z^e of the inputs.  An element reliable to less than that
+        depth raises WindowError.
         """
         if len(self.elements) <= cutoff:
             raise InsufficientCutoffError(
                 f"frame has {len(self.elements)} elements, cutoff {cutoff} "
                 f"needs {cutoff + 1}")
-        rows: list[dict[int, Rat]] = []
-        table: dict[tuple[int, int], Rat] = {}
-        for n, f in enumerate(self.elements[:cutoff + 1]):
-            row = {e: c for e, c in f.coeffs.items() if e >= -cutoff - 1}
-            for k in range(n - 1, -1, -1):
-                c = row.get(k)
-                if c:
-                    for e, v in rows[k].items():
-                        row[e] = row.get(e, 0) - c * v
-            row = {e: c for e, c in row.items() if c}
-            rows.append(row)
-            # the rows above passed this read, so only f's window can fail
-            f = Series1(f.var, row, min_bound(f.order, cutoff + 1))
-            for m in range(cutoff + 1):
-                value = f.coeff(-m - 1)  # WindowError if depth insufficient
-                if value != 0:
-                    table[(n, m)] = value
-        return AffineCoords(cutoff, table)
+        size = cutoff + 1
+        nums, dens = [], []
+        for n, f in enumerate(self.elements[:size]):
+            if f.order is not None and f.order < size:
+                f.coeff(-max(f.order, 0) - 1)  # raises WindowError
+            terms = {e: c for e, c in f.coeffs.items() if e >= -size}
+            den = math.lcm(*(dens[k] for k in terms if 0 <= k < n)) \
+                * math.lcm(*(c.denominator for c in terms.values()))
+            num = [0] * size
+            for e, c in terms.items():
+                v = c.numerator * (den // c.denominator)
+                if e < 0:
+                    num[-e - 1] += v
+                elif e < n:
+                    s = v // dens[e]
+                    for m, w in enumerate(nums[e]):
+                        if w:
+                            num[m] -= s * w
+            g = math.gcd(den, *num)
+            nums.append([v // g for v in num])
+            dens.append(den // g)
+        return AffineCoords(cutoff, nums, dens)
 
     @classmethod
     def from_coords(cls, coords: AffineCoords) -> AdmissibleFrame:
         """Rebuild the normalized basis a coordinate table describes."""
-        elements = []
-        for n in range(coords.cutoff + 1):
-            coeffs = {n: Rat(1)}
-            for m in range(coords.cutoff + 1):
-                value = coords.table.get((n, m), Rat(0))
-                if value != 0:
-                    coeffs[-m - 1] = value
-            elements.append(Series1("z", coeffs, coords.cutoff + 1))
-        return cls(elements)
+        size = coords.cutoff + 1
+        coeffs = [{n: Rat(1)} for n in range(size)]
+        for (n, m), value in coords.table.items():
+            coeffs[n][-m - 1] = value
+        return cls([Series1("z", c, size) for c in coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +141,17 @@ class AdmissibleFrame:
 
 def plucker_minor(coords: AffineCoords, mu: Partition) -> Rat:
     """(-1)^(sum of legs) times the minor of the coordinate table at the
-    Frobenius coordinates of mu."""
+    Frobenius coordinates of mu, from the table's integer rows."""
     pairs = mu.frobenius()
     if not pairs:
         return Rat(1)
     arms = [m for m, _ in pairs]
     legs = [n for _, n in pairs]
-    rows = [[coords.entry(n, m) for m in arms] for n in legs]
-    sign = (-1) ** sum(legs)
-    return sign * det_bareiss(rows)
+    if max(arms[0], legs[0]) > coords.cutoff:
+        coords.entry(legs[0], arms[0])  # raises InsufficientCutoffError
+    det = det_int([[coords.nums[n][m] for m in arms] for n in legs])
+    return Rat((-1) ** sum(legs) * det,
+               math.prod(coords.dens[n] for n in legs))
 
 
 def plucker_from_admissible(frame: AdmissibleFrame, mu: Partition) -> Rat:
@@ -131,7 +162,7 @@ def plucker_from_admissible(frame: AdmissibleFrame, mu: Partition) -> Rat:
     operations of the Gauss normalization leave the determinant fixed, and
     tracking the unit columns shows it equals plucker_minor exactly
     (including sign); the agreement is asserted by the test suite on random
-    frames.
+    frames.  Rows are the elements' integer numerators (``frame.scaled``).
     """
     pairs = mu.frobenius()
     if not pairs:
@@ -144,19 +175,12 @@ def plucker_from_admissible(frame: AdmissibleFrame, mu: Partition) -> Rat:
             f"frame depth {len(frame)} cannot reach leg {top_leg}")
     kept = [j for j in range(top_leg + 1) if j not in set(legs)]
     columns = sorted(-m - 1 for m in arms) + kept
-    rows = []
-    for i in range(top_leg + 1):
-        f = frame.elements[i]
-        row = []
-        for col in columns:
-            if col > i:
-                row.append(Rat(0))
-            elif col == i:
-                row.append(Rat(1))
-            else:
-                row.append(f.coeff(col))
-        rows.append(row)
-    return det_bareiss(rows)
+    scaled = frame.scaled()[:top_leg + 1]
+    for f in frame.elements[:top_leg + 1]:
+        if f.order is not None and columns[0] < -f.order:
+            f.coeff(columns[0])  # raises WindowError
+    rows = [[nums.get(col, 0) for col in columns] for nums, _ in scaled]
+    return Rat(det_int(rows), math.prod(d for _, d in scaled))
 
 
 # ---------------------------------------------------------------------------

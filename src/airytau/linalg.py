@@ -2,11 +2,10 @@
 
 Two routines cover every determinant in the package:
 
-* ``det_bareiss`` -- fraction-free Gaussian elimination for rational
-  (Fraction or int) matrices.  Each row is first scaled to integers by the
-  lcm of its denominators, so the elimination runs on Python ints and every
-  intermediate division is an exact ``//``; one division by the product of
-  the row scales at the end recovers the rational determinant.
+* ``det_int`` -- fraction-free Gaussian elimination (Bareiss) on Python
+  ints, every intermediate division an exact ``//``.  Its rational wrapper
+  ``det_bareiss`` scales each row to integers by the lcm of its
+  denominators and divides by the product of the scales once at the end.
 * ``det_ring`` -- division-free evaluation for matrices over a commutative
   ring (two-variable Laurent polynomials), by dynamic programming over
   column subsets.  Cost O(2**n * n) ring multiplications,
@@ -21,10 +20,7 @@ from .rational import Rat
 
 
 def det_bareiss(rows: list[list[Rat]]) -> Rat:
-    """Determinant of a square rational matrix by integer Bareiss."""
-    n = len(rows)
-    if n == 0:
-        return Rat(1)
+    """Determinant of a square rational matrix, by ``det_int``."""
     m = []
     scale = 1
     for row in rows:
@@ -32,8 +28,18 @@ def det_bareiss(rows: list[list[Rat]]) -> Rat:
         s = math.lcm(*(x.denominator for x in entries))
         m.append([x.numerator * (s // x.denominator) for x in entries])
         scale *= s
-    if any(len(row) != n for row in m):
+    return Rat(det_int(m), scale)
+
+
+def det_int(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination, every
+    division exact; ``rows`` is left as it was."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
+    if n == 0:
+        return 1
+    m = [list(row) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -44,7 +50,7 @@ def det_bareiss(rows: list[list[Rat]]) -> Rat:
                     sign = -sign
                     break
             else:
-                return Rat(0)
+                return 0
         pivot_row = m[k]
         pivot = pivot_row[k]
         for i in range(k + 1, n):
@@ -53,7 +59,7 @@ def det_bareiss(rows: list[list[Rat]]) -> Rat:
             row[k + 1:] = [(x * pivot - f * y) // prev
                            for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
         prev = pivot
-    return Rat(sign * m[n - 1][n - 1], scale)
+    return sign * m[n - 1][n - 1]
 
 
 def det_ring(rows: list[list], zero, one):

@@ -16,7 +16,7 @@ from .errors import InvalidKeyError
 class Partition:
     """Immutable weakly decreasing tuple of positive integers."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_frobenius")
 
     def __init__(self, parts=()):
         ps = tuple(int(p) for p in parts if int(p) != 0)
@@ -25,6 +25,7 @@ class Partition:
         if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
             raise InvalidKeyError(f"parts not weakly decreasing: {parts!r}")
         self.parts = ps
+        self._frobenius = None
 
     @property
     def length(self) -> int:
@@ -42,14 +43,13 @@ class Partition:
         return Partition(cols)
 
     def frobenius(self) -> list[tuple[int, int]]:
-        """Arm/leg pairs (m_i, n_i) down the Durfee diagonal."""
-        conj = self.conjugate().parts
-        out = []
-        for i, p in enumerate(self.parts):
-            if p <= i:
-                break
-            out.append((p - i - 1, conj[i] - i - 1))
-        return out
+        """Arm/leg pairs (m_i, n_i) down the Durfee diagonal; a new list."""
+        if self._frobenius is None:
+            conj = self.conjugate().parts
+            self._frobenius = tuple(
+                (p - i - 1, conj[i] - i - 1)
+                for i, p in enumerate(self.parts) if p > i)
+        return list(self._frobenius)
 
     @classmethod
     def from_frobenius(cls, pairs) -> Partition:

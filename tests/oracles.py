@@ -107,6 +107,30 @@ def det_leibniz(rows: list[list]) -> Fraction:
     return total
 
 
+def normalize_fraction(elements, cutoff: int
+                       ) -> dict[tuple[int, int], Fraction]:
+    """Affine-coordinate table of a frame by Gauss elimination on Fraction
+    dicts: for n = 0..cutoff, clear every z^k (k < n) of element n with the
+    rows already normalized, highest k first, and read the coefficient of
+    z^(-m-1) into cell (n, m).  ``elements`` are Series1 whose windows reach
+    z^(-cutoff-1); only their coefficient dicts are read."""
+    rows: list[dict[int, Fraction]] = []
+    table: dict[tuple[int, int], Fraction] = {}
+    for n, f in enumerate(elements[:cutoff + 1]):
+        row = {e: c for e, c in f.coeffs.items() if e >= -cutoff - 1}
+        for k in range(n - 1, -1, -1):
+            c = row.get(k)
+            if c:
+                for e, v in rows[k].items():
+                    row[e] = row.get(e, 0) - c * v
+        row = {e: c for e, c in row.items() if c}
+        rows.append(row)
+        for m in range(cutoff + 1):
+            if row.get(-m - 1):
+                table[(n, m)] = row[-m - 1]
+    return table
+
+
 def ssyt_weights(mu: Partition, nvars: int) -> list[tuple[int, ...]]:
     """Content vectors of all semistandard tableaux of shape mu with
     entries in 1..nvars, by direct backtracking."""

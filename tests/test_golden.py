@@ -31,6 +31,8 @@ CASES = [
     ("kernel_alternating_c6", ["kernel", "--cutoff", "6", "--alternating"],
      0),
     ("correlator_two_keys", ["correlator", "--indices", "0,0,0,1;1,1"], 0),
+    ("kernel_check_all_c30", ["kernel", "--cutoff", "30", "--check-all"], 0),
+    ("tau_schur_w11", ["tau", "--basis", "schur", "--weight", "11"], 0),
 ]
 
 

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from airytau.airy import airy_frame, required_order
-from airytau.errors import InsufficientCutoffError, InvalidKeyError
+from airytau.airy import airy_frame, kernel_closed, required_order
+from airytau.errors import (InsufficientCutoffError, InvalidKeyError,
+                            WindowError)
 from airytau.grassmann import (AdmissibleFrame, d_operator,
                                kernel_pairing_form, plucker_from_admissible,
                                plucker_minor, reduction_check,
@@ -15,7 +16,7 @@ from airytau.partitions import Partition, partitions_up_to
 from airytau.rational import Rat
 from airytau.series import Series1
 
-from oracles import schur_sum_jacobi_trudi
+from oracles import normalize_fraction, schur_sum_jacobi_trudi
 
 
 def _series(coeffs, order=None):
@@ -65,6 +66,112 @@ def test_normalize_depth_error():
         shallow.normalize(3)
     with pytest.raises(InsufficientCutoffError):
         vacuum_frame(3).normalize(5)
+
+
+def sparse_frame(rng, count, cutoff):
+    """Denominators 1..7; each coefficient, pivots z^0..z^(n-1) included,
+    is present with a probability drawn per element, so some elements are
+    dense, some nearly empty, and some pivots are absent."""
+    elements = []
+    for n in range(count):
+        density = rng.choice((0.0, 0.15, 0.5, 0.9))
+        coeffs = {n: 1}
+        for e in range(n - 1, -cutoff - 4, -1):
+            if rng.random() < density:
+                coeffs[e] = Rat(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                rng.randint(1, 7))
+        order = rng.choice((None, cutoff + 1, cutoff + 2))
+        elements.append(_series(coeffs, order))
+    return AdmissibleFrame(elements)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_normalize_matches_fraction_oracle(seed):
+    rng = random.Random(7000 + seed)
+    cutoff = rng.randint(0, 9)
+    frame = sparse_frame(rng, cutoff + 1 + rng.randint(0, 2), cutoff)
+    expected = normalize_fraction(frame.elements, cutoff)
+    coords = frame.normalize(cutoff)
+    for n in range(cutoff + 1):
+        for m in range(cutoff + 1):
+            assert coords.entry(n, m) == expected.get((n, m), 0), (n, m)
+    assert coords.table == expected
+    assert all(type(v) is Rat for v in coords.table.values())
+
+
+def test_airy_normalize_at_cutoff_30():
+    frame = AdmissibleFrame(airy_frame(31, required_order(30)))
+    coords = frame.normalize(30)
+    assert coords.table == normalize_fraction(frame.elements, 30)
+    assert coords.table == kernel_closed(30).table
+
+
+def test_normalize_shallow_element_message():
+    deep = [_series({n: 1}, 5) for n in range(4)]
+    shallow = _series({1: 1, -2: 3}, 1)
+    with pytest.raises(WindowError,
+                       match=r"^coefficient of z\^-2 outside reliable "
+                             r"window \(order 1\)$"):
+        AdmissibleFrame([deep[0], shallow] + deep[2:]).normalize(3)
+    # a window that stops above z^0 fails at the first table column
+    high = _series({2: 1, 1: 5}, -1)
+    with pytest.raises(WindowError,
+                       match=r"^coefficient of z\^-1 outside reliable "
+                             r"window \(order -1\)$"):
+        AdmissibleFrame(deep[:2] + [high, deep[3]]).normalize(3)
+    # the same element is fine when the cutoff stays inside its window
+    assert AdmissibleFrame([deep[0], shallow]).normalize(0).table == {}
+
+
+def test_plucker_minor_beyond_cutoff():
+    coords = vacuum_frame(4).normalize(3)
+    with pytest.raises(InsufficientCutoffError,
+                       match=r"^affine coordinate \(0,4\) beyond cutoff 3$"):
+        plucker_minor(coords, Partition((5,)))
+    with pytest.raises(InsufficientCutoffError,
+                       match=r"^affine coordinate \(4,0\) beyond cutoff 3$"):
+        plucker_minor(coords, Partition((1, 1, 1, 1, 1)))
+    with pytest.raises(InsufficientCutoffError,
+                       match=r"^affine coordinate \(1,4\) beyond cutoff 3$"):
+        plucker_minor(coords, Partition((5, 2)))
+    assert plucker_minor(coords, Partition((4, 4, 4, 4))) == 0
+
+
+def test_plucker_from_admissible_errors():
+    frame = AdmissibleFrame([_series({0: 1, -1: 1}, 5), _series({1: 1}, 2),
+                             _series({2: 1}, 5)])
+    with pytest.raises(WindowError,
+                       match=r"^coefficient of z\^-4 outside reliable "
+                             r"window \(order 2\)$"):
+        plucker_from_admissible(frame, Partition((4, 1)))
+    assert plucker_from_admissible(frame, Partition((4,))) == 0
+    with pytest.raises(InsufficientCutoffError,
+                       match=r"^frame depth 3 cannot reach leg 3$"):
+        plucker_from_admissible(frame, Partition((1, 1, 1, 1)))
+    # the depth check comes before any window is read
+    with pytest.raises(InsufficientCutoffError,
+                       match=r"^frame depth 3 cannot reach leg 3$"):
+        plucker_from_admissible(frame, Partition((9, 1, 1, 1)))
+
+
+def test_integer_routes_build_fractions_only_for_results(monkeypatch):
+    frame = sparse_frame(random.Random(41), 9, 8)
+    mus = [mu for mu in partitions_up_to(6) if mu.parts]
+    built = []
+    new = Rat.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Rat, "__new__", staticmethod(counting))
+    coords = frame.normalize(8)
+    assert len(built) == len(coords.table) > 0
+    built.clear()
+    for mu in mus:
+        plucker_minor(coords, mu)
+        plucker_from_admissible(frame, mu)
+    assert len(built) == 2 * len(mus)
 
 
 def test_roundtrip_from_coords():

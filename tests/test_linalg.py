@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from airytau.linalg import det_bareiss
+from airytau.linalg import det_bareiss, det_int
 
 from oracles import det_leibniz
 
@@ -67,6 +67,35 @@ def test_det_bareiss_matches_leibniz(n):
                 kinds.add(expected == 0)
     if n >= 2:
         assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_det_int_matches_leibniz(n):
+    rng = random.Random(2000 + n)
+    kinds = set()
+    for _ in range(3 if n >= 6 else 8):
+        for rows in _matrices(rng, n, rational=False):
+            copy = [row[:] for row in rows]
+            value = det_int(rows)
+            assert type(value) is int
+            assert value == det_leibniz(rows), rows
+            assert rows == copy
+            kinds.add(value == 0)
+    if n >= 2:
+        assert kinds == {True, False}
+
+
+def test_det_int_examples():
+    assert det_int([]) == 1
+    assert det_int([[-7]]) == -7
+    assert det_int([[0, 2], [3, 0]]) == -6
+    assert det_int([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert det_int([[2, 4], [1, 2]]) == 0
+    # entries far beyond machine words stay exact
+    big = 10 ** 40
+    assert det_int([[big, 1], [1, big]]) == big * big - 1
+    with pytest.raises(ValueError):
+        det_int([[1, 2], [3]])
 
 
 def test_det_bareiss_examples():

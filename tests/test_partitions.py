@@ -16,6 +16,15 @@ def test_frobenius_examples():
     assert Partition(()).frobenius() == []
 
 
+def test_frobenius_returns_a_fresh_list():
+    mu = Partition((4, 3, 1))
+    first = mu.frobenius()
+    first.append((9, 9))
+    first[0] = (0, 0)
+    assert mu.frobenius() == [(3, 2), (1, 0)]
+    assert mu.frobenius() is not mu.frobenius()
+
+
 def test_conjugate():
     assert Partition((3, 1, 1)).conjugate() == Partition((3, 1, 1))
     assert Partition((4, 2, 1)).conjugate() == Partition((3, 2, 1, 1))
