@@ -119,7 +119,9 @@ def test_normalize_shallow_element_message():
                        match=r"^coefficient of z\^-1 outside reliable "
                              r"window \(order -1\)$"):
         AdmissibleFrame(deep[:2] + [high, deep[3]]).normalize(3)
-    # the same element is fine when the cutoff stays inside its window
+    # a window reaching z^-cutoff is one short; inside it the element is fine
+    with pytest.raises(WindowError, match=r"\(order 1\)$"):
+        AdmissibleFrame([deep[0], shallow]).normalize(1)
     assert AdmissibleFrame([deep[0], shallow]).normalize(0).table == {}
 
 
