@@ -19,14 +19,16 @@ produce the same table:
 Entry-wise agreement of all routes is the package's central acceptance
 check.  Entries vanish unless m + n = 2 (mod 3).
 
-Each route builds only the cells it reads.  The two expansion routes divide
-by x^s - y^s through the running sum G(ex, ey) = f(ex+s, ey) + G(ex+s, ey-s)
-of ``Laurent2.div_diff_powers``, on a square window of exponents: s = 2 on
-[-cutoff-1, 2]^2 for ``kernel_series`` (the table plus the nonnegative cells
-that must cancel), s = 1 on [-cutoff//2-1, -1]^2 for each ``kernel_gmatrix``
-block.  Before the outer products their univariate factors are cut to the
-exponents that can reach the window (proved in each docstring).  The frame
-route cuts every element to order cutoff + 1 before elimination.
+Each route builds only the cells it reads.  The two expansion routes cut
+their univariate factors (a and b, or the entries of G) to the exponents
+that can reach the window (proved in each docstring), scale them to integer
+numerators over the lcm D of their denominators, and divide the numerator
+f, over D^2, by x^s - y^s through the running sum G(ex, ey) = f(ex+s, ey) +
+G(ex+s, ey-s) of ``series.div_diff_powers`` on a square window of
+exponents: s = 2 on [-cutoff-1, 2]^2 for ``kernel_series`` (the table plus
+the nonnegative cells that must cancel), s = 1 on [-cutoff//2-1, -1]^2 for
+each ``kernel_gmatrix`` block.  The frame route cuts every element to
+order cutoff + 1 before elimination.
 
 A documented ``alternating`` flag switches a, b to their sign-alternated
 partners (the Faber-Zagier series c, q), the opposite time-scaling
@@ -39,7 +41,7 @@ import math
 
 from .errors import CrossCheckError, InsufficientCutoffError, InvalidKeyError
 from .rational import ZERO, Rat, double_factorial, format_rat
-from .series import Laurent2, Series1
+from .series import Series1, div_diff_powers, outer_sum
 
 STANDARD = "standard"
 ALTERNATING = "alternating"
@@ -226,16 +228,25 @@ def required_order(cutoff: int) -> int:
     return 3 * cutoff + 6
 
 
+def _numerators(series: list[Series1]) -> tuple[list[dict[int, int]], int]:
+    """Every series' coefficients as integer numerators over one positive
+    denominator D, the lcm of all their denominators."""
+    den = math.lcm(*(c.denominator for f in series
+                     for c in f.coeffs.values()))
+    return [{e: c.numerator * (den // c.denominator)
+             for e, c in f.coeffs.items()} for f in series], den
+
+
 def kernel_series(cutoff: int, convention: str = STANDARD) -> Kernel:
     """Expand 1/(x-y) + (a(x) b(-y) - a(-y) b(x))/(x^2-y^2) in |x| > |y|.
 
     As 1/(x-y) = (x+y)/(x^2-y^2), the whole function is one numerator f
-    divided by x^2 - y^2 through the running sum of
-    ``Laurent2.div_diff_powers``, on the window [-cutoff-1, 2]^2: the table
-    cells plus the nonnegative cells that must cancel.  The top x-exponent
-    of f is 1, so a window cell (ex, ey) reads f(ex + 2j, ey + 2 - 2j) for
-    1 <= j <= (1 - ex)/2 only, and the factors are cut before the outer
-    products to the exponents those reads reach:
+    divided by x^2 - y^2 through the running sum of ``div_diff_powers``, on
+    the window [-cutoff-1, 2]^2: the table cells plus the nonnegative cells
+    that must cancel.  The top x-exponent of f is 1, so a window cell
+    (ex, ey) reads f(ex + 2j, ey + 2 - 2j) for 1 <= j <= (1 - ex)/2 only,
+    and the factors are cut before the outer products to the exponents
+    those reads reach:
 
     * x >= -(cutoff-1), since ex + 2j >= -cutoff-1 + 2;
     * y >= -(2 cutoff+1), since ey + 2 - 2j >= ey + ex + 1 >= -2 cutoff - 1.
@@ -243,28 +254,23 @@ def kernel_series(cutoff: int, convention: str = STANDARD) -> Kernel:
     Both cuts are tight: one step tighter changes a table.  Every read lies
     inside the exact window of the inputs truncated at
     ``required_order(cutoff)``, so every window cell is exact, and the guard
-    sees all nonnegative ones.
-    The table is read off transposed (rows index the y-exponent), matching
-    the affine-coordinate orientation of the other routes.
+    sees all nonnegative ones.  On integer numerators over one denominator
+    D for the cut factors, f and the quotient sit over D^2.  The table is
+    read off transposed (rows index the y-exponent, as in the other routes).
     """
     a, b = series_pair(required_order(cutoff), convention)
-    pair = ("x", "y")
-    xcut, ycut = cutoff - 1, 2 * cutoff + 1
-    ax = a.rename("x").truncated(xcut)
-    bx = b.rename("x").truncated(xcut)
-    a_neg_y = a.negate_var().rename("y").truncated(ycut)
-    b_neg_y = b.negate_var().rename("y").truncated(ycut)
-    numerator = Laurent2.outer(ax, b_neg_y) \
-        - Laurent2.outer(bx, a_neg_y) \
-        + Laurent2(pair, {(1, 0): Rat(1), (0, 1): Rat(1)})
-    gf = numerator.div_diff_powers(2, -cutoff - 1, 2)
-
-    table = {}
-    for ex, ey, value in gf.cells():
-        if ex >= 0 or ey >= 0:
-            raise CrossCheckError(
-                f"uncancelled term x^{ex} y^{ey}: {format_rat(value)}")
-        table[(-ey - 1, -ex - 1)] = value
+    (ax, bx, ay, by), den = _numerators(
+        [f.truncated(cutoff - 1) for f in (a, b)]
+        + [f.truncated(2 * cutoff + 1).negate_var() for f in (a, b)])
+    den *= den
+    f = outer_sum([(1, ax, by), (-1, bx, ay)], {(1, 0): den, (0, 1): den})
+    gf = div_diff_powers(f, 2, -cutoff - 1, 2)
+    uncancelled = [cell for cell in gf if cell[0] >= 0 or cell[1] >= 0]
+    if uncancelled:
+        ex, ey = min(uncancelled)
+        raise CrossCheckError(f"uncancelled term x^{ex} y^{ey}: "
+                              f"{format_rat(Rat(gf[(ex, ey)], den))}")
+    table = {(-ey - 1, -ex - 1): Rat(v, den) for (ex, ey), v in gf.items()}
     return Kernel(cutoff, table, "series", convention)
 
 
@@ -272,21 +278,12 @@ def kernel_series(cutoff: int, convention: str = STANDARD) -> Kernel:
 # Route 3: 2x2 transition-matrix factorization.
 # ---------------------------------------------------------------------------
 
-def _even_part(f: Series1, var: str) -> Series1:
-    """Compress the even exponents: coefficient of z^(-2n) lands at z^(-n)."""
-    n = None if f.order is None else f.order // 2
-    coeffs = {e // 2: c for e, c in f.coeffs.items()
-              if e <= 0 and e % 2 == 0}
-    return Series1(var, coeffs, n)
-
-
-def _odd_part(f: Series1, var: str) -> Series1:
-    """Compress the odd exponents: coefficient of z^(-(2n-1)) lands at
-    z^(-n) (n >= 1)."""
-    n = None if f.order is None else (f.order + 1) // 2
-    coeffs = {(e - 1) // 2: c for e, c in f.coeffs.items()
-              if e < 0 and e % 2 != 0}
-    return Series1(var, coeffs, n)
+def _parity_part(f: Series1, odd: int) -> Series1:
+    """Compress the exponents of one parity: the coefficient of
+    z^(-2n+odd) lands at z^(-n), for n >= odd."""
+    n = None if f.order is None else (f.order + odd) // 2
+    return Series1("z", {(e - odd) // 2: c for e, c in f.coeffs.items()
+                         if e <= -odd and (e - odd) % 2 == 0}, n)
 
 
 def transition_matrix(order: int, convention: str = STANDARD
@@ -299,25 +296,28 @@ def transition_matrix(order: int, convention: str = STANDARD
     """
     a, b = series_pair(order, convention)
     bt = b.shift(-1)  # constant-normalized slope series
-    g11 = _even_part(a, "z")
-    g12 = _odd_part(bt, "z").shift(1)
-    g21 = _odd_part(a, "z")
-    g22 = _even_part(bt, "z")
-    return [[g11, g12], [g21, g22]]
+    return [[_parity_part(a, 0), _parity_part(bt, 1).shift(1)],
+            [_parity_part(a, 1), _parity_part(bt, 0)]]
 
 
 def kernel_gmatrix(cutoff: int, convention: str = STANDARD) -> Kernel:
     """Assemble the table from (1/(x-y)) (I - G(x) G(y)^(-1)).
 
-    G(y)^(-1) is the adjugate, using det G = 1; the determinant is verified
-    within the window first.  Each block is divided by x - y through the
-    running sum of ``Laurent2.div_diff_powers`` on the window
-    [-half-1, -1]^2 with half = cutoff//2: block cell (-m-1, -n-1) lands at
-    row 2m + r', column 2n + c' of the table, which keeps rows and columns
-    <= cutoff, so m, n <= half.  The top x-exponent of every block
-    numerator is 0, so a window cell (ex, ey) reads f(ex + j, ey + 1 - j)
-    for 1 <= j <= -ex only, and the series are cut before the outer
-    products to the exponents those reads reach:
+    G(y)^(-1) is the adjugate, (-1)^(s+c) G[1-c][1-s] at (s, c), using
+    det G = 1.  The entries are exact through z^(-order//2) with top
+    exponents <= 0, so det G is checked through z^(-w), w = order//2 - 1,
+    from entry terms down to z^(-w) only.  The entries are cut there and
+    scaled to integer numerators N over one denominator D, and the check
+    is N00 N11 - N01 N10 = D^2 through z^(-w).
+
+    Each block numerator, over D^2, is divided by x - y through the running
+    sum of ``div_diff_powers`` on the window [-half-1, -1]^2 with half =
+    cutoff//2: block cell (-m-1, -n-1) lands at row 2m + r', column 2n + c'
+    of the table, which keeps rows and columns <= cutoff, so m, n <= half.
+    Its top x-exponent is 0, so a window cell (ex, ey) reads
+    f(ex + j, ey + 1 - j) for 1 <= j <= -ex only, and the entries are cut
+    before the outer products to the exponents those reads reach, both
+    inside the cut at w:
 
     * x >= -half, since ex + j >= -half-1 + 1;
     * y >= -(2 half+1), since ey + 1 - j >= ey + ex + 1 >= -2 half - 1.
@@ -325,34 +325,37 @@ def kernel_gmatrix(cutoff: int, convention: str = STANDARD) -> Kernel:
     The window and both cuts are tight: one step tighter changes a table.
     """
     order = required_order(cutoff)
-    g = transition_matrix(order, convention)
-    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    det_window = min(x for x in (det.order, order // 2 - 1) if x is not None)
-    if not det.agrees_with(Series1.const("z", 1), through=det_window):
+    w, half = order // 2 - 1, cutoff // 2
+    g = [f for row in transition_matrix(order, convention) for f in row]
+    # entry (r, s) of G cut at w, then at the x and y cuts, at 2r + s
+    nums, den = _numerators([f.truncated(k) for k in (w, half, 2 * half + 1)
+                             for f in g])
+    den *= den
+    det = {0: -den}
+    for (ex, ey), v in outer_sum([(1, nums[0], nums[3]),
+                                  (-1, nums[1], nums[2])], {}).items():
+        if ex + ey >= -w:
+            det[ex + ey] = det.get(ex + ey, 0) + v
+    if any(det.values()):
         raise CrossCheckError(
             "transition matrix determinant differs from 1 inside the window")
-    ginv = [[g[1][1], -g[0][1]], [-g[1][0], g[0][0]]]
 
-    half = cutoff // 2
-    xcut, ycut = half, 2 * half + 1
-    gx = [[f.rename("x").truncated(xcut) for f in row] for row in g]
-    giy = [[f.rename("y").truncated(ycut) for f in row] for row in ginv]
-    pair = ("x", "y")
+    gx, gy = nums[4:8], nums[8:]
     table: dict[tuple[int, int], Rat] = {}
     for r in range(2):
         for c in range(2):
-            block = Laurent2.const(pair, 1) if r == c else Laurent2.zero(pair)
-            for s in range(2):
-                block = block - Laurent2.outer(gx[r][s], giy[s][c])
-            block = block.div_diff_powers(1, -half - 1, -1)
+            block = outer_sum([((-1) ** (s + c + 1), gx[2 * r + s],
+                                gy[3 - 2 * c - s]) for s in range(2)],
+                              {(0, 0): den} if r == c else {})
             # block cell (-m-1, -n-1) is the closed-table value at
             # row 2m+r', column 2n+c' with r' = 1 - r, c' = c.
-            for (ex, ey), value in block.coeffs.items():
+            for (ex, ey), v in div_diff_powers(block, 1, -half - 1,
+                                               -1).items():
                 row = 2 * (-ex - 1) + (1 - r)
                 col = 2 * (-ey - 1) + c
                 if row <= cutoff and col <= cutoff:
                     # transpose into the affine orientation
-                    table[(col, row)] = value
+                    table[(col, row)] = Rat(v, den)
     return Kernel(cutoff, table, "gmatrix", convention)
 
 

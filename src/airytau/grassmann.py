@@ -37,14 +37,16 @@ class AffineCoords:
     z^n + sum_m a[n][m] z^(-m-1), for 0 <= n, m <= cutoff.
 
     Held as integer rows, a[n][m] = nums[n][m] / dens[n] with dens[n] > 0;
-    ``table`` holds the nonzero entries as rationals."""
+    ``table`` holds the nonzero entries as rationals, ``_schur`` the Schur
+    expansion of tau per weight cap (``tau_schur_coeffs``)."""
 
-    __slots__ = ("cutoff", "nums", "dens", "table")
+    __slots__ = ("cutoff", "nums", "dens", "table", "_schur")
 
     def __init__(self, cutoff: int, nums: list[list[int]], dens: list[int]):
         self.cutoff, self.nums, self.dens = cutoff, nums, dens
         self.table = {(n, m): Rat(v, dens[n]) for n, row in enumerate(nums)
                       for m, v in enumerate(row) if v}
+        self._schur: dict[int, dict[Partition, Rat]] = {}
 
     def entry(self, n: int, m: int) -> Rat:
         if n < 0 or m < 0 or n > self.cutoff or m > self.cutoff:
@@ -189,13 +191,16 @@ def plucker_from_admissible(frame: AdmissibleFrame, mu: Partition) -> Rat:
 
 def tau_schur_coeffs(coords: AffineCoords, weight_cap: int
                      ) -> dict[Partition, Rat]:
-    """Plucker coefficient of every partition of weight <= weight_cap."""
-    out: dict[Partition, Rat] = {}
-    for mu in partitions_up_to(weight_cap):
-        c = plucker_minor(coords, mu)
-        if c != 0:
-            out[mu] = c
-    return out
+    """Plucker coefficient of every partition of weight <= weight_cap.
+
+    Computed once per weight cap and kept on ``coords``; every call returns
+    a new dict."""
+    kept = coords._schur.get(weight_cap)
+    if kept is None:
+        kept = coords._schur[weight_cap] = {
+            mu: c for mu in partitions_up_to(weight_cap)
+            if (c := plucker_minor(coords, mu)) != 0}
+    return dict(kept)
 
 
 def tau_polynomial(coords: AffineCoords, weight_cap: int) -> MultiPoly:

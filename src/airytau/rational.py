@@ -8,6 +8,7 @@ always written ``p/q`` (or ``p`` when q == 1), never as floats.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 Rat = Fraction
@@ -35,8 +36,10 @@ def min_bound(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
+@functools.cache
 def double_factorial(n: int) -> int:
-    """(2k+1)!! style double factorial with (-1)!! = 1 and 0!! = 1."""
+    """(2k+1)!! style double factorial with (-1)!! = 1 and 0!! = 1, kept
+    per n once computed."""
     if n < -1:
         raise ValueError(f"double factorial undefined for {n}")
     result = 1

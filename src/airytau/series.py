@@ -10,6 +10,8 @@ bivariate objects in this package are built from explicitly truncated inputs
 whose adequacy is checked by the caller (the kernel assembly enforces its
 input-order precondition), so no per-cell reliability bookkeeping is carried
 here; truncation honesty is certified by cross-route equality checks instead.
+The kernel expansion routes use ``outer_sum`` and ``div_diff_powers`` on
+plain dicts of integer numerators instead.
 
 Coefficient storage is sparse by exponent and zero coefficients are never
 stored; equality is structural on canonical forms.  All values are immutable
@@ -18,8 +20,6 @@ use is safe and results do not depend on evaluation order.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from .errors import InvalidKeyError, WindowError
 from .rational import Rat, format_rat, min_bound
@@ -252,15 +252,6 @@ class Laurent2:
     def const(cls, vars: tuple[str, str], value) -> Laurent2:
         return cls(vars, {(0, 0): Rat(value)})
 
-    @classmethod
-    def outer(cls, fx: Series1, fy: Series1) -> Laurent2:
-        """Product f(x) * g(y) of two univariate series."""
-        out: dict[tuple[int, int], Rat] = {}
-        for e1, c1 in fx.coeffs.items():
-            for e2, c2 in fy.coeffs.items():
-                out[(e1, e2)] = c1 * c2
-        return cls((fx.var, fy.var), out)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -305,38 +296,6 @@ class Laurent2:
                 out[key] = out.get(key, Rat(0)) + c1 * c2
         return Laurent2(self.vars, out)
 
-    def div_diff_powers(self, s: int, lo: int, hi: int) -> Laurent2:
-        """Quotient by x**s - y**s expanded in |x| > |y|, keeping only the
-        cells whose two exponents both lie in [lo, hi].
-
-        From f = G (x**s - y**s) each cell obeys the running sum
-        G(ex, ey) = f(ex+s, ey) + G(ex+s, ey-s), and G vanishes above the
-        top x-exponent T of f, less s (a Laurent polynomial always has a
-        finite T).  So each chain (ex + k s, ey - k s) is summed from the top
-        down: one addition per cell and no multiplication.  Chain cells with
-        ey < lo are summed but not kept.
-        """
-        if s < 1:
-            raise InvalidKeyError(f"power {s} must be >= 1")
-        f = self.coeffs
-        out: dict[tuple[int, int], Rat] = {}
-        if not f:
-            return Laurent2(self.vars, out)
-        top = max(x for x, _ in f)
-        for d in range(2 * lo, 2 * hi + 1):  # ex + ey, fixed along a chain
-            for start in range(top - s, top - 2 * s, -1):  # the s residues
-                acc = 0
-                for ex in range(start, lo - 1, -s):
-                    ey = d - ex
-                    if ey > hi:
-                        break
-                    c = f.get((ex + s, ey))
-                    if c is not None:
-                        acc += c
-                    if acc and ey >= lo and ex <= hi:
-                        out[(ex, ey)] = acc
-        return Laurent2(self.vars, out)
-
     def __mul__(self, other):
         if isinstance(other, Laurent2):
             return self.mul(other)
@@ -344,12 +303,55 @@ class Laurent2:
 
     __rmul__ = __mul__
 
-    def cells(self) -> Iterator[tuple[int, int, Rat]]:
-        for (x, y), c in sorted(self.coeffs.items()):
-            yield x, y, c
-
     def __repr__(self) -> str:
         u, v = self.vars
         body = " + ".join(f"({format_rat(c)}){u}^{x}{v}^{y}"
-                          for x, y, c in self.cells())
+                          for (x, y), c in sorted(self.coeffs.items()))
         return body or "0"
+
+
+def outer_sum(terms: list[tuple[int, dict[int, int], dict[int, int]]],
+              base: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """base + sum of c f(x) g(y) over the (c, f, g) in ``terms``, each f and
+    g an exponent -> numerator dict; cells that cancel stay, as zeros."""
+    out = dict(base)
+    for c, fx, fy in terms:
+        for ex, cx in fx.items():
+            cx *= c
+            for ey, cy in fy.items():
+                out[(ex, ey)] = out.get((ex, ey), 0) + cx * cy
+    return out
+
+
+def div_diff_powers(f: dict[tuple[int, int], int], s: int, lo: int, hi: int
+                    ) -> dict[tuple[int, int], int]:
+    """Quotient of the cells f by x**s - y**s expanded in |x| > |y|,
+    keeping only the nonzero cells whose two exponents both lie in
+    [lo, hi].
+
+    From f = G (x**s - y**s) each cell obeys the running sum
+    G(ex, ey) = f(ex+s, ey) + G(ex+s, ey-s), and G vanishes above the top
+    x-exponent T of f, less s.  So each chain (ex + k s, ey - k s) is summed
+    from the top down: one addition per cell and no multiplication, and on
+    integer numerators over one denominator the quotient keeps that
+    denominator.  Chain cells with ey < lo are summed but not kept.
+    """
+    if s < 1:
+        raise InvalidKeyError(f"power {s} must be >= 1")
+    out: dict[tuple[int, int], int] = {}
+    if not f:
+        return out
+    top = max(x for x, _ in f)
+    for d in range(2 * lo, 2 * hi + 1):  # ex + ey, fixed along a chain
+        for start in range(top - s, top - 2 * s, -1):  # the s residues
+            acc = 0
+            for ex in range(start, lo - 1, -s):
+                ey = d - ex
+                if ey > hi:
+                    break
+                c = f.get((ex + s, ey))
+                if c is not None:
+                    acc += c
+                if acc and ey >= lo and ex <= hi:
+                    out[(ex, ey)] = acc
+    return out

@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 from itertools import permutations, product
 
+from airytau.airy import STANDARD, required_order, series_pair, \
+    transition_matrix
 from airytau.multipoly import MultiPoly
 from airytau.partitions import Partition
 from airytau.schur import PowerSums, schur_at
@@ -50,6 +52,80 @@ def restrict(poly: Laurent2, lo: int, hi: int) -> Laurent2:
     """The cells of poly whose two exponents both lie in [lo, hi]."""
     return Laurent2(poly.vars, {(x, y): c for (x, y), c in poly.coeffs.items()
                                 if lo <= x <= hi and lo <= y <= hi})
+
+
+def outer(fx, fy) -> Laurent2:
+    """Product f(x) g(y) of two univariate series, term by term."""
+    return Laurent2((fx.var, fy.var), {(e1, e2): c1 * c2
+                                       for e1, c1 in fx.coeffs.items()
+                                       for e2, c2 in fy.coeffs.items()})
+
+
+def kernel_series_fraction(cutoff: int, convention: str = STANDARD
+                           ) -> dict[tuple[int, int], Fraction]:
+    """Table of the generating-function route on Fraction cells.
+
+    The numerator a(x) b(-y) - b(x) a(-y) + x + y, from factors cut as the
+    route cuts them, times the expansion of 1/(x^2 - y^2), restricted to
+    [-cutoff-1, 2]^2; every nonnegative cell must vanish, and cell
+    (ex, ey) is read transposed into (-ey-1, -ex-1).
+    """
+    a, b = series_pair(required_order(cutoff), convention)
+    ax, bx = (f.rename("x").truncated(cutoff - 1) for f in (a, b))
+    ay, by = (f.negate_var().rename("y").truncated(2 * cutoff + 1)
+              for f in (a, b))
+    pair = ("x", "y")
+    numerator = outer(ax, by) - outer(bx, ay) \
+        + Laurent2(pair, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
+    gf = product_restricted(numerator,
+                            geometric_inv_diff_squares(pair, cutoff + 2),
+                            -cutoff - 1, 2)
+    assert all(ex < 0 and ey < 0 for ex, ey in gf.coeffs)
+    return {(-ey - 1, -ex - 1): c for (ex, ey), c in gf.coeffs.items()}
+
+
+def kernel_gmatrix_fraction(cutoff: int, convention: str = STANDARD
+                            ) -> dict[tuple[int, int], Fraction]:
+    """Table of the transition-matrix route on Fraction cells.
+
+    Each block of I - G(x) G(y)^(-1), with the adjugate as inverse and the
+    factors cut as the route cuts them, times the expansion of 1/(x - y),
+    restricted to [-half-1, -1]^2 (half = cutoff // 2); block (r, c) cell
+    (-m-1, -n-1) is row 2m + 1 - r, column 2n + c, read transposed.
+    """
+    g = transition_matrix(required_order(cutoff), convention)
+    ginv = [[g[1][1], -g[0][1]], [-g[1][0], g[0][0]]]
+    half = cutoff // 2
+    gx = [[f.rename("x").truncated(half) for f in row] for row in g]
+    giy = [[f.rename("y").truncated(2 * half + 1) for f in row]
+           for row in ginv]
+    pair = ("x", "y")
+    table = {}
+    for r in range(2):
+        for c in range(2):
+            block = Laurent2.const(pair, 1) if r == c else Laurent2.zero(pair)
+            for s in range(2):
+                block = block - outer(gx[r][s], giy[s][c])
+            block = product_restricted(
+                block, geometric_inv_diff(pair, 2 * half + 1), -half - 1, -1)
+            for (ex, ey), value in block.coeffs.items():
+                row, col = 2 * (-ex - 1) + 1 - r, 2 * (-ey - 1) + c
+                if row <= cutoff and col <= cutoff:
+                    table[(col, row)] = value
+    return table
+
+
+def product_restricted(left: Laurent2, right: Laurent2, lo: int, hi: int
+                       ) -> Laurent2:
+    """restrict(left.mul(right), lo, hi) by schoolbook products, skipping
+    the pairs that land outside the window."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for (x1, y1), c1 in left.coeffs.items():
+        for (x2, y2), c2 in right.coeffs.items():
+            x, y = x1 + x2, y1 + y2
+            if lo <= x <= hi and lo <= y <= hi:
+                out[(x, y)] = out.get((x, y), 0) + c1 * c2
+    return Laurent2(left.vars, out)
 
 
 def cycle_sum_brute(table: dict[tuple[int, int], Fraction],

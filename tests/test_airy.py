@@ -10,7 +10,7 @@ from airytau.airy import (ALTERNATING, STANDARD, Kernel, airy_d_check,
                           airy_frame, build_kernel, check_all_routes,
                           closed_entry, diagonal_closed_coeff,
                           faber_zagier_identity_check, kernel_closed,
-                          kernel_diagonal, kernel_series,
+                          kernel_diagonal, kernel_gmatrix, kernel_series,
                           kernel_to_csv, required_order, slope_series,
                           transition_matrix, wave_series)
 from airytau.errors import (CrossCheckError, InsufficientCutoffError,
@@ -19,7 +19,8 @@ from airytau.npoint import antidiagonal_sum
 from airytau.rational import Rat, double_factorial
 from airytau.series import Series1
 
-from oracles import closed_entry_fraction
+from oracles import (closed_entry_fraction, kernel_gmatrix_fraction,
+                     kernel_series_fraction)
 
 
 def test_wave_series_coefficients():
@@ -106,6 +107,67 @@ def test_series_route_guard_sees_nonnegative_cells(monkeypatch, which, exp):
     monkeypatch.setattr(airy_module, "series_pair", perturbed)
     with pytest.raises(CrossCheckError, match="uncancelled term"):
         kernel_series(12)
+
+
+@pytest.mark.parametrize("which, exp, cutoff, convention, message", [
+    (0, -3, 12, STANDARD, "uncancelled term x^-13 y^0: -13585/82944"),
+    (1, -2, 12, STANDARD, "uncancelled term x^-13 y^0: 12155/82944"),
+    (0, -9, 13, ALTERNATING, "uncancelled term x^-14 y^1: 1/24"),
+    (1, 1, 7, STANDARD, "uncancelled term x^-8 y^1: -55/1152"),
+    (1, -29, 31, ALTERNATING, "uncancelled term x^-32 y^1: -1/7"),
+])
+def test_series_route_guard_message(monkeypatch, which, exp, cutoff,
+                                    convention, message):
+    # the guard names the first uncancelled cell in (x, y) order and its
+    # value, for a perturbed a (which = 0) or b (which = 1)
+    real = airy_module.series_pair
+
+    def perturbed(order, convention=STANDARD):
+        pair = list(real(order, convention))
+        f = pair[which]
+        pair[which] = f + Series1.monomial(f.var, exp, Rat(1, 7))
+        return tuple(pair)
+
+    monkeypatch.setattr(airy_module, "series_pair", perturbed)
+    with pytest.raises(CrossCheckError) as caught:
+        kernel_series(cutoff, convention)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("cutoff", [12, 13, 30])
+@pytest.mark.parametrize("r, c, below, raises", [
+    (0, 0, 0, True), (1, 1, 0, True), (0, 0, 1, False)])
+def test_gmatrix_determinant_guard_message(monkeypatch, cutoff, r, c, below,
+                                           raises):
+    # a term added to G at the deepest exponent of the det G = 1 window,
+    # -(order//2 - 1), is seen; one exponent deeper lies outside the window
+    # and below both block cuts, so the table is unchanged
+    real = airy_module.transition_matrix
+    depth = required_order(cutoff) // 2 - 1 + below
+
+    def perturbed(order, convention=STANDARD):
+        g = real(order, convention)
+        g[r][c] = g[r][c] + Series1.monomial("z", -depth, Rat(1, 5))
+        return g
+
+    monkeypatch.setattr(airy_module, "transition_matrix", perturbed)
+    if not raises:
+        assert kernel_gmatrix(cutoff) == kernel_closed(cutoff)
+        return
+    with pytest.raises(CrossCheckError) as caught:
+        kernel_gmatrix(cutoff)
+    assert str(caught.value) == \
+        "transition matrix determinant differs from 1 inside the window"
+
+
+@pytest.mark.parametrize("convention", [STANDARD, ALTERNATING])
+def test_expansion_routes_match_fraction_oracles(convention):
+    # odd cutoffs too, as the gmatrix window is set by half = cutoff // 2
+    for cutoff in range(2, 32):
+        assert kernel_series(cutoff, convention).table == \
+            kernel_series_fraction(cutoff, convention), cutoff
+        assert kernel_gmatrix(cutoff, convention).table == \
+            kernel_gmatrix_fraction(cutoff, convention), cutoff
 
 
 @pytest.mark.parametrize("route, cell, message", [

@@ -33,6 +33,8 @@ CASES = [
     ("correlator_two_keys", ["correlator", "--indices", "0,0,0,1;1,1"], 0),
     ("kernel_check_all_c30", ["kernel", "--cutoff", "30", "--check-all"], 0),
     ("tau_schur_w11", ["tau", "--basis", "schur", "--weight", "11"], 0),
+    ("kernel_alternating_check_all_c30",
+     ["kernel", "--cutoff", "30", "--alternating", "--check-all"], 0),
 ]
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from airytau import grassmann as grassmann_module
 from airytau.airy import airy_frame, kernel_closed, required_order
 from airytau.errors import (InsufficientCutoffError, InvalidKeyError,
                             WindowError)
@@ -234,6 +235,34 @@ def test_airy_tau_polynomial_equals_exponential_tau(tau15):
     frame = AdmissibleFrame(airy_frame(16, required_order(15)))
     value = tau_polynomial(frame.normalize(15), 15)
     assert value == tau15.poly.with_caps(weight_cap=15)
+
+
+def test_schur_coefficients_expanded_once_per_weight_cap(monkeypatch):
+    def airy_coords():
+        return AdmissibleFrame(airy_frame(10, required_order(9))).normalize(9)
+
+    fresh = {cap: tau_schur_coeffs(airy_coords(), cap) for cap in (6, 9)}
+    coords = airy_coords()
+    real = grassmann_module.plucker_minor
+    calls = []
+
+    def counting(coords, mu):
+        calls.append(mu)
+        return real(coords, mu)
+
+    monkeypatch.setattr(grassmann_module, "plucker_minor", counting)
+    first = tau_schur_coeffs(coords, 9)
+    tau_minus_two_point(coords, 9)
+    tau_polynomial(coords, 9)
+    assert first == fresh[9]
+    count = {cap: sum(1 for _ in partitions_up_to(cap)) for cap in (6, 9)}
+    assert len(calls) == len(set(calls)) == count[9]
+    # callers get their own dict
+    first.clear()
+    assert tau_schur_coeffs(coords, 9) == fresh[9]
+    # each weight cap has its own expansion
+    assert tau_schur_coeffs(coords, 6) == fresh[6] != fresh[9]
+    assert len(calls) == count[9] + count[6]
 
 
 def test_hook_matrix_example():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from airytau.airy import slope_series, wave_series
 from airytau.errors import InvalidKeyError, WindowError
 from airytau.rational import Rat
-from airytau.series import Laurent2, Series1
+from airytau.series import Laurent2, Series1, div_diff_powers, outer_sum
 
 from oracles import (convolve, geometric_inv_diff,
                      geometric_inv_diff_squares, restrict)
@@ -146,12 +146,14 @@ def test_truncated_zero_product_window_follows_partner_top():
     assert (a * (b + truncated_zero)).agrees_with(a * b + a * truncated_zero)
 
 
-def test_laurent2_outer_and_mul():
-    fx = s({0: 1, -1: 2}, var="x")
-    gy = s({1: 1, -2: -1}, var="y")
-    both = Laurent2.outer(fx, gy)
-    assert both.coeff(0, 1) == 1
-    assert both.coeff(-1, -2) == -2
+def test_outer_sum_and_laurent2_mul():
+    fx, gy = {0: 1, -1: 2}, {1: 1, -2: -1}
+    both = outer_sum([(1, fx, gy)], {})
+    assert both == {(0, 1): 1, (0, -2): -1, (-1, 1): 2, (-1, -2): -2}
+    # a base cell and a second term, cancelling one cell to a kept zero
+    assert outer_sum([(1, fx, gy), (-3, {0: 1}, {1: 1})], {(5, 5): 7}) == \
+        {(5, 5): 7, (0, 1): -2, (0, -2): -1, (-1, 1): 2, (-1, -2): -2}
+    assert outer_sum([(2, fx, gy)], {(0, 1): -2})[(0, 1)] == 0
     delta = Laurent2(("x", "y"), {(1, 0): Rat(1), (0, 1): Rat(-1)})
     assert delta.mul(delta).coeff(1, 1) == -2
 
@@ -176,6 +178,11 @@ def _random_laurent2(rng, terms):
     return Laurent2(("x", "y"), coeffs)
 
 
+def _random_cells(rng, terms):
+    return {(rng.randint(-6, 6), rng.randint(-6, 6)): rng.randint(-5, 5)
+            for _ in range(terms)}
+
+
 def test_laurent2_mul_equals_schoolbook_product():
     rng = random.Random(23)
     for _ in range(50):
@@ -193,7 +200,8 @@ def test_div_diff_powers_equals_geometric_product_restricted():
     rng = random.Random(29)
     pair = ("x", "y")
     for _ in range(200):
-        f = _random_laurent2(rng, rng.randint(0, 12))
+        cells = _random_cells(rng, rng.randint(0, 12))
+        f = Laurent2(pair, cells)
         power = rng.choice((1, 2))
         lo = rng.randint(-14, 4)
         hi = rng.randint(lo, 8)
@@ -203,16 +211,20 @@ def test_div_diff_powers_equals_geometric_product_restricted():
         geometric = (geometric_inv_diff if power == 1
                      else geometric_inv_diff_squares)(pair, kmax)
         expected = restrict(f.mul(geometric), lo, hi)
-        assert f.div_diff_powers(power, lo, hi) == expected
+        # zero cells of the input are read like absent ones
+        assert div_diff_powers(cells, power, lo, hi) == expected.coeffs
 
 
 def test_div_diff_powers_examples():
     pair = ("x", "y")
-    one = Laurent2.const(pair, 1)
-    assert one.div_diff_powers(1, -3, 1) == geometric_inv_diff(pair, 1)
+    one = {(0, 0): 1}
+    assert div_diff_powers(one, 1, -3, 1) == \
+        geometric_inv_diff(pair, 1).coeffs
     # (x + y) / (x**2 - y**2) = 1 / (x - y)
-    x_plus_y = Laurent2(pair, {(1, 0): Rat(1), (0, 1): Rat(1)})
-    assert x_plus_y.div_diff_powers(2, -4, 3) == geometric_inv_diff(pair, 3)
-    assert Laurent2.zero(pair).div_diff_powers(2, -5, 5).is_zero()
+    x_plus_y = {(1, 0): 1, (0, 1): 1}
+    assert div_diff_powers(x_plus_y, 2, -4, 3) == \
+        geometric_inv_diff(pair, 3).coeffs
+    assert div_diff_powers({}, 2, -5, 5) == {}
+    assert div_diff_powers({(3, 1): 0}, 1, -5, 5) == {}
     with pytest.raises(InvalidKeyError):
-        one.div_diff_powers(0, -3, 1)
+        div_diff_powers(one, 0, -3, 1)

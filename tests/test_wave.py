@@ -27,7 +27,7 @@ from airytau.wave import (DIFFERENTIAL_FAY, INF, SHIFTED_FAY, TruncatedTau,
                           time_ladder, wave, wave_pairing_check, wronskian)
 from oracles import (fraction_agrees, fraction_combine, fraction_dx,
                      fraction_dxi, fraction_shift, full_product_pruned,
-                     geometric_inv_diff_squares_sq, prune_terms,
+                     geometric_inv_diff_squares_sq, outer, prune_terms,
                      sato_quotient_cells, shifted_tau_terms)
 
 # the package re-exports the function ``wave``, which shadows the module name
@@ -224,8 +224,8 @@ def test_two_point_sum_matches_trace_oracle(tau9, tau12, tau15, engine):
         trace = Laurent2.zero(pair)
         for r in range(2):
             for c in range(2):
-                trace = trace + Laurent2.outer(theta[r][c].rename("z1"),
-                                               theta[c][r].rename("z2"))
+                trace = trace + outer(theta[r][c].rename("z1"),
+                                      theta[c][r].rename("z2"))
         product = trace.mul(geometric_inv_diff_squares_sq(pair, cap))
         for j in range(-3, cap + 1):
             for k in range(-3, cap + 1):
