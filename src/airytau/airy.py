@@ -251,14 +251,14 @@ def kernel_series(cutoff: int, convention: str = STANDARD) -> Kernel:
     * x >= -(cutoff-1), since ex + 2j >= -cutoff-1 + 2;
     * y >= -(2 cutoff+1), since ey + 2 - 2j >= ey + ex + 1 >= -2 cutoff - 1.
 
-    Both cuts are tight: one step tighter changes a table.  Every read lies
-    inside the exact window of the inputs truncated at
-    ``required_order(cutoff)``, so every window cell is exact, and the guard
-    sees all nonnegative ones.  On integer numerators over one denominator
-    D for the cut factors, f and the quotient sit over D^2.  The table is
-    read off transposed (rows index the y-exponent, as in the other routes).
+    Both cuts are tight: one step tighter changes a table.  a and b are
+    built exactly down to the deeper cut, z^-(2 cutoff + 1), so every read
+    is exact, every window cell is exact, and the guard sees all
+    nonnegative ones.  On integer numerators over one denominator D for
+    the cut factors, f and the quotient sit over D^2.  The table is read
+    off transposed (rows index the y-exponent, as in the other routes).
     """
-    a, b = series_pair(required_order(cutoff), convention)
+    a, b = series_pair(2 * cutoff + 1, convention)
     (ax, bx, ay, by), den = _numerators(
         [f.truncated(cutoff - 1) for f in (a, b)]
         + [f.truncated(2 * cutoff + 1).negate_var() for f in (a, b)])

@@ -6,13 +6,12 @@ Everything here comes from one operation, the Miwa shift
 T_n -> T_n + sign * s^n / n (``shifted_tau``).  The wave function is
 exp(sum T_n xi^n) tau(T - [1/xi]) / tau(T) with s = 1/xi, and the Fay
 identities compare products of tau(T +- [s1] +- [s2]).  Both live in one
-graded container, ``WaveSeries``: a sparse table of terms keyed by shift
-depths (k_1, ..., k_r) and a monomial in the time variables, the
-coefficient of s_1^k_1 ... s_r^k_r times that monomial.  A wave series has
-one shift variable and also carries the exponential prefactor
-exp(tag * sum T_n xi^n), which is only ever tracked symbolically (tags add
-under products, and x- and xi-derivatives act on it by the product rule);
-expanding it would create unbounded positive powers of xi.
+graded container, ``WaveSeries``: a sparse table of terms, each the
+coefficient of s_1^k_1 ... s_r^k_r times a monomial in the time variables.
+A wave series has one shift variable and also carries the exponential
+prefactor exp(tag * sum T_n xi^n), which is only ever tracked symbolically
+(tags add under products, and x- and xi-derivatives act on it by the
+product rule); expanding it would create unbounded positive powers of xi.
 
 Reliability bookkeeping rides on the total-weight grading
 TW(term) = weight(monomial) + sum(depths): a tau truncation that is complete
@@ -23,15 +22,36 @@ they multiply: a pair of terms whose TW already exceeds it is never
 multiplied, which gives exactly the terms of the full product pruned at the
 cap.
 
+Each term is one Python int, its packed key.  From bit 0 up it holds a
+field per shift depth k_1, k_2 (8 bits, biased by 2^7: depths -128..127),
+one per exponent of T_1 .. T_32 (6 bits: 0..63), each followed by a guard
+bit that a valid key leaves clear, and TW from bit ``TW_SHIFT`` up.  A
+product term's key is k1 + k2 - BIAS (BIAS the depth biases), TW is
+key >> TW_SHIFT, and keys sort by TW.  No field carries into its neighbour
+unseen: a field of w bits holds s < 2^w in a valid key, so in k1 + k2 -
+BIAS it holds s1 + s2 < 2^(w+1), or s1 + s2 - 2^(w-1) in
+[-2^(w-1), 2^(w+1)) for a depth, and nothing passes the guard bit.  A
+value that fits leaves the guard clear; one that does not sets it, either
+directly or by borrowing from the field above, which leaves at least
+2^(w+1) - 2^(w-1) >= 2^w.  So the lowest field that does not fit shows its
+guard.  Every operation forms keys this way: products add two valid keys,
+shifts and derivatives add a valid unit term's key (s^delta, s^-1 or
+s^(1-n) T_n) less BIAS or take one T_1 from a term that has one.  A new
+series refuses a key with a guard bit set, and the constructor and the
+shift expansion refuse a term whose fields do not fit before packing it.
+TW follows from the fields, and the top field has nothing above it to
+carry into.  Rational (depths, monomial) terms appear only at the class
+boundary: the constructor packs them, ``terms``, ``eval_zero`` and
+``repr`` unpack them.
+
 A series holds integer numerators over one denominator: products multiply
 numerators and denominators, sums bring both sides to the lcm of theirs,
 and shifts and the x- and xi-derivatives keep the denominator.  The shift
 expansion itself runs on integers over a denominator proved in
-``_shift_expansion``.  Rationals appear only where a series is
-built from or read as rational coefficients.  Each tau keeps its wave pair
-and its shift expansions by signs (``TruncatedTau.wave_pair`` and
-``shift_expansions``), so the one-point, pairing and Fay checks on one tau
-share them, and they go with the tau.
+``_shift_expansion``.  Each tau keeps its wave pair and its shift
+expansions by signs (``TruncatedTau.wave_pair`` and ``shift_expansions``),
+so the one-point, pairing and Fay checks on one tau share them, and they
+go with the tau.
 
 The matrix checks read the 2x2 bilinear matrix Theta only at T = 0, so it
 is built there directly from tau and dtau/dT_1 at the Miwa points
@@ -44,14 +64,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, itemgetter
 
 from .errors import InsufficientCutoffError, InvalidKeyError
-from .multipoly import (MONO_ONE, Monomial, MultiPoly, _mono_deriv,
-                        mono_mul, mono_str, mono_var, mono_weight)
+from .multipoly import (MONO_ONE, Monomial, MultiPoly, mono_str, mono_var,
+                        mono_weight)
 from .npoint import valid_keys
 from .rational import Rat, format_rat
 from .series import Series1
@@ -100,7 +120,9 @@ class TruncatedTau:
     def wave_pair(self) -> tuple[WaveSeries, WaveSeries]:
         """(``wave(self)``, ``dual_wave(self)``), built together on first
         use, sharing 1/tau, and kept on this instance."""
-        inverse = {((0,), m): c for m, c in self.poly.inverse().terms.items()}
+        inverse = WaveSeries(0, {((0,), m): c for m, c
+                                 in self.poly.inverse().terms.items()},
+                             self.weight_cap, 0, self.index_cap)
         return tuple(_sato_quotient(self, inverse, tag) for tag in (1, -1))
 
     @cached_property
@@ -157,16 +179,51 @@ def _min_weight_beyond_index(index_cap: int) -> int:
 Key = tuple[int, ...]
 Term = tuple[Key, Monomial]
 
+# Packed keys (module docstring): 2 depth and 32 exponent fields, each
+# with a guard bit above it, then TW.
+_DBITS, _EBITS = 8, 6
+_DBIAS = 1 << (_DBITS - 1)
+_DMASK, _EMASK = (1 << _DBITS) - 1, (1 << _EBITS) - 1
+_DOFF = (0, _DBITS + 1)
+_EOFF = {idx: 2 * _DBITS + 2 + (idx - 1) * (_EBITS + 1)
+         for idx in range(1, 33)}
+TW_SHIFT = _EOFF[32] + _EBITS + 1
+_BIAS = sum(_DBIAS << off for off in _DOFF)
+_GUARD = (sum(1 << (off + _DBITS) for off in _DOFF)
+          + sum(1 << (off + _EBITS) for off in _EOFF.values()))
+_EXPONENTS = sum(_EMASK << off for off in _EOFF.values())
+_FIELDS = (f"at most {len(_DOFF)} shift depths in [{-_DBIAS}, {_DBIAS - 1}],"
+           f" time indices 1..{len(_EOFF)} with exponents 1..{_EMASK}")
 
-def _tw(term: Term) -> int:
-    key, mono = term
-    return sum(key) + mono_weight(mono)
+
+def _pack(depths: Key, mono: Monomial) -> int:
+    """The packed key of one term; refuses a term that does not fit."""
+    if (len(depths) > len(_DOFF)
+            or not all(-_DBIAS <= k < _DBIAS for k in depths)
+            or not all(idx in _EOFF and 0 < e <= _EMASK for idx, e in mono)):
+        raise InvalidKeyError(f"wave term s^{depths}*{mono_str(mono)} does "
+                              f"not fit a packed key: {_FIELDS}")
+    return (_BIAS + ((sum(depths) + mono_weight(mono)) << TW_SHIFT)
+            + sum(k << off for k, off in zip(depths, _DOFF))
+            + sum(e << _EOFF[idx] for idx, e in mono))
 
 
-def _within(terms: dict, cap: int) -> dict:
+def _unpack(key: int, nvars: int) -> Term:
+    exps = [(idx, key >> off & _EMASK) for idx, off in _EOFF.items()]
+    return (tuple((key >> off & _DMASK) - _DBIAS for off in _DOFF[:nvars]),
+            tuple((idx, e) for idx, e in exps if e))
+
+
+def _within(num: dict[int, int], cap: int) -> dict[int, int]:
     """The terms with TW <= cap."""
-    return terms if cap >= INF else {term: c for term, c in terms.items()
-                                     if _tw(term) <= cap}
+    top = (cap + 1) << TW_SHIFT
+    return num if cap >= INF else {key: n for key, n in num.items()
+                                   if key < top}
+
+
+# What adding to a key multiplies its term by: s^-1, s and T_1.
+_SHALLOWER, _DEEPER, _T1 = (_pack(depths, mono) - _BIAS for depths, mono in
+                            (((-1,), ()), ((1,), ()), ((), ((1, 1),))))
 
 
 class WaveSeries:
@@ -181,42 +238,58 @@ class WaveSeries:
 
     The coefficients are integer numerators ``num`` over one positive
     denominator ``den``, in lowest terms (den and the numerators share no
-    factor).  The constructor takes rationals and ``terms`` reads them back
-    as rationals; the arithmetic never leaves the integers.
+    factor), keyed by packed term keys; ``nvars`` is r.  The constructor
+    takes rational terms and ``terms`` reads them back; the arithmetic
+    never leaves the integers and the packed keys.
     """
 
-    __slots__ = ("tag", "num", "den", "cap", "twmin", "index_cap")
+    __slots__ = ("tag", "num", "den", "cap", "twmin", "index_cap", "nvars")
 
     def __init__(self, tag: int, terms: dict[Term, Rat], cap: int,
                  twmin: int, index_cap: int):
-        values = {term: Rat(c) for term, c in _within(terms, cap).items()}
+        values = {term: Rat(c) for term, c in terms.items()
+                  if sum(term[0]) + mono_weight(term[1]) <= cap}
+        nvars = {len(key) for key, _ in values} or {1}
+        if len(nvars) > 1:
+            raise InvalidKeyError(f"wave terms mix shift variables {nvars}")
         den = math.lcm(*(c.denominator for c in values.values()))
-        self._fill(tag, {term: c.numerator * (den // c.denominator)
+        self._fill(tag, {_pack(*term): c.numerator * (den // c.denominator)
                          for term, c in values.items()},
-                   den, cap, twmin, index_cap)
+                   den, cap, twmin, index_cap, nvars.pop())
 
     @classmethod
-    def _of(cls, tag: int, num: dict[Term, int], den: int, cap: int,
-            twmin: int, index_cap: int) -> WaveSeries:
+    def _of(cls, tag: int, num: dict[int, int], den: int, cap: int,
+            twmin: int, index_cap: int, nvars: int) -> WaveSeries:
         """From numerators over ``den`` whose terms all have TW <= cap."""
         out = cls.__new__(cls)
-        out._fill(tag, num, den, cap, twmin, index_cap)
+        out._fill(tag, num, den, cap, twmin, index_cap, nvars)
         return out
 
-    def _fill(self, tag, num, den, cap, twmin, index_cap) -> None:
+    def _fill(self, tag, num, den, cap, twmin, index_cap, nvars) -> None:
+        if any(map(_GUARD.__and__, num)):
+            raise InvalidKeyError(
+                f"a wave term left its packed key fields: {_FIELDS}")
         self.tag = tag
         self.cap = cap
         self.twmin = twmin
         self.index_cap = index_cap
-        num = {term: n for term, n in num.items() if n}
+        self.nvars = nvars
         g = math.gcd(den, *num.values())
-        self.num = {term: n // g for term, n in num.items()} if g > 1 else num
+        self.num = ({key: n // g for key, n in num.items() if n} if g > 1
+                    else {key: n for key, n in num.items() if n})
         self.den = den // g
+
+    def _like(self, num: dict[int, int], den: int, cap: int,
+              twmin: int) -> WaveSeries:
+        """A series with this tag, index cap and r."""
+        return WaveSeries._of(self.tag, num, den, cap, twmin, self.index_cap,
+                              self.nvars)
 
     @property
     def terms(self) -> dict[Term, Rat]:
-        """The coefficients as rationals, ``num[term] / den``."""
-        return {term: Rat(n, self.den) for term, n in self.num.items()}
+        """The coefficients as rationals, ``num[key] / den``."""
+        return {_unpack(key, self.nvars): Rat(n, self.den)
+                for key, n in self.num.items()}
 
     @classmethod
     def const(cls, value, index_cap: int) -> WaveSeries:
@@ -236,85 +309,87 @@ class WaveSeries:
         den = math.lcm(self.den, other.den)
         a, b = den // self.den, sign * (den // other.den)
         cap = min(self.cap, other.cap)
-        out = {term: n * a for term, n in _within(self.num, cap).items()}
-        for term, n in _within(other.num, cap).items():
-            out[term] = out.get(term, 0) + n * b
+        out = {key: n * a for key, n in _within(self.num, cap).items()}
+        for key, n in _within(other.num, cap).items():
+            out[key] = out.get(key, 0) + n * b
         return WaveSeries._of(self.tag, out, den, cap,
                               min(self.twmin, other.twmin),
-                              min(self.index_cap, other.index_cap))
+                              min(self.index_cap, other.index_cap),
+                              max(self.nvars, other.nvars))
 
     def scale(self, factor) -> WaveSeries:
         f = Rat(factor)
-        return WaveSeries._of(self.tag, {term: n * f.numerator
-                                         for term, n in self.num.items()},
-                              self.den * f.denominator, self.cap, self.twmin,
-                              self.index_cap)
+        return self._like({key: n * f.numerator
+                           for key, n in self.num.items()},
+                          self.den * f.denominator, self.cap, self.twmin)
 
     def __mul__(self, other: WaveSeries) -> WaveSeries:
-        """Once a pair's TW exceeds the cap, no later term of the
-        TW-sorted right factor can fit, so the product equals the full
-        product pruned at the cap."""
+        """Keys add, and the right factor sorted by key is sorted by TW:
+        a left term of TW t meets only the right keys below
+        (cap - t + 1) << TW_SHIFT, which gives exactly the full product
+        pruned at the cap."""
         cap = min(_cap_add(self.cap, other.twmin),
                   _cap_add(other.cap, self.twmin))
-        right = sorted(((_tw(term), term, n)
-                        for term, n in other.num.items()),
-                       key=itemgetter(0))
-        out = defaultdict(int)
-        for term, n1 in self.num.items():
-            k1, m1 = term
-            room = _cap_add(cap, -_tw(term))
-            for tw2, (k2, m2), n2 in right:
-                if tw2 > room:
-                    break
-                out[tuple(map(add, k1, k2)), mono_mul(m1, m2)] += n1 * n2
+        right = sorted(other.num.items())
+        keys = [key for key, _ in right]
+        top = (cap + 1) << TW_SHIFT
+        out: dict[int, int] = {}
+        for k1, n1 in self.num.items():
+            base = k1 - _BIAS
+            stop = bisect_left(keys, top - (k1 >> TW_SHIFT << TW_SHIFT))
+            for k2, n2 in right[:stop]:
+                key = base + k2
+                out[key] = out.get(key, 0) + n1 * n2
         return WaveSeries._of(self.tag + other.tag, out,
                               self.den * other.den, cap,
                               self.twmin + other.twmin,
-                              min(self.index_cap, other.index_cap))
+                              min(self.index_cap, other.index_cap),
+                              max(self.nvars, other.nvars))
 
     def shift(self, *deltas: int) -> WaveSeries:
         """Multiply by s_1^d_1 ... s_r^d_r; on a wave series shift(-k)
         multiplies by xi^k."""
-        total = sum(deltas)
+        total, unit = sum(deltas), _pack(deltas, MONO_ONE) - _BIAS
         return WaveSeries._of(self.tag,
-                              {(tuple(map(add, key, deltas)), mono): n
-                               for (key, mono), n in self.num.items()},
+                              {key + unit: n for key, n in self.num.items()},
                               self.den, _cap_add(self.cap, total),
-                              self.twmin + total, self.index_cap)
+                              self.twmin + total, self.index_cap,
+                              max(self.nvars, len(deltas)))
 
     def dx(self) -> WaveSeries:
         """d/dx with x identified with T_1, acting on the prefactor too
         (tag * xi lowers the first depth by one)."""
         out = defaultdict(int)
-        for (key, mono), n in self.num.items():
-            d = _mono_deriv(mono, 1)
-            if d is not None:
-                out[key, d[0]] += n * d[1]
+        for key, n in self.num.items():
+            e = key >> _EOFF[1] & _EMASK
+            if e:
+                out[key - _T1] += n * e
             if self.tag != 0:
-                out[(key[0] - 1,) + key[1:], mono] += n * self.tag
-        return WaveSeries._of(self.tag, out, self.den,
-                              _cap_add(self.cap, -1), self.twmin - 1,
-                              self.index_cap)
+                out[key + _SHALLOWER] += n * self.tag
+        return self._like(out, self.den, _cap_add(self.cap, -1),
+                          self.twmin - 1)
 
     def dxi(self) -> WaveSeries:
         """d/dxi of a wave series: term-wise on xi^(-k) plus the prefactor
         divergence tag * sum n T_n xi^(n-1) (odd n up to the index cap)."""
-        ladder = ([(n, mono_var(n)) for n in range(1, self.index_cap + 1, 2)]
+        ladder = ([(n * self.tag, _pack((1 - n,), mono_var(n)) - _BIAS)
+                   for n in range(1, self.index_cap + 1, 2)]
                   if self.tag != 0 else [])
         out = defaultdict(int)
-        for ((k,), mono), n in self.num.items():
+        for key, n in self.num.items():
+            k = (key & _DMASK) - _DBIAS
             if k != 0:
-                out[(k + 1,), mono] -= n * k
-            for idx, var in ladder:
-                out[(k - idx + 1,), mono_mul(mono, var)] += n * idx * self.tag
-        return WaveSeries._of(self.tag, out, self.den, _cap_add(self.cap, 1),
-                              self.twmin + 1, self.index_cap)
+                out[key + _DEEPER] -= n * k
+            for factor, unit in ladder:
+                out[key + unit] += n * factor
+        return self._like(out, self.den, _cap_add(self.cap, 1),
+                          self.twmin + 1)
 
     def eval_zero(self) -> Series1:
         """Set all T to zero in a wave series; the reliability order equals
         the TW cap."""
-        coeffs = {-k: Rat(n, self.den) for ((k,), mono), n in self.num.items()
-                  if mono == MONO_ONE}
+        coeffs = {_DBIAS - (key & _DMASK): Rat(n, self.den)
+                  for key, n in self.num.items() if not key & _EXPONENTS}
         order = None if self.cap >= INF else self.cap
         return Series1("xi", coeffs, order)
 
@@ -326,19 +401,20 @@ class WaveSeries:
         when n1 * d2 == n2 * d1."""
         if self.tag != other.tag:
             return False
-        cap = min(self.cap, other.cap)
+        top = (min(self.cap, other.cap) + 1) << TW_SHIFT
+        keys = [key for key in self.num.keys() | other.num.keys()
+                if key < top]
+        for off, d in zip(_DOFF[:max(self.nvars, other.nvars)], depth or ()):
+            keys = [key for key in keys if key >> off & _DMASK <= d + _DBIAS]
         d1, d2 = self.den, other.den
-        return all(self.num.get(term, 0) * d2 == other.num.get(term, 0) * d1
-                   for term in self.num.keys() | other.num.keys()
-                   if _tw(term) <= cap and (depth is None or all(
-                       k <= d for k, d in zip(term[0], depth))))
+        return all(self.num.get(key, 0) * d2 == other.num.get(key, 0) * d1
+                   for key in keys)
 
     def __repr__(self) -> str:
         head = {1: "exp(+S)*", -1: "exp(-S)*", 0: ""}.get(
             self.tag, f"exp({self.tag}S)*")
-        bits = [f"s^{key}*({format_rat(Rat(self.num[key, mono], self.den))})*"
-                f"{mono_str(mono)}"
-                for key, mono in sorted(self.num)]
+        bits = [f"s^{key}*({format_rat(c)})*{mono_str(mono)}"
+                for (key, mono), c in sorted(self.terms.items())]
         return head + (" + ".join(bits) or "0") + f"  [TW<={self.cap}]"
 
 
@@ -354,13 +430,17 @@ def shifted_tau(tau: TruncatedTau, signs: Key) -> WaveSeries:
 
 
 def _shift_expansion(tau: TruncatedTau, signs: Key) -> WaveSeries:
-    """The expansion behind ``shifted_tau``, on integers.
+    """The expansion behind ``shifted_tau``, on integers and packed keys.
 
     A monomial prod_idx T_idx^e_idx of weight w expands into terms
     prod_idx T_idx^left_idx * prod_v s_v^(sum_idx idx * i_idx,v), each of
     TW = w, since every factor s_v^idx / idx taken in place of a T_idx
     trades weight idx for depth idx.  So a term is kept exactly when its
-    monomial has w <= W, the weight cap, and only those are expanded.
+    monomial has w <= W, the weight cap, and only those are expanded.  A
+    term's depths lie in [0, W] and each exponent is at most the largest
+    one of its index among the kept monomials, so once s^(W, ..., W) times
+    the product of those largest powers packs, every term fits, and its key
+    is a sum of nonnegative field values with no carry.
 
     The coefficient of such a term is c * (multinomial) * prod signs *
     prod_idx idx^(-t_idx), with t_idx = sum_v i_idx,v <= e_idx the number of
@@ -372,34 +452,38 @@ def _shift_expansion(tau: TruncatedTau, signs: Key) -> WaveSeries:
     and the division is exact.
     """
     cap = tau.weight_cap
-    kept = {mono: c for mono, c in tau.poly.terms.items()
-            if mono_weight(mono) <= cap}
-    den = math.lcm(*(c.denominator for c in kept.values()))
-    scale = math.prod(idx ** (cap // idx)
-                      for idx in {idx for mono in kept for idx, _ in mono})
-    active = [(v, sign) for v, sign in enumerate(signs) if sign != 0]
-    origin = (0,) * len(signs)
+    kept = [(mono, c, weight) for mono, c in tau.poly.terms.items()
+            if (weight := mono_weight(mono)) <= cap]
+    den = math.lcm(*(c.denominator for _, c, _ in kept))
+    top: dict[int, int] = {}
+    for mono, _, _ in kept:
+        for idx, e in mono:
+            top[idx] = max(top.get(idx, 0), e)
+    _pack((cap,) * len(signs), tuple(top.items()))
+    scale = math.prod(idx ** (cap // idx) for idx in top)
+    active = [(_DOFF[v], sign) for v, sign in enumerate(signs)
+              if sign != 0]
+    origin = _pack((0,) * len(signs), MONO_ONE)
     out = defaultdict(int)
-    for mono, c in kept.items():
-        parts: list[tuple[Key, Monomial, int]] = [
-            (origin, MONO_ONE, c.numerator * (den // c.denominator) * scale)]
+    for mono, c, weight in kept:
+        parts = [(origin + (weight << TW_SHIFT),
+                  c.numerator * (den // c.denominator) * scale)]
         for idx, e in mono:
             # (T_idx + sum_v sign_v s_v^idx / idx)^e, one variable at a time:
-            # (key, power left on T_idx, multinomial times signs)
-            factor: list[tuple[Key, int, int]] = [(origin, e, 1)]
-            for v, sign in active:
-                factor = [(key[:v] + (key[v] + idx * i,) + key[v + 1:],
+            # (key fields, power left on T_idx, multinomial times signs)
+            off = _EOFF[idx]
+            factor = [(e << off, e, 1)]
+            for depth_off, sign in active:
+                factor = [(key + (idx * i << depth_off) - (i << off),
                            left - i, cf * math.comb(left, i) * sign ** i)
                           for key, left, cf in factor
                           for i in range(left + 1)]
-            # the indices of a monomial ascend, so appending keeps m0 sorted
-            parts = [(tuple(map(add, k0, key)),
-                      m0 if left == 0 else m0 + ((idx, left),),
-                      c0 * cf // idx ** (e - left))
-                     for k0, m0, c0 in parts for key, left, cf in factor]
-        for key, m, n in parts:
-            out[key, m] += n
-    return WaveSeries._of(0, out, den * scale, cap, 0, tau.index_cap)
+            parts = [(k0 + key, c0 * cf // idx ** (e - left))
+                     for k0, c0 in parts for key, left, cf in factor]
+        for key, n in parts:
+            out[key] += n
+    return WaveSeries._of(0, out, den * scale, cap, 0, tau.index_cap,
+                          len(signs))
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +500,12 @@ def dual_wave(tau: TruncatedTau) -> WaveSeries:
     return tau.wave_pair[1]
 
 
-def _sato_quotient(tau: TruncatedTau, inverse: dict[Term, Rat],
+def _sato_quotient(tau: TruncatedTau, inverse: WaveSeries,
                    tag: int) -> WaveSeries:
     """exp(tag * S) * tau(T - tag [1/xi]) / tau(T), with ``inverse`` the
-    terms of 1/tau(T)."""
-    return _shift_expansion(tau, (-tag,)) * WaveSeries(
-        tag, inverse, tau.weight_cap, 0, tau.index_cap)
+    series of 1/tau(T)."""
+    return _shift_expansion(tau, (-tag,)) * WaveSeries._of(
+        tag, inverse.num, inverse.den, inverse.cap, 0, tau.index_cap, 1)
 
 
 def wronskian(p: WaveSeries, q: WaveSeries) -> WaveSeries:

@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airytau.airy import slope_series, wave_series
 from airytau.errors import InsufficientCutoffError, InvalidKeyError
@@ -576,7 +578,7 @@ def _assert_lowest_terms(series):
     assert math.gcd(series.den, *series.num.values()) == 1
     assert all(_cap_of(series.cap) is None or
                sum(k) + sum(i * e for i, e in m) <= series.cap
-               for k, m in series.num)
+               for k, m in series.terms)
 
 
 def _random_pair(rng, nvars):
@@ -642,7 +644,7 @@ def test_agrees_with_across_denominators(seed):
     assert twin.den % 77 == 0
     assert base.agrees_with(twin) and twin.agrees_with(base)
     if base.num:
-        term = rng.choice(sorted(base.num))
+        term = rng.choice(sorted(base.terms))
         twin_terms[term] += Fraction(1, 13)
         changed = WaveSeries(a.tag, twin_terms, INF, a.twmin, a.index_cap)
         assert not base.agrees_with(changed)
@@ -697,3 +699,145 @@ def test_one_wave_bundle_per_tau(tau9, monkeypatch):
     assert shifted_fay_check(tau, (3, 3))
     assert len(expansions) == 2 + len(set(DIFFERENTIAL_FAY + SHIFTED_FAY))
     assert len(quotients) == 2
+
+
+# ---------------------------------------------------------------------------
+# Property test: every operation on random series equals the same operation
+# on plain Fraction terms.
+# ---------------------------------------------------------------------------
+
+def _series_terms(nvars):
+    depths = st.tuples(*[st.integers(-6, 6)] * nvars)
+    mono = st.dictionaries(st.integers(1, 13), st.integers(1, 3),
+                           max_size=3).map(lambda m: tuple(sorted(m.items())))
+    coeff = st.builds(Fraction, st.integers(1, 20).flatmap(
+        lambda n: st.sampled_from((n, -n))), st.integers(1, 12))
+    return st.dictionaries(st.tuples(depths, mono), coeff, max_size=8)
+
+
+_caps = st.one_of(st.just(INF), st.integers(-4, 20))
+
+
+@st.composite
+def _series_pairs(draw):
+    """(nvars, given terms and series) x 2 with one tag, random caps, TW
+    floors and index caps."""
+    nvars = draw(st.sampled_from((1, 2)))
+    tag = draw(st.sampled_from((-1, 0, 1)))
+    out = []
+    for _ in range(2):
+        terms = draw(_series_terms(nvars))
+        out.append((terms, WaveSeries(tag, terms, draw(_caps),
+                                      draw(st.integers(-4, 4)),
+                                      draw(st.sampled_from((9, 11, 13))))))
+    return nvars, out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_series_pairs(), st.data())
+def test_series_operations_match_fraction_oracles(pair, data):
+    nvars, ((given_a, a), (given_b, b)) = pair
+    for given, series in ((given_a, a), (given_b, b)):
+        assert series.terms == prune_terms(given, _cap_of(series.cap))
+        if series.cap >= INF:
+            assert series.terms == given
+    cap = _product_cap(a, b)
+    assert _cells(a * b) == full_product_pruned(
+        _cells(a), _cells(b), lambda x, y: tuple(map(operator.add, x, y)),
+        lambda key: _cell_cap(cap, -sum(key)))
+    both = min(a.cap, b.cap)
+    assert (a + b).terms == fraction_combine(a.terms, b.terms, 1,
+                                             _cap_of(both))
+    assert (a - b).terms == fraction_combine(a.terms, b.terms, -1,
+                                             _cap_of(both))
+    deltas = data.draw(st.tuples(*[st.integers(-3, 3)] * nvars))
+    assert a.shift(*deltas).terms == fraction_shift(a.terms, deltas)
+    assert a.dx().terms == fraction_dx(a.terms, a.tag)
+    if nvars == 1:
+        assert a.dxi().terms == fraction_dxi(a.terms, a.tag, a.index_cap)
+    depth = data.draw(st.one_of(st.none(),
+                                st.tuples(*[st.integers(-2, 4)] * nvars)))
+    assert a.agrees_with(b, depth) == fraction_agrees(
+        a.terms, b.terms, _cap_of(both), depth)
+    twin = WaveSeries(a.tag, {**a.terms, **b.terms}, INF, a.twmin,
+                      a.index_cap)
+    assert a.agrees_with(twin, depth) == fraction_agrees(
+        a.terms, twin.terms, _cap_of(a.cap), depth)
+
+
+# ---------------------------------------------------------------------------
+# The packed key's field widths: a term that does not fit is refused up
+# front, and an operation whose result leaves a field is refused too.
+# ---------------------------------------------------------------------------
+
+_FIELDS = ("at most 2 shift depths in [-128, 127], time indices 1..32 with "
+           "exponents 1..63")
+_TOP = tuple((idx, 63) for idx in range(1, 33))
+
+
+def _single(depths, mono, cap=INF):
+    return WaveSeries(0, {(depths, mono): Fraction(1)}, cap, 0, 1)
+
+
+@pytest.mark.parametrize("depths, mono", [
+    ((127,), ()), ((-128,), ()), ((127, -128), ()), ((0,), ((32, 1),)),
+    ((0,), ((1, 63),)), ((127, 127), _TOP), ((-128, -128), _TOP)])
+def test_packed_fields_hold_their_extremes(depths, mono):
+    series = _single(depths, mono)
+    assert series.terms == {(depths, mono): 1}
+    # TW sits in the top field: the cap keeps the term at its TW, not below
+    tw = sum(depths) + sum(idx * e for idx, e in mono)
+    assert _single(depths, mono, tw).terms == series.terms
+    assert _single(depths, mono, tw - 1).terms == {}
+
+
+@pytest.mark.parametrize("depths, mono", [
+    ((128,), ()), ((-129,), ()), ((0, 128), ()), ((0, 0, 0), ()),
+    ((0,), ((33, 1),)), ((0,), ((0, 1),)), ((0,), ((1, 64),)),
+    ((0,), ((1, 0),))])
+def test_packed_fields_refuse_terms_that_do_not_fit(depths, mono):
+    with pytest.raises(InvalidKeyError) as err:
+        _single(depths, mono)
+    assert str(err.value) == (f"wave term s^{depths}*{mono_str(mono)} does "
+                              f"not fit a packed key: {_FIELDS}")
+
+
+def test_operations_refuse_results_that_leave_a_field():
+    left = f"a wave term left its packed key fields: {_FIELDS}"
+    deep, shallow = _single((127,), ()), _single((-128,), ())
+    t1 = _single((0,), ((1, 62),))
+    # one step inside each edge still fits
+    assert deep.shift(-1).terms == {((126,), ()): 1}
+    assert shallow.shift(1).terms == {((-127,), ()): 1}
+    assert (t1 * _single((0,), ((1, 1),))).terms == {((0,), ((1, 63),)): 1}
+    for result in (lambda: deep.shift(1), lambda: shallow.shift(-1),
+                   lambda: deep * _single((1,), ()),
+                   lambda: shallow * _single((-1,), ()),
+                   lambda: t1 * _single((0,), ((1, 2),))):
+        with pytest.raises(InvalidKeyError) as err:
+            result()
+        assert str(err.value) == left
+    with pytest.raises(InvalidKeyError) as err:
+        deep.shift(128)
+    assert str(err.value) == (f"wave term s^(128,)*1 does not fit a packed "
+                              f"key: {_FIELDS}")
+
+
+@pytest.mark.parametrize("mono", [((1, 128),), ((33, 1),)])
+def test_shift_expansion_refuses_a_tau_whose_terms_do_not_fit(mono):
+    # T_1^128 would carry past its guard bit into T_2's field
+    weight = sum(idx * e for idx, e in mono)
+    poly = MultiPoly({(): Fraction(1), mono: Fraction(1)}, weight_cap=weight)
+    tau = TruncatedTau(poly, MultiPoly.zero(weight_cap=weight), weight,
+                       weight)
+    with pytest.raises(InvalidKeyError) as err:
+        shifted_tau(tau, (1,))
+    assert str(err.value) == (f"wave term s^({weight},)*{mono_str(mono)} "
+                              f"does not fit a packed key: {_FIELDS}")
+
+
+def test_constructor_refuses_mixed_shift_variables():
+    with pytest.raises(InvalidKeyError) as err:
+        WaveSeries(0, {((0,), ()): Fraction(1), ((0, 0), ()): Fraction(1)},
+                   INF, 0, 1)
+    assert str(err.value) == "wave terms mix shift variables {1, 2}"
