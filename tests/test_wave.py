@@ -736,11 +736,11 @@ def _series_pairs(draw):
 @settings(max_examples=150, deadline=None)
 @given(_series_pairs(), st.data())
 def test_series_operations_match_fraction_oracles(pair, data):
-    nvars, ((given_a, a), (given_b, b)) = pair
-    for given, series in ((given_a, a), (given_b, b)):
-        assert series.terms == prune_terms(given, _cap_of(series.cap))
+    nvars, ((source_a, a), (source_b, b)) = pair
+    for source, series in ((source_a, a), (source_b, b)):
+        assert series.terms == prune_terms(source, _cap_of(series.cap))
         if series.cap >= INF:
-            assert series.terms == given
+            assert series.terms == source
     cap = _product_cap(a, b)
     assert _cells(a * b) == full_product_pruned(
         _cells(a), _cells(b), lambda x, y: tuple(map(operator.add, x, y)),
