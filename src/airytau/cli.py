@@ -276,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "functions from the Airy fermionic kernel.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, func) -> None:
+        p.set_defaults(func=func)
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default=None)
         p.add_argument("--out", default=None, help="write output to a file")
@@ -292,41 +293,35 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlator", help="psi-class intersection number")
     p.add_argument("--indices", required=True,
                    help="comma-separated exponents, e.g. 0,0,0")
-    common(p)
-    p.set_defaults(func=cmd_correlator)
+    common(p, cmd_correlator)
 
     p = sub.add_parser("npoint", help="raw connected n-point coefficient")
     p.add_argument("--orders", required=True,
                    help="comma-separated derivative orders, e.g. 1,5")
-    common(p)
-    p.set_defaults(func=cmd_npoint)
+    common(p, cmd_npoint)
 
     p = sub.add_parser("kernel", help="dump the kernel coefficient table")
     p.add_argument("--check-all", action="store_true",
                    help="verify all construction routes agree first")
     p.add_argument("--alternating", action="store_true",
                    help="use the sign-alternated series pair")
-    common(p)
-    p.set_defaults(func=cmd_kernel)
+    common(p, cmd_kernel)
 
     p = sub.add_parser("series", help="dump one of the generating series")
     p.add_argument("--which", required=True,
                    choices=sorted(_SERIES_BUILDERS))
-    common(p)
-    p.set_defaults(func=cmd_series)
+    common(p, cmd_series)
 
     p = sub.add_parser("tau", help="dump tau-function coefficients")
     p.add_argument("--basis", choices=("schur", "monomial"),
                    default="schur")
-    common(p)
-    p.set_defaults(func=cmd_tau)
+    common(p, cmd_tau)
 
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("--suite", choices=sorted(SUITES) + ["all"],
                    default="all")
     p.add_argument("--truncation", choices=("small", "full"), default=None)
-    common(p)
-    p.set_defaults(func=cmd_verify)
+    common(p, cmd_verify)
 
     return parser
 

@@ -26,7 +26,7 @@ from .errors import InsufficientCutoffError, InvalidKeyError
 from .linalg import det_int
 from .multipoly import MultiPoly
 from .partitions import Partition, partitions_up_to
-from .rational import Rat
+from .rational import Rat, over_lcm
 from .schur import (PowerSums, minus_spec, plus_spec, schur_at,
                     schur_sum_in_times, shorter_route)
 from .series import Laurent2, Series1
@@ -79,11 +79,7 @@ class AdmissibleFrame:
         """Each element as (exponent -> integer numerator, d), d > 0 the lcm
         of its denominators; built on first use."""
         if self._scaled is None:
-            self._scaled = []
-            for f in self.elements:
-                d = math.lcm(*(c.denominator for c in f.coeffs.values()))
-                self._scaled.append(({e: c.numerator * (d // c.denominator)
-                                      for e, c in f.coeffs.items()}, d))
+            self._scaled = [over_lcm(f.coeffs) for f in self.elements]
         return self._scaled
 
     def normalize(self, cutoff: int) -> AffineCoords:

@@ -16,19 +16,14 @@ from __future__ import annotations
 
 import math
 
-from .rational import Rat
+from .rational import Rat, over_lcm
 
 
 def det_bareiss(rows: list[list[Rat]]) -> Rat:
     """Determinant of a square rational matrix, by ``det_int``."""
-    m = []
-    scale = 1
-    for row in rows:
-        entries = [x if isinstance(x, (int, Rat)) else Rat(x) for x in row]
-        s = math.lcm(*(x.denominator for x in entries))
-        m.append([x.numerator * (s // x.denominator) for x in entries])
-        scale *= s
-    return Rat(det_int(m), scale)
+    m = [over_lcm(dict(enumerate(map(Rat, row)))) for row in rows]
+    return Rat(det_int([list(num.values()) for num, _ in m]),
+               math.prod(s for _, s in m))
 
 
 def det_int(rows: list[list[int]]) -> int:
@@ -63,7 +58,8 @@ def det_int(rows: list[list[int]]) -> int:
 
 
 def det_ring(rows: list[list], zero, one):
-    """Determinant over a commutative ring, no divisions.
+    """Determinant over a commutative ring whose elements have
+    ``is_zero``, no divisions.
 
     State ``d[mask]`` is the signed minor of the first popcount(mask) rows on
     the column set ``mask``; row k extends every state with each unused
@@ -78,29 +74,15 @@ def det_ring(rows: list[list], zero, one):
     for k in range(n):
         nxt: dict[int, object] = {}
         for mask, acc in states.items():
-            for col in range(n):
-                bit = 1 << col
-                if mask & bit:
+            for col, entry in enumerate(rows[k]):
+                if mask >> col & 1 or entry.is_zero():
                     continue
-                entry = rows[k][col]
-                if _is_ring_zero(entry):
-                    continue
-                # parity of used columns strictly above `col`
-                sign = -1 if bin(mask >> (col + 1)).count("1") % 2 else 1
-                term = acc * entry if sign > 0 else -(acc * entry)
-                key = mask | bit
-                if key in nxt:
-                    nxt[key] = nxt[key] + term
-                else:
-                    nxt[key] = term
+                term = acc * entry
+                if (mask >> (col + 1)).bit_count() & 1:  # used columns above
+                    term = -term
+                key = mask | 1 << col
+                nxt[key] = nxt[key] + term if key in nxt else term
         if not nxt:
             return zero
         states = nxt
     return states.get((1 << n) - 1, zero)
-
-
-def _is_ring_zero(x) -> bool:
-    probe = getattr(x, "is_zero", None)
-    if probe is not None:
-        return bool(probe())
-    return x == 0

@@ -48,7 +48,7 @@ import math
 from typing import Callable, Iterable, Iterator
 
 from .errors import CrossCheckError, InsufficientCutoffError, InvalidKeyError
-from .multipoly import MONO_ONE, Monomial, MultiPoly, mono_mul
+from .multipoly import Monomial, MultiPoly
 from .rational import Rat, double_factorial
 
 GROWTH = 3
@@ -394,37 +394,26 @@ def disconnected_family(kernel, js: tuple[int, ...]
     return family
 
 
+def _partition_sums(values: dict[frozenset, Rat], weight
+                    ) -> dict[frozenset, Rat]:
+    """For every subset, the sum over its set partitions of
+    weight(number of blocks) times the product of the blocks' values."""
+    return {subset: sum((weight(len(part)) * math.prod(
+                (values[frozenset(block)] for block in part), start=Rat(1))
+                for part in set_partitions(sorted(subset))), Rat(0))
+            for subset in sorted(values, key=len)}
+
+
 def mobius_connect(family: dict[frozenset, Rat]) -> dict[frozenset, Rat]:
     """Partition-lattice inversion: connected values from full values."""
-    out: dict[frozenset, Rat] = {}
-    for subset in sorted(family, key=len):
-        items = sorted(subset)
-        total = Rat(0)
-        for part in set_partitions(items):
-            k = len(part)
-            weight = Rat((-1) ** (k - 1) * math.factorial(k - 1))
-            prod = Rat(1)
-            for block in part:
-                prod *= family[frozenset(block)]
-            total += weight * prod
-        out[subset] = total
-    return out
+    return _partition_sums(
+        family, lambda k: (-1) ** (k - 1) * math.factorial(k - 1))
 
 
 def mobius_disconnect(connected: dict[frozenset, Rat]
                       ) -> dict[frozenset, Rat]:
     """Inverse direction: full values as sums over partitions."""
-    out: dict[frozenset, Rat] = {}
-    for subset in sorted(connected, key=len):
-        items = sorted(subset)
-        total = Rat(0)
-        for part in set_partitions(items):
-            prod = Rat(1)
-            for block in part:
-                prod *= connected[frozenset(block)]
-            total += prod
-        out[subset] = total
-    return out
+    return _partition_sums(connected, lambda k: 1)
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +441,7 @@ def intersection_number(engine: NPointEngine, ms: Iterable[int]) -> Rat:
     if genus_of(ms) is None:
         return Rat(0)
     js = tuple(2 * m + 1 for m in ms)
-    scale = Rat(1)
-    for m in ms:
-        scale *= double_factorial(2 * m + 1)
-    return engine.connected(js) / scale
+    return engine.connected(js) / math.prod(double_factorial(j) for j in js)
 
 
 def genus0_check(engine: NPointEngine, n: int) -> bool:
@@ -560,8 +546,5 @@ def free_energy(engine: NPointEngine, weight_cap: int,
             counts[j] = counts.get(j, 0) + 1
         for r in counts.values():
             value /= math.factorial(r)
-        mono: Monomial = MONO_ONE
-        for j, r in sorted(counts.items()):
-            mono = mono_mul(mono, ((j, r),))
-        terms[mono] = value
+        terms[tuple(sorted(counts.items()))] = value
     return MultiPoly(terms, degree_cap=degree_cap, weight_cap=weight_cap)

@@ -8,8 +8,9 @@ symmetric functions.  Two independent routes serve them:
   homogeneous h_k on the partition, or elementary e_k on its conjugate; both
   must agree, and the pair forms one of the package's standing
   cross-checks.  h_k and e_k are generated from the power sums by Newton's
-  identities; the coefficient ring only needs +, -, * among elements and *
-  by a Fraction.
+  identities; the coefficient ring only needs integer +, -, * among
+  elements (``Laurent2`` numerators) and one scale by 1/k per generator,
+  which leaves h_k and e_k integral under both specializations below.
 * the polynomial in the time variables, p_k = k T_k, goes through
   Frobenius' formula s_mu = sum_rho chi^mu_rho p_rho / z_rho, with the
   characters chi^mu_rho computed by Murnaghan-Nakayama border-strip
@@ -62,40 +63,25 @@ class PowerSums:
 
     def complete_homogeneous(self, kmax: int) -> list:
         """h_0..h_kmax via k*h_k = sum_{i=1..k} p_i h_(k-i)."""
-        hs = self._hs
-        for k in range(len(hs), kmax + 1):
-            acc = self.zero
-            for i in range(1, k + 1):
-                acc = acc + self.p(i) * hs[k - i]
-            hs.append(acc * Rat(1, k))
-        return hs[:kmax + 1]
+        return self._newton(self._hs, kmax, False)
 
     def elementary(self, kmax: int) -> list:
         """e_0..e_kmax via k*e_k = sum_{i=1..k} (-1)^(i-1) p_i e_(k-i)."""
-        es = self._es
-        for k in range(len(es), kmax + 1):
+        return self._newton(self._es, kmax, True)
+
+    def _newton(self, gens: list, kmax: int, alternating: bool) -> list:
+        for k in range(len(gens), kmax + 1):
             acc = self.zero
             for i in range(1, k + 1):
-                term = self.p(i) * es[k - i]
-                acc = acc + (term if i % 2 == 1 else -term)
-            es.append(acc * Rat(1, k))
-        return es[:kmax + 1]
+                term = self.p(i) * gens[k - i]
+                acc = acc - term if alternating and i % 2 == 0 else acc + term
+            gens.append(acc * Rat(1, k))
+        return gens[:kmax + 1]
 
 
 def _jacobi_trudi_det(gens: list, mu: Partition, zero, one):
-    ell = mu.length
-    if ell == 0:
-        return one
-    rows = []
-    for i in range(1, ell + 1):
-        row = []
-        for j in range(1, ell + 1):
-            idx = mu.parts[i - 1] - i + j
-            if idx < 0:
-                row.append(zero)
-            else:
-                row.append(gens[idx])
-        rows.append(row)
+    rows = [[gens[idx] if (idx := part - i + j) >= 0 else zero
+             for j in range(mu.length)] for i, part in enumerate(mu.parts)]
     if zero == Rat(0) and isinstance(one, Rat) and all(
             isinstance(x, Rat) for row in rows for x in row):
         return det_bareiss(rows)
@@ -105,9 +91,7 @@ def _jacobi_trudi_det(gens: list, mu: Partition, zero, one):
 def shorter_route(mu: Partition) -> str:
     """The Jacobi-Trudi route with the smaller determinant: h on mu when it
     has no more rows than columns, else e on its conjugate."""
-    if not mu.parts:
-        return "h"
-    return "h" if mu.length <= mu.parts[0] else "e"
+    return "h" if not mu.parts or mu.length <= mu.parts[0] else "e"
 
 
 def schur_at(mu: Partition, spec: PowerSums, route: str = "h"):
@@ -115,16 +99,13 @@ def schur_at(mu: Partition, spec: PowerSums, route: str = "h"):
     if spec.bound < mu.weight:
         raise InsufficientCutoffError(
             f"specialization bound {spec.bound} < |mu| = {mu.weight}")
-    if route == "h":
-        kmax = (mu.parts[0] + mu.length - 1) if mu.length else 0
-        return _jacobi_trudi_det(spec.complete_homogeneous(kmax), mu,
-                                 spec.zero, spec.one)
-    if route == "e":
-        conj = mu.conjugate()
-        kmax = (conj.parts[0] + conj.length - 1) if conj.length else 0
-        return _jacobi_trudi_det(spec.elementary(kmax), conj,
-                                 spec.zero, spec.one)
-    raise ValueError(f"unknown route {route!r}")
+    if route not in ("h", "e"):
+        raise ValueError(f"unknown route {route!r}")
+    shape = mu if route == "h" else mu.conjugate()
+    kmax = (shape.parts[0] + shape.length - 1) if shape.length else 0
+    gens = (spec.complete_homogeneous if route == "h"
+            else spec.elementary)(kmax)
+    return _jacobi_trudi_det(gens, shape, spec.zero, spec.one)
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +210,6 @@ def plus_spec_h(n: int, vars: tuple[str, str] = ("x", "y")) -> Laurent2:
     if n < 0:
         return Laurent2.zero(vars)
     return Laurent2(vars, {(-i, -(n - i)): Rat(1) for i in range(n + 1)})
-
-
-def minus_spec_h_alternating(n: int, vars: tuple[str, str] = ("x", "y")
-                             ) -> Laurent2:
-    """Closed form of h_n under p_k = y^(-k) + (-x)^(-k):
-    sum_{i+j=n} (-1)^i x^(-i) y^(-j)."""
-    if n < 0:
-        return Laurent2.zero(vars)
-    return Laurent2(vars, {(-i, -(n - i)): Rat((-1) ** i)
-                           for i in range(n + 1)})
 
 
 def hook_minus_closed(arm: int, leg: int,

@@ -10,19 +10,25 @@ bivariate objects in this package are built from explicitly truncated inputs
 whose adequacy is checked by the caller (the kernel assembly enforces its
 input-order precondition), so no per-cell reliability bookkeeping is carried
 here; truncation honesty is certified by cross-route equality checks instead.
-The kernel expansion routes use ``outer_sum`` and ``div_diff_powers`` on
-plain dicts of integer numerators instead.
+It holds integer numerators over one denominator, so the ring needs only
+integer +, - and * and one scale by a rational; under the Schur
+specializations h_n and e_n are integral and the Jacobi-Trudi determinants
+run on integers.  The kernel expansion routes use ``outer_sum`` and
+``div_diff_powers`` on plain dicts of integer numerators instead.
 
-Coefficient storage is sparse by exponent and zero coefficients are never
-stored; equality is structural on canonical forms.  All values are immutable
-after construction and every operation is pure, so unrestricted concurrent
-use is safe and results do not depend on evaluation order.
+Storage is sparse and zero coefficients are never stored; equality is
+structural on canonical forms.  All values are immutable after construction
+and every operation is pure, so unrestricted concurrent use is safe and
+results do not depend on evaluation order.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .errors import InvalidKeyError, WindowError
-from .rational import Rat, format_rat, min_bound
+from .rational import (Rat, format_rat, lowest_terms, min_bound, over_lcm,
+                       sum_over_lcm)
 
 
 class Series1:
@@ -230,19 +236,25 @@ def _zero_mul_order(a: Series1, b: Series1) -> int | None:
 
 
 class Laurent2:
-    """Sparse exact Laurent polynomial in an ordered variable pair."""
+    """Sparse exact Laurent polynomial in an ordered variable pair: integer
+    numerators ``num`` by (x, y) exponents over one positive ``den``, in
+    lowest terms.  ``coeffs`` reads them back as rationals."""
 
-    __slots__ = ("vars", "coeffs")
+    __slots__ = ("vars", "num", "den")
 
     def __init__(self, vars: tuple[str, str],
                  coeffs: dict[tuple[int, int], Rat] | None = None):
         self.vars = vars
-        clean: dict[tuple[int, int], Rat] = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                if c != 0:
-                    clean[key] = c if isinstance(c, Rat) else Rat(c)
-        self.coeffs = clean
+        self.num, self.den = lowest_terms(*over_lcm(
+            {key: Rat(c) for key, c in (coeffs or {}).items()}))
+
+    @classmethod
+    def _of(cls, vars: tuple[str, str], num: dict[tuple[int, int], int],
+            den: int) -> Laurent2:
+        out = cls.__new__(cls)
+        out.vars = vars
+        out.num, out.den = lowest_terms(num, den)
+        return out
 
     @classmethod
     def zero(cls, vars: tuple[str, str]) -> Laurent2:
@@ -252,11 +264,15 @@ class Laurent2:
     def const(cls, vars: tuple[str, str], value) -> Laurent2:
         return cls(vars, {(0, 0): Rat(value)})
 
+    @property
+    def coeffs(self) -> dict[tuple[int, int], Rat]:
+        return {key: Rat(n, self.den) for key, n in self.num.items()}
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def coeff(self, ex: int, ey: int) -> Rat:
-        return self.coeffs.get((ex, ey), Rat(0))
+        return Rat(self.num.get((ex, ey), 0), self.den)
 
     def _check(self, other: Laurent2) -> None:
         if self.vars != other.vars:
@@ -265,14 +281,12 @@ class Laurent2:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Laurent2) and self.vars == other.vars
-                and self.coeffs == other.coeffs)
+                and self.num == other.num and self.den == other.den)
 
     def __add__(self, other: Laurent2) -> Laurent2:
         self._check(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, Rat(0)) + c
-        return Laurent2(self.vars, out)
+        return Laurent2._of(self.vars, *sum_over_lcm(
+            self.num, self.den, other.num, other.den, 1))
 
     def __sub__(self, other: Laurent2) -> Laurent2:
         return self + other.scale(-1)
@@ -282,19 +296,18 @@ class Laurent2:
 
     def scale(self, factor) -> Laurent2:
         f = Rat(factor)
-        if f == 0:
-            return Laurent2(self.vars, {})
-        return Laurent2(self.vars,
-                        {k: c * f for k, c in self.coeffs.items()})
+        return Laurent2._of(self.vars, {k: n * f.numerator
+                                        for k, n in self.num.items()},
+                            self.den * f.denominator)
 
     def mul(self, other: Laurent2) -> Laurent2:
         self._check(other)
-        out: dict[tuple[int, int], Rat] = {}
-        for (x1, y1), c1 in self.coeffs.items():
-            for (x2, y2), c2 in other.coeffs.items():
-                key = (x1 + x2, y1 + y2)
-                out[key] = out.get(key, Rat(0)) + c1 * c2
-        return Laurent2(self.vars, out)
+        right = list(other.num.items())
+        out: dict[tuple[int, int], int] = defaultdict(int)
+        for (x1, y1), n1 in self.num.items():
+            for (x2, y2), n2 in right:
+                out[x1 + x2, y1 + y2] += n1 * n2
+        return Laurent2._of(self.vars, out, self.den * other.den)
 
     def __mul__(self, other):
         if isinstance(other, Laurent2):

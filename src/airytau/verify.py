@@ -180,20 +180,27 @@ def _run(suite: str, name: str, fn: Callable[[], bool | str]
     return CheckResult(suite, name, False, str(outcome))
 
 
+def _checks(suite: str):
+    """(results, check): ``@check(name)`` runs a check at once and appends
+    its result to results."""
+    out: list[CheckResult] = []
+    return out, lambda name: lambda fn: out.append(_run(suite, name, fn))
+
+
 # ---------------------------------------------------------------------------
 # Suite: airy.
 # ---------------------------------------------------------------------------
 
 def suite_airy(ctx: VerifyContext) -> list[CheckResult]:
     cutoff = 6 if ctx.small else 12
-    out = []
+    out, check = _checks("airy")
 
+    @check("kernel-route-agreement")
     def routes():
         check_all_routes(cutoff)
         return True
 
-    out.append(_run("airy", "kernel-route-agreement", routes))
-
+    @check("kernel-table-blocks")
     def blocks():
         kernel = kernel_closed(8)
         for (m, n), expected in KERNEL_BLOCKS.items():
@@ -204,8 +211,7 @@ def suite_airy(ctx: VerifyContext) -> list[CheckResult]:
             return "support differs from the reference blocks"
         return True
 
-    out.append(_run("airy", "kernel-table-blocks", blocks))
-
+    @check("diagonal-one-point-series")
     def diagonal():
         series = kernel_diagonal(16)
         for exp, expected in DIAGONAL_VALUES.items():
@@ -219,11 +225,10 @@ def suite_airy(ctx: VerifyContext) -> list[CheckResult]:
                 return f"closed form mismatch at g={g}"
         return True
 
-    out.append(_run("airy", "diagonal-one-point-series", diagonal))
+    check("derivative-pairing-identity")(
+        lambda: faber_zagier_identity_check(24))
 
-    out.append(_run("airy", "derivative-pairing-identity",
-                    lambda: faber_zagier_identity_check(24)))
-
+    @check("kernel-congruence-support")
     def congruence():
         kernel = kernel_closed(cutoff)
         for (m, n) in kernel.table:
@@ -231,8 +236,7 @@ def suite_airy(ctx: VerifyContext) -> list[CheckResult]:
                 return f"nonzero entry off the residue class at ({m},{n})"
         return True
 
-    out.append(_run("airy", "kernel-congruence-support", congruence))
-
+    @check("diagonal-antidiagonal-consistency")
     def diag_consistency():
         kernel = kernel_closed(cutoff)
         series = kernel_diagonal(cutoff + 1)
@@ -240,9 +244,6 @@ def suite_airy(ctx: VerifyContext) -> list[CheckResult]:
             if antidiagonal_sum(kernel, j) != series.coeff(-j - 1):
                 return f"antidiagonal sum differs at order {j}"
         return True
-
-    out.append(_run("airy", "diagonal-antidiagonal-consistency",
-                    diag_consistency))
     return out
 
 
@@ -251,9 +252,10 @@ def suite_airy(ctx: VerifyContext) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def suite_schur(ctx: VerifyContext) -> list[CheckResult]:
-    out = []
+    out, check = _checks("schur")
     bound = 4 if ctx.small else 8
 
+    @check("hook-difference-specialization")
     def hooks():
         for arm in range(bound + 1):
             for leg in range(bound + 1):
@@ -261,8 +263,7 @@ def suite_schur(ctx: VerifyContext) -> list[CheckResult]:
                     return f"hook ({arm}|{leg})"
         return True
 
-    out.append(_run("schur", "hook-difference-specialization", hooks))
-
+    @check("difference-specialization-vanishing")
     def nonhook():
         for mu in partitions_up_to(6 if ctx.small else 8):
             if mu.parts and not mu.is_hook():
@@ -270,8 +271,7 @@ def suite_schur(ctx: VerifyContext) -> list[CheckResult]:
                     return f"nonzero at {mu}"
         return True
 
-    out.append(_run("schur", "difference-specialization-vanishing", nonhook))
-
+    @check("two-row-vanishing")
     def tall():
         rng = ctx.rng()
         pool = [mu for mu in partitions_up_to(10)
@@ -282,8 +282,7 @@ def suite_schur(ctx: VerifyContext) -> list[CheckResult]:
                 return f"nonzero at {mu}"
         return True
 
-    out.append(_run("schur", "two-row-vanishing", tall))
-
+    @check("h-vs-e-route")
     def routes():
         rng = ctx.rng()
         for mu in partitions_up_to(6 if ctx.small else 10):
@@ -294,8 +293,7 @@ def suite_schur(ctx: VerifyContext) -> list[CheckResult]:
                 return f"routes differ at {mu}"
         return True
 
-    out.append(_run("schur", "h-vs-e-route", routes))
-
+    @check("geometric-h-closed-form")
     def geometric():
         spec = plus_spec(12)
         hs = spec.complete_homogeneous(12)
@@ -304,15 +302,12 @@ def suite_schur(ctx: VerifyContext) -> list[CheckResult]:
                 return f"closed h differs at {n}"
         return True
 
-    out.append(_run("schur", "geometric-h-closed-form", geometric))
-
+    @check("frobenius-roundtrip")
     def frobenius_roundtrip():
         for mu in partitions_up_to(8):
             if Partition.from_frobenius(mu.frobenius()) != mu:
                 return f"roundtrip failed at {mu}"
         return True
-
-    out.append(_run("schur", "frobenius-roundtrip", frobenius_roundtrip))
     return out
 
 
@@ -333,17 +328,17 @@ def _random_admissible_frame(rng: random.Random, count: int,
 
 
 def suite_sato(ctx: VerifyContext) -> list[CheckResult]:
-    out = []
+    out, check = _checks("sato")
     cutoff = 6 if ctx.small else 9
     frame = AdmissibleFrame(airy_frame(cutoff + 1, required_order(cutoff)))
     coords = frame.normalize(cutoff)
 
+    @check("normalize-roundtrip")
     def roundtrip():
         rebuilt = AdmissibleFrame.from_coords(coords)
         return rebuilt.normalize(cutoff) == coords
 
-    out.append(_run("sato", "normalize-roundtrip", roundtrip))
-
+    @check("plucker-route-agreement")
     def plucker_routes():
         rng = ctx.rng()
         for _ in range(4 if ctx.small else 8):
@@ -360,8 +355,7 @@ def suite_sato(ctx: VerifyContext) -> list[CheckResult]:
                     return f"sign/value mismatch at {mu}: {left} vs {right}"
         return True
 
-    out.append(_run("sato", "plucker-route-agreement", plucker_routes))
-
+    @check("tau-difference-pairing")
     def difference_pairing():
         weight = 6 if ctx.small else 9
         left = tau_minus_two_point(coords, weight)
@@ -373,8 +367,7 @@ def suite_sato(ctx: VerifyContext) -> list[CheckResult]:
                 return f"cell {key}: {left.coeff(*key)} vs {right.coeff(*key)}"
         return True
 
-    out.append(_run("sato", "tau-difference-pairing", difference_pairing))
-
+    @check("tau-sum-specialization")
     def sum_specialization():
         weight = 9 if ctx.small else 13
         big = AdmissibleFrame(airy_frame(16, 3 * 15 + 6))
@@ -413,8 +406,7 @@ def suite_sato(ctx: VerifyContext) -> list[CheckResult]:
                 return "mixed block coefficient differs"
         return True
 
-    out.append(_run("sato", "tau-sum-specialization", sum_specialization))
-
+    @check("square-multiplier-invariance")
     def square_invariance():
         z2 = Series1.monomial("z", 2)
         if not reduction_check(frame, z2):
@@ -431,21 +423,16 @@ def suite_sato(ctx: VerifyContext) -> list[CheckResult]:
             return "perturbed frame wrongly accepted"
         return True
 
-    out.append(_run("sato", "square-multiplier-invariance",
-                    square_invariance))
+    check("airy-operator-ladder")(
+        lambda: airy_d_check(9 if ctx.small else 12))
 
-    out.append(_run("sato", "airy-operator-ladder",
-                    lambda: airy_d_check(9 if ctx.small else 12)))
-
+    @check("schur-vs-exponential-tau")
     def schur_vs_exponential():
         weight = 6 if ctx.small else 9
         left = tau_polynomial(coords, weight)
         f = free_energy(ctx.engine, weight)
         right = f.with_caps(weight_cap=weight).exp()
         return left == right or "expansions differ"
-
-    out.append(_run("sato", "schur-vs-exponential-tau",
-                    schur_vs_exponential))
     return out
 
 
@@ -477,14 +464,14 @@ def _random_valid_keys(rng: random.Random, count: int, weight_sum: int,
 
 
 def suite_npoint(ctx: VerifyContext) -> list[CheckResult]:
-    out = []
+    out, check = _checks("npoint")
     engine = ctx.engine
 
+    @check("three-point-initial-value")
     def initial_value():
         return intersection_number(engine, (0, 0, 0)) == 1
 
-    out.append(_run("npoint", "three-point-initial-value", initial_value))
-
+    @check("one-point-closed-form")
     def one_point():
         for g in ((1, 2) if ctx.small else (1, 2, 3)):
             expected = Rat(1, 24 ** g * math.factorial(g))
@@ -492,16 +479,14 @@ def suite_npoint(ctx: VerifyContext) -> list[CheckResult]:
                 return f"one-point at genus {g}"
         return True
 
-    out.append(_run("npoint", "one-point-closed-form", one_point))
-
+    @check("genus-zero-generating-function")
     def genus_zero():
         for n in (3, 4, 5):
             if not genus0_check(engine, n):
                 return f"failed at n={n}"
         return True
 
-    out.append(_run("npoint", "genus-zero-generating-function", genus_zero))
-
+    @check("puncture-recursion")
     def puncture():
         rng = ctx.rng()
         keys = _random_valid_keys(rng, 10 if ctx.small else 20,
@@ -514,8 +499,7 @@ def suite_npoint(ctx: VerifyContext) -> list[CheckResult]:
                 return f"puncture recursion failed at {ms}"
         return True
 
-    out.append(_run("npoint", "puncture-recursion", puncture))
-
+    @check("two-point-vs-recursion-oracle")
     def oracle():
         bound = 5 if ctx.small else 8
         for m1 in range(bound + 1):
@@ -527,8 +511,7 @@ def suite_npoint(ctx: VerifyContext) -> list[CheckResult]:
                     return f"two-point differs from the oracle at {ms}"
         return True
 
-    out.append(_run("npoint", "two-point-vs-recursion-oracle", oracle))
-
+    @check("permutation-symmetry")
     def symmetry():
         rng = ctx.rng()
         keys = _random_valid_keys(rng, 6 if ctx.small else 10,
@@ -541,8 +524,7 @@ def suite_npoint(ctx: VerifyContext) -> list[CheckResult]:
                 return f"permutation changed the value at {ms}"
         return True
 
-    out.append(_run("npoint", "permutation-symmetry", symmetry))
-
+    @check("truncation-stability")
     def stability():
         rng = ctx.rng()
         keys = _random_valid_keys(rng, 10 if ctx.small else 20,
@@ -555,8 +537,7 @@ def suite_npoint(ctx: VerifyContext) -> list[CheckResult]:
                 return f"unstable at {ms}"
         return True
 
-    out.append(_run("npoint", "truncation-stability", stability))
-
+    @check("cycle-vs-determinant")
     def cycle_vs_determinant():
         rng = ctx.rng()
         kernel = engine.kernel()
@@ -579,8 +560,6 @@ def suite_npoint(ctx: VerifyContext) -> list[CheckResult]:
             if connected[frozenset(range(len(js)))] != cycles:
                 return f"random-kernel equivalence failed at {js}"
         return True
-
-    out.append(_run("npoint", "cycle-vs-determinant", cycle_vs_determinant))
     return out
 
 
@@ -615,10 +594,11 @@ def _cycle_reference(kernel, js: tuple[int, ...]) -> Rat:
 # ---------------------------------------------------------------------------
 
 def suite_kp(ctx: VerifyContext) -> list[CheckResult]:
-    out = []
+    out, check = _checks("kp")
     engine = ctx.engine
     base_weight = 9 if ctx.small else 12
 
+    @check("wave-series-at-origin")
     def wave_at_origin():
         tau = ctx.tau(base_weight)
         stripped = wave(tau).eval_zero()
@@ -626,8 +606,7 @@ def suite_kp(ctx: VerifyContext) -> list[CheckResult]:
         return stripped.agrees_with(reference, through=base_weight) \
             or "series differ"
 
-    out.append(_run("kp", "wave-series-at-origin", wave_at_origin))
-
+    @check("wave-pairing")
     def pairing_capped():
         # the degree/index-capped truncation demanded by the acceptance
         # gate: degree <= 3, indices <= 9
@@ -642,18 +621,16 @@ def suite_kp(ctx: VerifyContext) -> list[CheckResult]:
             return "weight-capped pairing failed"
         return True
 
-    out.append(_run("kp", "wave-pairing", pairing_capped))
+    check("one-point-wave-identity")(
+        lambda: theorem_one_point_check(ctx.tau(base_weight)))
 
-    out.append(_run("kp", "one-point-wave-identity",
-                    lambda: theorem_one_point_check(ctx.tau(base_weight))))
-
+    @check("differential-fay")
     def fay():
         tau = ctx.tau(9)
         return differential_fay_check(tau, (3, 3)) \
             and shifted_fay_check(tau, (3, 3))
 
-    out.append(_run("kp", "differential-fay", fay))
-
+    @check("differential-fay-toy")
     def toy_fay():
         # one-variable exponential toy tau: exp(T_1) solves the hierarchy
         # trivially and the shift identity reduces to a polynomial identity
@@ -661,8 +638,7 @@ def suite_kp(ctx: VerifyContext) -> list[CheckResult]:
         tau = TruncatedTau(f.exp(), f, 8, 1, "toy")
         return differential_fay_check(tau, (3, 3))
 
-    out.append(_run("kp", "differential-fay-toy", toy_fay))
-
+    @check("matrix-one-point")
     def matrix_one_point():
         tau = ctx.tau(base_weight)
         series = matrix_one_point_series(tau)
@@ -675,8 +651,7 @@ def suite_kp(ctx: VerifyContext) -> list[CheckResult]:
             return f"unexpected support {sorted(nonzero)}"
         return True
 
-    out.append(_run("kp", "matrix-one-point", matrix_one_point))
-
+    @check("matrix-two-point")
     def matrix_two_point():
         tau = ctx.tau(base_weight if ctx.small else 15)
         pairs = [(1, 5), (3, 3), (5, 1)]
@@ -687,8 +662,7 @@ def suite_kp(ctx: VerifyContext) -> list[CheckResult]:
                 return f"two-point differs at ({j},{k})"
         return True
 
-    out.append(_run("kp", "matrix-two-point", matrix_two_point))
-
+    @check("matrix-vacuum-entries")
     def vacuum_matrix():
         vac = TruncatedTau(MultiPoly.const(1, weight_cap=9),
                            MultiPoly.zero(weight_cap=9), 9, 9, "vacuum")
@@ -700,8 +674,6 @@ def suite_kp(ctx: VerifyContext) -> list[CheckResult]:
                                            for e in bottom_left.coeffs):
             return "vacuum bottom-left entry"
         return True
-
-    out.append(_run("kp", "matrix-vacuum-entries", vacuum_matrix))
     return out
 
 

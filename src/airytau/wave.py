@@ -2,62 +2,47 @@
 differential Fay identity, and the 2x2 matrix cross-check for the
 2-reduced (KdV) case.
 
-Everything here comes from one operation, the Miwa shift
-T_n -> T_n + sign * s^n / n (``shifted_tau``).  The wave function is
-exp(sum T_n xi^n) tau(T - [1/xi]) / tau(T) with s = 1/xi, and the Fay
-identities compare products of tau(T +- [s1] +- [s2]).  Both live in one
-graded container, ``WaveSeries``: a sparse table of terms, each the
-coefficient of s_1^k_1 ... s_r^k_r times a monomial in the time variables.
-A wave series has one shift variable and also carries the exponential
-prefactor exp(tag * sum T_n xi^n), which is only ever tracked symbolically
-(tags add under products, and x- and xi-derivatives act on it by the
-product rule); expanding it would create unbounded positive powers of xi.
+Everything here comes from the Miwa shift T_n -> T_n + sign * s^n / n
+(``shifted_tau``).  The wave function is exp(sum T_n xi^n) tau(T - [1/xi])
+/ tau(T) with s = 1/xi, and the Fay identities compare products of
+tau(T +- [s1] +- [s2]).  Both live in ``WaveSeries``: sparse terms, each the
+coefficient of s_1^k_1 ... s_r^k_r times a monomial in the times.  A wave
+series has one shift variable and carries the prefactor
+exp(tag * sum T_n xi^n) symbolically (tags add under products, and the x-
+and xi-derivatives act on it by the product rule); expanding it would
+create unbounded positive powers of xi.
 
-Reliability bookkeeping rides on the total-weight grading
-TW(term) = weight(monomial) + sum(depths): a tau truncation that is complete
-through weight W determines every term with TW <= W exactly, TW adds under
-multiplication, and each derivative shifts it by one.  Every object carries
-its TW cap and stores nothing beyond it.  Products truncate at the cap while
-they multiply: a pair of terms whose TW already exceeds it is never
-multiplied, which gives exactly the terms of the full product pruned at the
-cap.
+Reliability rides on the total weight TW(term) = weight(monomial) +
+sum(depths): a tau complete through weight W determines every term with
+TW <= W, TW adds under products, and each derivative shifts it by one.  A
+series stores nothing beyond its TW cap, and a product never multiplies a
+pair whose TW exceeds it, which gives exactly the full product pruned at
+the cap.
 
-Each term is one Python int, its packed key.  From bit 0 up it holds a
-field per shift depth k_1, k_2 (8 bits, biased by 2^7: depths -128..127),
-one per exponent of T_1 .. T_32 (6 bits: 0..63), each followed by a guard
-bit that a valid key leaves clear, and TW from bit ``TW_SHIFT`` up.  A
-product term's key is k1 + k2 - BIAS (BIAS the depth biases), TW is
-key >> TW_SHIFT, and keys sort by TW.  No field carries into its neighbour
-unseen: a field of w bits holds s < 2^w in a valid key, so in k1 + k2 -
-BIAS it holds s1 + s2 < 2^(w+1), or s1 + s2 - 2^(w-1) in
-[-2^(w-1), 2^(w+1)) for a depth, and nothing passes the guard bit.  A
-value that fits leaves the guard clear; one that does not sets it, either
-directly or by borrowing from the field above, which leaves at least
-2^(w+1) - 2^(w-1) >= 2^w.  So the lowest field that does not fit shows its
-guard.  Every operation forms keys this way: products add two valid keys,
-shifts and derivatives add a valid unit term's key (s^delta, s^-1 or
-s^(1-n) T_n) less BIAS or take one T_1 from a term that has one.  A new
-series refuses a key with a guard bit set, and the constructor and the
-shift expansion refuse a term whose fields do not fit before packing it.
-TW follows from the fields, and the top field has nothing above it to
-carry into.  Rational (depths, monomial) terms appear only at the class
-boundary: the constructor packs them, ``terms``, ``eval_zero`` and
-``repr`` unpack them.
+A term is one int, its packed key: a MultiPoly key (``multipoly.py``) with
+two depth fields k_1, k_2 (8 bits, biased by 2^7: -128..127) in place of
+its weight, the exponents of T_1 .. T_32 at the same offsets, a guard bit
+above each field, and TW from bit ``TW_SHIFT``.  A product's key is
+k1 + k2 - BIAS (BIAS the depth biases), and keys sort by TW.  The exponent
+fields keep the MultiPoly guard argument; in k1 + k2 - BIAS a w-bit depth
+field holds s1 + s2 - 2^(w-1) in [-2^(w-1), 2^(w+1)), passing no guard bit,
+and a value that does not fit sets its guard, directly or by borrowing from
+the field above (which leaves at least 2^(w+1) - 2^(w-1) >= 2^w), so the
+lowest field that does not fit shows its guard.  Shifts and derivatives add
+a valid unit key (s^delta, s^-1 or s^(1-n) T_n) less BIAS or take one T_1
+off.  A new series refuses a key with a guard bit set, and the constructor
+and the shift expansion refuse a term that does not fit.  1/tau and dF/dT_n
+take MultiPoly keys by one multiply-add per term (``_wave_num``).
 
-A series holds integer numerators over one denominator: products multiply
-numerators and denominators, sums bring both sides to the lcm of theirs,
-and shifts and the x- and xi-derivatives keep the denominator.  The shift
-expansion itself runs on integers over a denominator proved in
-``_shift_expansion``.  Each tau keeps its wave pair and its shift
-expansions by signs (``TruncatedTau.wave_pair`` and ``shift_expansions``),
-so the one-point, pairing and Fay checks on one tau share them, and they
-go with the tau.
+Coefficients are integer numerators over one denominator: products multiply
+both, sums go to the lcm, shifts and derivatives keep it, and the shift
+expansion's denominator is proved in ``_shift_expansion``.  Each tau keeps
+its wave pair and shift expansions (``TruncatedTau.wave_pair`` and
+``shift_expansions``), shared by every check on it.
 
 The matrix checks read the 2x2 bilinear matrix Theta only at T = 0, so it
-is built there directly from tau and dtau/dT_1 at the Miwa points
-+-[1/z], with no wave series; its four entries are built once per tau
-(``TruncatedTau.theta_at_zero``) and shared by every one- and two-point
-query on it.
+is built there from tau and dtau/dT_1 at the Miwa points +-[1/z], with no
+wave series, once per tau (``TruncatedTau.theta_at_zero``).
 """
 
 from __future__ import annotations
@@ -70,10 +55,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InsufficientCutoffError, InvalidKeyError
-from .multipoly import (MONO_ONE, Monomial, MultiPoly, mono_str, mono_var,
+from .multipoly import (_EBITS, _EMASK, _WMASK, MONO_ONE, Monomial,
+                        MultiPoly, _eoff, _guards, _mono, mono_str, mono_var,
                         mono_weight)
 from .npoint import valid_keys
-from .rational import Rat, format_rat
+from .rational import Rat, format_rat, lowest_terms, over_lcm, sum_over_lcm
 from .series import Series1
 
 INF = 10 ** 9
@@ -120,9 +106,7 @@ class TruncatedTau:
     def wave_pair(self) -> tuple[WaveSeries, WaveSeries]:
         """(``wave(self)``, ``dual_wave(self)``), built together on first
         use, sharing 1/tau, and kept on this instance."""
-        inverse = WaveSeries(0, {((0,), m): c for m, c
-                                 in self.poly.inverse().terms.items()},
-                             self.weight_cap, 0, self.index_cap)
+        inverse = self.poly.inverse()
         return tuple(_sato_quotient(self, inverse, tag) for tag in (1, -1))
 
     @cached_property
@@ -179,19 +163,19 @@ def _min_weight_beyond_index(index_cap: int) -> int:
 Key = tuple[int, ...]
 Term = tuple[Key, Monomial]
 
-# Packed keys (module docstring): 2 depth and 32 exponent fields, each
-# with a guard bit above it, then TW.
-_DBITS, _EBITS = 8, 6
+# Packed keys (module docstring): 2 depth fields, each with a guard bit
+# above it, in the 18 bits where a MultiPoly key holds its weight, the
+# exponent fields of T_1 .. T_32 where a MultiPoly key holds them, then TW.
+_DBITS = 8
 _DBIAS = 1 << (_DBITS - 1)
-_DMASK, _EMASK = (1 << _DBITS) - 1, (1 << _EBITS) - 1
+_DMASK = (1 << _DBITS) - 1
 _DOFF = (0, _DBITS + 1)
-_EOFF = {idx: 2 * _DBITS + 2 + (idx - 1) * (_EBITS + 1)
-         for idx in range(1, 33)}
+_EOFF = {idx: _eoff(idx) for idx in range(1, 33)}
 TW_SHIFT = _EOFF[32] + _EBITS + 1
 _BIAS = sum(_DBIAS << off for off in _DOFF)
-_GUARD = (sum(1 << (off + _DBITS) for off in _DOFF)
-          + sum(1 << (off + _EBITS) for off in _EOFF.values()))
+_GUARD = (1 << _DBITS) | _guards(32)  # the second depth guard is bit 17
 _EXPONENTS = sum(_EMASK << off for off in _EOFF.values())
+_LIFT = (1 << TW_SHIFT) - 1  # key + weight * _LIFT moves weight into TW
 _FIELDS = (f"at most {len(_DOFF)} shift depths in [{-_DBIAS}, {_DBIAS - 1}],"
            f" time indices 1..{len(_EOFF)} with exponents 1..{_EMASK}")
 
@@ -209,9 +193,21 @@ def _pack(depths: Key, mono: Monomial) -> int:
 
 
 def _unpack(key: int, nvars: int) -> Term:
-    exps = [(idx, key >> off & _EMASK) for idx, off in _EOFF.items()]
     return (tuple((key >> off & _DMASK) - _DBIAS for off in _DOFF[:nvars]),
-            tuple((idx, e) for idx, e in exps if e))
+            _mono(key & _EXPONENTS))
+
+
+def _wave_num(poly: MultiPoly, cap: int) -> dict[int, int]:
+    """poly's numerators by the wave keys of s^0 times its monomials of
+    weight <= cap (module docstring); refuses an index above 32."""
+    out = {}
+    for key, n in poly.num.items():
+        weight = key & _WMASK
+        if weight <= cap:
+            if key >> TW_SHIFT:
+                _pack((0,), _mono(key))  # raises: T_33 or beyond
+            out[_BIAS + key + weight * _LIFT] = n
+    return out
 
 
 def _within(num: dict[int, int], cap: int) -> dict[int, int]:
@@ -229,19 +225,13 @@ _SHALLOWER, _DEEPER, _T1 = (_pack(depths, mono) - _BIAS for depths, mono in
 class WaveSeries:
     """Sparse terms ``{(depths (k_1, ..., k_r), monomial): coefficient}``,
     read as the coefficient of s_1^k_1 ... s_r^k_r times the monomial in T,
-    with the TW cap and floor.
-
-    TW(term) = weight(monomial) + sum(depths); only the nonzero terms with
-    TW <= cap are kept.  A wave series has one shift variable s = 1/xi
-    (depth k is a power xi^(-k)) and carries the exponential prefactor
-    exp(tag * sum T_n xi^n); a shift expansion of tau has tag 0.
-
-    The coefficients are integer numerators ``num`` over one positive
-    denominator ``den``, in lowest terms (den and the numerators share no
-    factor), keyed by packed term keys; ``nvars`` is r.  The constructor
-    takes rational terms and ``terms`` reads them back; the arithmetic
-    never leaves the integers and the packed keys.
-    """
+    with the TW cap and floor; only the nonzero terms with TW <= cap are
+    kept.  A wave series (one shift variable s = 1/xi, depth k a power
+    xi^(-k)) carries the prefactor exp(tag * sum T_n xi^n); a shift
+    expansion of tau has tag 0.  The coefficients are integer numerators
+    ``num`` by packed key over one positive ``den``, in lowest terms;
+    ``nvars`` is r.  The constructor takes rational terms and ``terms``
+    reads them back."""
 
     __slots__ = ("tag", "num", "den", "cap", "twmin", "index_cap", "nvars")
 
@@ -252,10 +242,9 @@ class WaveSeries:
         nvars = {len(key) for key, _ in values} or {1}
         if len(nvars) > 1:
             raise InvalidKeyError(f"wave terms mix shift variables {nvars}")
-        den = math.lcm(*(c.denominator for c in values.values()))
-        self._fill(tag, {_pack(*term): c.numerator * (den // c.denominator)
-                         for term, c in values.items()},
-                   den, cap, twmin, index_cap, nvars.pop())
+        self._fill(tag, *over_lcm({_pack(*term): c
+                                   for term, c in values.items()}),
+                   cap, twmin, index_cap, nvars.pop())
 
     @classmethod
     def _of(cls, tag: int, num: dict[int, int], den: int, cap: int,
@@ -269,15 +258,9 @@ class WaveSeries:
         if any(map(_GUARD.__and__, num)):
             raise InvalidKeyError(
                 f"a wave term left its packed key fields: {_FIELDS}")
-        self.tag = tag
-        self.cap = cap
-        self.twmin = twmin
-        self.index_cap = index_cap
-        self.nvars = nvars
-        g = math.gcd(den, *num.values())
-        self.num = ({key: n // g for key, n in num.items() if n} if g > 1
-                    else {key: n for key, n in num.items() if n})
-        self.den = den // g
+        self.tag, self.cap, self.twmin = tag, cap, twmin
+        self.index_cap, self.nvars = index_cap, nvars
+        self.num, self.den = lowest_terms(num, den)
 
     def _like(self, num: dict[int, int], den: int, cap: int,
               twmin: int) -> WaveSeries:
@@ -287,7 +270,6 @@ class WaveSeries:
 
     @property
     def terms(self) -> dict[Term, Rat]:
-        """The coefficients as rationals, ``num[key] / den``."""
         return {_unpack(key, self.nvars): Rat(n, self.den)
                 for key, n in self.num.items()}
 
@@ -306,12 +288,9 @@ class WaveSeries:
         if self.tag != other.tag:
             raise InvalidKeyError(
                 f"cannot add prefactor tags {self.tag} and {other.tag}")
-        den = math.lcm(self.den, other.den)
-        a, b = den // self.den, sign * (den // other.den)
         cap = min(self.cap, other.cap)
-        out = {key: n * a for key, n in _within(self.num, cap).items()}
-        for key, n in _within(other.num, cap).items():
-            out[key] = out.get(key, 0) + n * b
+        out, den = sum_over_lcm(_within(self.num, cap), self.den,
+                                _within(other.num, cap), other.den, sign)
         return WaveSeries._of(self.tag, out, den, cap,
                               min(self.twmin, other.twmin),
                               min(self.index_cap, other.index_cap),
@@ -447,43 +426,41 @@ def _shift_expansion(tau: TruncatedTau, signs: Key) -> WaveSeries:
     shift factors taken from T_idx^e_idx.  As idx * e_idx <= w <= W,
     t_idx <= floor(W / idx), so prod_idx idx^t_idx divides
     L = prod_idx idx^floor(W / idx) over the indices of the kept monomials.
-    With tau's kept coefficients c = N / D over their lcm D, every term is
+    With tau's coefficients c = N / D over its denominator D, every term is
     (N * L / prod_idx idx^t_idx) * (multinomial) * prod signs over D * L,
     and the division is exact.
     """
     cap = tau.weight_cap
-    kept = [(mono, c, weight) for mono, c in tau.poly.terms.items()
-            if (weight := mono_weight(mono)) <= cap]
-    den = math.lcm(*(c.denominator for _, c, _ in kept))
+    kept = [(key, n, _mono(key)) for key, n in tau.poly.num.items()
+            if key & _WMASK <= cap]
     top: dict[int, int] = {}
-    for mono, _, _ in kept:
+    for _, _, mono in kept:
         for idx, e in mono:
             top[idx] = max(top.get(idx, 0), e)
-    _pack((cap,) * len(signs), tuple(top.items()))
+    _pack((cap,) * len(signs), tuple(sorted(top.items())))
     scale = math.prod(idx ** (cap // idx) for idx in top)
     active = [(_DOFF[v], sign) for v, sign in enumerate(signs)
               if sign != 0]
-    origin = _pack((0,) * len(signs), MONO_ONE)
     out = defaultdict(int)
-    for mono, c, weight in kept:
-        parts = [(origin + (weight << TW_SHIFT),
-                  c.numerator * (den // c.denominator) * scale)]
+    for key, n, mono in kept:
+        # the wave key of the monomial at depths 0 (``_wave_num``)
+        parts = [(_BIAS + key + (key & _WMASK) * _LIFT, n * scale)]
         for idx, e in mono:
             # (T_idx + sum_v sign_v s_v^idx / idx)^e, one variable at a time:
-            # (key fields, power left on T_idx, multinomial times signs)
+            # (change of the key, power left on T_idx, multinomial * signs)
             off = _EOFF[idx]
-            factor = [(e << off, e, 1)]
+            factor = [(0, e, 1)]
             for depth_off, sign in active:
-                factor = [(key + (idx * i << depth_off) - (i << off),
+                factor = [(delta + (idx * i << depth_off) - (i << off),
                            left - i, cf * math.comb(left, i) * sign ** i)
-                          for key, left, cf in factor
+                          for delta, left, cf in factor
                           for i in range(left + 1)]
-            parts = [(k0 + key, c0 * cf // idx ** (e - left))
-                     for k0, c0 in parts for key, left, cf in factor]
-        for key, n in parts:
-            out[key] += n
-    return WaveSeries._of(0, out, den * scale, cap, 0, tau.index_cap,
-                          len(signs))
+            parts = [(k0 + delta, c0 * cf // idx ** (e - left))
+                     for k0, c0 in parts for delta, left, cf in factor]
+        for k0, c0 in parts:
+            out[k0] += c0
+    return WaveSeries._of(0, out, tau.poly.den * scale, cap, 0,
+                          tau.index_cap, len(signs))
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +477,13 @@ def dual_wave(tau: TruncatedTau) -> WaveSeries:
     return tau.wave_pair[1]
 
 
-def _sato_quotient(tau: TruncatedTau, inverse: WaveSeries,
+def _sato_quotient(tau: TruncatedTau, inverse: MultiPoly,
                    tag: int) -> WaveSeries:
     """exp(tag * S) * tau(T - tag [1/xi]) / tau(T), with ``inverse`` the
-    series of 1/tau(T)."""
-    return _shift_expansion(tau, (-tag,)) * WaveSeries._of(
-        tag, inverse.num, inverse.den, inverse.cap, 0, tau.index_cap, 1)
+    polynomial 1/tau(T)."""
+    right = WaveSeries._of(tag, _wave_num(inverse, tau.weight_cap),
+                           inverse.den, tau.weight_cap, 0, tau.index_cap, 1)
+    return _shift_expansion(tau, (-tag,)) * right
 
 
 def wronskian(p: WaveSeries, q: WaveSeries) -> WaveSeries:
@@ -518,10 +496,18 @@ def wronskian(p: WaveSeries, q: WaveSeries) -> WaveSeries:
 # ---------------------------------------------------------------------------
 
 def gradient_series(tau: TruncatedTau) -> WaveSeries:
-    """sum_n xi^(-n-1) dF/dT_n as a prefactor-free wave object."""
-    terms = {((n + 1,), m): c for n in range(1, tau.index_cap + 1)
-             for m, c in tau.free_energy.deriv(n).terms.items()}
-    return WaveSeries(0, terms, tau.weight_cap + 1, 0, tau.index_cap)
+    """sum_n xi^(-n-1) dF/dT_n as a prefactor-free wave object; a term of
+    dF/dT_n of weight w has TW = w + n + 1."""
+    derivs = [(n, tau.free_energy.deriv(n))
+              for n in range(1, tau.index_cap + 1)]
+    den = math.lcm(*(d.den for _, d in derivs))
+    out = {}
+    for n, d in derivs:
+        depth, scale = (n + 1) * (1 + (1 << TW_SHIFT)), den // d.den
+        for key, c in _wave_num(d, tau.weight_cap - n).items():
+            out[key + depth] = c * scale
+    return WaveSeries._of(0, out, den, tau.weight_cap + 1, 0, tau.index_cap,
+                          1)
 
 
 def time_ladder(tau: TruncatedTau) -> WaveSeries:
@@ -629,14 +615,13 @@ def shifted_fay_check(tau: TruncatedTau,
 def _at_miwa(poly: MultiPoly, sign: int, order: int) -> Series1:
     """poly at the Miwa point T_n = sign * z^(-n) / n: a weight-w monomial
     lands on z^(-w), and the series is exact through z^(-order)."""
-    coeffs = defaultdict(Rat)
-    for mono, c in poly.terms.items():
-        weight = mono_weight(mono)
-        if weight <= order:
-            for idx, e in mono:
-                c *= Rat(sign, idx) ** e
-            coeffs[-weight] += c
-    return Series1("z", coeffs, order)
+    coeffs = defaultdict(int)
+    for key, n in poly.num.items():
+        if (weight := key & _WMASK) <= order:
+            mono = _mono(key)
+            coeffs[-weight] += Rat(n * sign ** sum(e for _, e in mono),
+                                   math.prod(idx ** e for idx, e in mono))
+    return Series1("z", {e: c / poly.den for e, c in coeffs.items()}, order)
 
 
 def bilinear_matrix(tau: TruncatedTau) -> tuple[tuple[Series1, ...], ...]:

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from airytau.rational import Rat, double_factorial, format_rat, rat
+from airytau.rational import Rat, double_factorial, format_rat
+
+from oracles import rat
 
 
 def test_small_denominator_arithmetic():

@@ -11,13 +11,14 @@ from airytau.partitions import Partition, partitions_of, partitions_up_to
 from airytau.rational import Rat
 from airytau.schur import (PowerSums, character, hook_minus_closed,
                            hook_minus_identity_check,
-                           minus_spec, minus_spec_h_alternating,
+                           minus_spec,
                            minus_spec_nonhook_vanishing, plus_spec,
                            plus_spec_h, plus_spec_tall_vanishing, schur_at,
                            shorter_route)
 from airytau.series import Laurent2
 
-from oracles import schur_brute, standard_tableaux_count
+from oracles import (minus_spec_h_alternating, schur_brute,
+                     standard_tableaux_count)
 
 
 def test_single_box_is_first_power_sum():

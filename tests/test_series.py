@@ -13,7 +13,7 @@ from airytau.rational import Rat
 from airytau.series import Laurent2, Series1, div_diff_powers, outer_sum
 
 from oracles import (convolve, geometric_inv_diff,
-                     geometric_inv_diff_squares, restrict)
+                     geometric_inv_diff_squares, laurent_product, restrict)
 
 
 def s(coeffs, order=None, var="z"):
@@ -176,6 +176,30 @@ def _random_laurent2(rng, terms):
         key = (rng.randint(-6, 6), rng.randint(-6, 6))
         coeffs[key] = Rat(rng.randint(-5, 5), rng.randint(1, 4))
     return Laurent2(("x", "y"), coeffs)
+
+
+cells = st.dictionaries(
+    st.tuples(st.integers(-40, 8), st.integers(-40, 8)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells, cells, st.fractions(min_value=-3, max_value=3,
+                                  max_denominator=7))
+def test_laurent2_matches_fraction_reference(a, b, factor):
+    left, right = Laurent2(("x", "y"), a), Laurent2(("x", "y"), b)
+    nonzero = {key: c for key, c in a.items() if c}
+    assert left.coeffs == nonzero
+    assert all(left.coeff(*key) == c for key, c in a.items())
+    assert left.mul(right).coeffs == laurent_product(a, b)
+    total = dict(nonzero)
+    for key, c in b.items():
+        total[key] = total.get(key, 0) + c
+    assert (left + right).coeffs == {k: c for k, c in total.items() if c}
+    assert (left - right) + right == left
+    assert left.scale(factor).coeffs == {k: c * factor
+                                         for k, c in nonzero.items()
+                                         if c * factor}
 
 
 def _random_cells(rng, terms):

@@ -823,9 +823,10 @@ def test_operations_refuse_results_that_leave_a_field():
                               f"key: {_FIELDS}")
 
 
-@pytest.mark.parametrize("mono", [((1, 128),), ((33, 1),)])
+@pytest.mark.parametrize("mono", [((1, 63), (2, 33)), ((33, 1),)])
 def test_shift_expansion_refuses_a_tau_whose_terms_do_not_fit(mono):
-    # T_1^128 would carry past its guard bit into T_2's field
+    # a weight of 129 is a depth of 129 past the depth field, and T_33 has
+    # no field
     weight = sum(idx * e for idx, e in mono)
     poly = MultiPoly({(): Fraction(1), mono: Fraction(1)}, weight_cap=weight)
     tau = TruncatedTau(poly, MultiPoly.zero(weight_cap=weight), weight,
@@ -834,6 +835,21 @@ def test_shift_expansion_refuses_a_tau_whose_terms_do_not_fit(mono):
         shifted_tau(tau, (1,))
     assert str(err.value) == (f"wave term s^({weight},)*{mono_str(mono)} "
                               f"does not fit a packed key: {_FIELDS}")
+
+
+def test_wave_pair_refuses_a_tau_beyond_the_wave_fields():
+    def tau_with(index):
+        poly = MultiPoly({(): Fraction(1), ((index, 1),): Fraction(1)},
+                         weight_cap=index)
+        return TruncatedTau(poly, MultiPoly.zero(weight_cap=index), index,
+                            index)
+
+    # 1/tau reaches the wave layer first, at depth 0
+    with pytest.raises(InvalidKeyError) as err:
+        wave(tau_with(33))
+    assert str(err.value) == (f"wave term s^(0,)*T33 does not fit a packed "
+                              f"key: {_FIELDS}")
+    assert wave(tau_with(32)).cap == 32
 
 
 def test_constructor_refuses_mixed_shift_variables():
