@@ -229,12 +229,11 @@ def required_order(cutoff: int) -> int:
 
 
 def _numerators(series: list[Series1]) -> tuple[list[dict[int, int]], int]:
-    """Every series' coefficients as integer numerators over one positive
-    denominator D, the lcm of all their denominators."""
-    den = math.lcm(*(c.denominator for f in series
-                     for c in f.coeffs.values()))
-    return [{e: c.numerator * (den // c.denominator)
-             for e, c in f.coeffs.items()} for f in series], den
+    """Every series' numerators over one positive denominator D, the lcm
+    of their denominators."""
+    den = math.lcm(*(f.den for f in series))
+    return [{e: n * (den // f.den) for e, n in f.num.items()}
+            for f in series], den
 
 
 def kernel_series(cutoff: int, convention: str = STANDARD) -> Kernel:
@@ -282,8 +281,8 @@ def _parity_part(f: Series1, odd: int) -> Series1:
     """Compress the exponents of one parity: the coefficient of
     z^(-2n+odd) lands at z^(-n), for n >= odd."""
     n = None if f.order is None else (f.order + odd) // 2
-    return Series1("z", {(e - odd) // 2: c for e, c in f.coeffs.items()
-                         if e <= -odd and (e - odd) % 2 == 0}, n)
+    return Series1._of({(e - odd) // 2: c for e, c in f.num.items()
+                        if e <= -odd and (e - odd) % 2 == 0}, f.den, "z", n)
 
 
 def transition_matrix(order: int, convention: str = STANDARD

@@ -38,33 +38,31 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidKeyError(f"bad config line: {raw.rstrip()}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
-
-
 _CONFIG_KEYS = ("cutoff", "order", "format", "out", "weight")
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    config = _load_config(getattr(args, "config", None))
-    for key, value in config.items():
+def _config_flags(path: str) -> list[str]:
+    """The ``key = value`` pairs of a config file as ``--key=value``
+    flags."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise InvalidKeyError(
+            f"cannot read config file {path}: {exc.strerror}") from exc
+    values: dict[str, str] = {}
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidKeyError(f"bad config line: {raw.rstrip()}")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
+    for key in values:
         if key not in _CONFIG_KEYS:
             raise InvalidKeyError(f"unknown config key {key!r}")
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-    return args
+    return [f"--{key}={value}" for key, value in values.items()]
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
@@ -75,10 +73,6 @@ def _parse_indices(text: str) -> tuple[int, ...]:
     if any(v < 0 for v in values) or not values:
         raise InvalidKeyError(f"indices must be nonnegative: {text!r}")
     return values
-
-
-def _int_or(value, fallback: int) -> int:
-    return fallback if value is None else int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +94,7 @@ def cmd_correlator(args: argparse.Namespace) -> int:
             status = 2
             continue
         js = tuple(2 * m + 1 for m in ms)
-        cutoff = _int_or(args.cutoff, max(12, sum(js) + 1))
+        cutoff = max(12, sum(js) + 1) if args.cutoff is None else args.cutoff
         engine = NPointEngine(kernel_closed, cutoff)
         value = intersection_number(engine, ms)
         records.append({"indices": list(ms), "genus": genus,
@@ -134,7 +128,7 @@ def cmd_npoint(args: argparse.Namespace) -> int:
     js = _parse_indices(args.orders)
     if any(j < 1 for j in js):
         raise InvalidKeyError("orders must be >= 1")
-    cutoff = _int_or(args.cutoff, max(12, sum(js) + 1))
+    cutoff = max(12, sum(js) + 1) if args.cutoff is None else args.cutoff
     engine = NPointEngine(kernel_closed, cutoff)
     # The cycle sum visits up to j0 first rows.  The closed kernel is
     # symmetric, so at or above the reach, where the value is exact, it is
@@ -162,7 +156,7 @@ def cmd_npoint(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
-    cutoff = _int_or(args.cutoff, 12)
+    cutoff = args.cutoff
     if cutoff < 2:
         raise InvalidKeyError("cutoff must be >= 2")
     convention = ALTERNATING if args.alternating else STANDARD
@@ -199,18 +193,17 @@ def cmd_series(args: argparse.Namespace) -> int:
     which = args.which
     if which not in _SERIES_BUILDERS:
         raise InvalidKeyError(f"unknown series {which!r}")
-    order = _int_or(args.order, 16)
-    series = _SERIES_BUILDERS[which](order)
+    series = _SERIES_BUILDERS[which](args.order)
     _emit(series.dump(), args.out)
     return 0
 
 
 def cmd_tau(args: argparse.Namespace) -> int:
-    weight = _int_or(args.weight, 9)
+    weight = args.weight
     fmt = args.format or "text"
     basis = args.basis
     if basis == "schur":
-        cutoff = _int_or(args.cutoff, weight)
+        cutoff = weight if args.cutoff is None else args.cutoff
         from .airy import airy_frame
 
         frame = AdmissibleFrame(airy_frame(cutoff + 1,
@@ -223,7 +216,7 @@ def cmd_tau(args: argparse.Namespace) -> int:
         header = {"basis": "schur", "weight_cap": weight,
                   "coordinate_cutoff": cutoff, "entries": rows}
     else:
-        cutoff = _int_or(args.cutoff, max(12, weight + 1))
+        cutoff = max(12, weight + 1) if args.cutoff is None else args.cutoff
         engine = NPointEngine(kernel_closed, cutoff)
         f = free_energy(engine, weight)
         tau = tau_from_free_energy(f, padded_weight_cap(weight))
@@ -276,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "functions from the Airy fermionic kernel.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, func) -> None:
-        p.set_defaults(func=func)
+    def common(p: argparse.ArgumentParser, func, **defaults) -> None:
+        p.set_defaults(func=func, **defaults)
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default=None)
         p.add_argument("--out", default=None, help="write output to a file")
@@ -305,17 +298,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify all construction routes agree first")
     p.add_argument("--alternating", action="store_true",
                    help="use the sign-alternated series pair")
-    common(p, cmd_kernel)
+    common(p, cmd_kernel, cutoff=12)
 
     p = sub.add_parser("series", help="dump one of the generating series")
     p.add_argument("--which", required=True,
                    choices=sorted(_SERIES_BUILDERS))
-    common(p, cmd_series)
+    common(p, cmd_series, order=16)
 
     p = sub.add_parser("tau", help="dump tau-function coefficients")
     p.add_argument("--basis", choices=("schur", "monomial"),
                    default="schur")
-    common(p, cmd_tau)
+    common(p, cmd_tau, weight=9)
 
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("--suite", choices=sorted(SUITES) + ["all"],
@@ -328,9 +321,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        if args.config:
+            # The config pairs go right after the command, so argparse
+            # checks them as it checks flags (exit 2) and an explicit flag,
+            # parsed later, wins.
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args.config)
+                                     + argv[at:])
         return args.func(args)
     except AirytauError as exc:
         sys.stderr.write(f"error: {exc}\n")

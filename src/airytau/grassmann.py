@@ -26,7 +26,7 @@ from .errors import InsufficientCutoffError, InvalidKeyError
 from .linalg import det_int
 from .multipoly import MultiPoly
 from .partitions import Partition, partitions_up_to
-from .rational import Rat, over_lcm
+from .rational import Rat
 from .schur import (PowerSums, minus_spec, plus_spec, schur_at,
                     schur_sum_in_times, shorter_route)
 from .series import Laurent2, Series1
@@ -64,7 +64,6 @@ class AdmissibleFrame:
 
     def __init__(self, elements: list[Series1]):
         self.elements = list(elements)
-        self._scaled = None
         for n, f in enumerate(self.elements):
             top = f.top
             if top is None or top != n or f.get(n) != 1:
@@ -75,13 +74,6 @@ class AdmissibleFrame:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def scaled(self) -> list[tuple[dict[int, int], int]]:
-        """Each element as (exponent -> integer numerator, d), d > 0 the lcm
-        of its denominators; built on first use."""
-        if self._scaled is None:
-            self._scaled = [over_lcm(f.coeffs) for f in self.elements]
-        return self._scaled
-
     def normalize(self, cutoff: int) -> AffineCoords:
         """Gauss-eliminate every nonnegative exponent except the leading one
         and read off the affine coordinates down to depth ``cutoff``.
@@ -89,9 +81,10 @@ class AdmissibleFrame:
         Back-substitution: a stored row r_k holds z^k and negative exponents
         only, so subtracting a multiple of it moves no other pivot, and
         r_n = f_n - sum_{k<n} f_n[k] r_k.  With r_k = R_k / D_k on integers,
-        d the lcm of f_n's denominators and L that of the D_k used, den = d L
-        gives den r_n = den f_n - sum_k (den f_n[k] / D_k) R_k, each quotient
-        exact as D_k divides L; one gcd reduces the row.  Keeping only
+        f_n = N / d in lowest terms once cut to the exponents read, and L
+        the lcm of the D_k used, den = d L gives den r_n = den f_n -
+        sum_k (den f_n[k] / D_k) R_k, each quotient exact as D_k divides L;
+        one gcd reduces the row.  Keeping only
         z^-1 .. z^(-cutoff-1) is exact, as column z^e of r_n reads only
         column z^e of the inputs.  An element reliable to less than that
         depth raises WindowError.
@@ -105,12 +98,12 @@ class AdmissibleFrame:
         for n, f in enumerate(self.elements[:size]):
             if f.order is not None and f.order < size:
                 f.coeff(-max(f.order, 0) - 1)  # raises WindowError
-            terms = {e: c for e, c in f.coeffs.items() if e >= -size}
-            den = math.lcm(*(dens[k] for k in terms if 0 <= k < n)) \
-                * math.lcm(*(c.denominator for c in terms.values()))
+            cut = f.truncated(size)
+            lcm = math.lcm(*(dens[k] for k in cut.num if 0 <= k < n))
+            den = lcm * cut.den
             num = [0] * size
-            for e, c in terms.items():
-                v = c.numerator * (den // c.denominator)
+            for e, c in cut.num.items():
+                v = c * lcm
                 if e < 0:
                     num[-e - 1] += v
                 elif e < n:
@@ -160,7 +153,8 @@ def plucker_from_admissible(frame: AdmissibleFrame, mu: Partition) -> Rat:
     operations of the Gauss normalization leave the determinant fixed, and
     tracking the unit columns shows it equals plucker_minor exactly
     (including sign); the agreement is asserted by the test suite on random
-    frames.  Rows are the elements' integer numerators (``frame.scaled``).
+    frames.  Rows are the elements' integer numerators, the determinant
+    is over the product of their denominators.
     """
     pairs = mu.frobenius()
     if not pairs:
@@ -173,12 +167,12 @@ def plucker_from_admissible(frame: AdmissibleFrame, mu: Partition) -> Rat:
             f"frame depth {len(frame)} cannot reach leg {top_leg}")
     kept = [j for j in range(top_leg + 1) if j not in set(legs)]
     columns = sorted(-m - 1 for m in arms) + kept
-    scaled = frame.scaled()[:top_leg + 1]
-    for f in frame.elements[:top_leg + 1]:
+    elements = frame.elements[:top_leg + 1]
+    for f in elements:
         if f.order is not None and columns[0] < -f.order:
             f.coeff(columns[0])  # raises WindowError
-    rows = [[nums.get(col, 0) for col in columns] for nums, _ in scaled]
-    return Rat(det_int(rows), math.prod(d for _, d in scaled))
+    rows = [[f.num.get(col, 0) for col in columns] for f in elements]
+    return Rat(det_int(rows), math.prod(f.den for f in elements))
 
 
 # ---------------------------------------------------------------------------

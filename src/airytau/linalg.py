@@ -21,7 +21,7 @@ from .rational import Rat, over_lcm
 
 def det_bareiss(rows: list[list[Rat]]) -> Rat:
     """Determinant of a square rational matrix, by ``det_int``."""
-    m = [over_lcm(dict(enumerate(map(Rat, row)))) for row in rows]
+    m = [over_lcm(dict(enumerate(row))) for row in rows]
     return Rat(det_int([list(num.values()) for num, _ in m]),
                math.prod(s for _, s in m))
 

@@ -45,8 +45,8 @@ from collections import defaultdict
 from functools import cache
 
 from .errors import InvalidKeyError
-from .rational import (Rat, format_rat, lowest_terms, min_bound, over_lcm,
-                       sum_over_lcm)
+from .rational import (Rat, Ratios, format_rat, lowest_terms, min_bound,
+                       over_lcm)
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -118,13 +118,13 @@ def mono_str(mono: Monomial) -> str:
                     for idx, exp in mono)
 
 
-class MultiPoly:
+class MultiPoly(Ratios):
     """Polynomial in the T variables with conservative truncation caps:
     integer numerators ``num`` by packed key over one positive ``den``, in
     lowest terms.  The constructor takes rational terms and ``terms``
     reads them back."""
 
-    __slots__ = ("num", "den", "degree_cap", "weight_cap")
+    __slots__ = ("degree_cap", "weight_cap")
 
     def __init__(self, terms: dict[Monomial, Rat] | None = None,
                  degree_cap: int | None = None,
@@ -134,15 +134,8 @@ class MultiPoly:
             values[_key(mono)] += Rat(c)
         self._fill(*over_lcm(values), degree_cap, weight_cap)
 
-    @classmethod
-    def _of(cls, num: dict[int, int], den: int, degree_cap: int | None,
-            weight_cap: int | None) -> MultiPoly:
-        """From numerators over ``den``; drops the terms beyond the caps."""
-        out = cls.__new__(cls)
-        out._fill(num, den, degree_cap, weight_cap)
-        return out
-
     def _fill(self, num, den, degree_cap, weight_cap) -> None:
+        """Drops the terms beyond the caps."""
         if weight_cap is not None or degree_cap is not None:
             num = {key: n for key, n in num.items() if _within(
                 key, degree_cap, weight_cap)}
@@ -174,20 +167,18 @@ class MultiPoly:
     def terms(self) -> dict[Monomial, Rat]:
         return {_mono(key): Rat(n, self.den) for key, n in self.num.items()}
 
-    def is_zero(self) -> bool:
-        return not self.num
-
     def coeff(self, mono: Monomial) -> Rat:
-        return Rat(self.num.get(_key(mono), 0), self.den)
+        return self._at(_key(mono))
 
     @property
     def constant(self) -> Rat:
-        return Rat(self.num.get(0, 0), self.den)
+        return self._at(0)
 
     def indices(self) -> set[int]:
         return {idx for key in self.num for idx, _ in _mono(key)}
 
     def __eq__(self, other) -> bool:
+        """Equal terms, whatever the caps."""
         return (isinstance(other, MultiPoly) and self.num == other.num
                 and self.den == other.den)
 
@@ -201,32 +192,15 @@ class MultiPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _caps_with(self, other: MultiPoly) -> tuple[int | None, int | None]:
+    def _sum(self, other: MultiPoly) -> tuple[int | None, int | None]:
+        """The caps of a sum or product."""
         return (min_bound(self.degree_cap, other.degree_cap),
                 min_bound(self.weight_cap, other.weight_cap))
-
-    def __add__(self, other: MultiPoly) -> MultiPoly:
-        return MultiPoly._of(*sum_over_lcm(self.num, self.den, other.num,
-                                           other.den, 1),
-                             *self._caps_with(other))
-
-    def __sub__(self, other: MultiPoly) -> MultiPoly:
-        return self + other.scale(-1)
-
-    def __neg__(self) -> MultiPoly:
-        return self.scale(-1)
-
-    def scale(self, factor) -> MultiPoly:
-        f = Rat(factor)
-        return MultiPoly._of({key: n * f.numerator
-                              for key, n in self.num.items()},
-                             self.den * f.denominator, self.degree_cap,
-                             self.weight_cap)
 
     def mul(self, other: MultiPoly) -> MultiPoly:
         """Keys add; a pair whose weight passes the weight cap is skipped,
         and the degree cap is applied once to the product."""
-        dcap, wcap = self._caps_with(other)
+        dcap, wcap = self._sum(other)
         top = _LOW if wcap is None else wcap
         right = list(other.num.items())
         out: dict[int, int] = defaultdict(int)
@@ -237,13 +211,6 @@ class MultiPoly:
                     out[key] += n1 * n2
         _check_fields(out)
         return MultiPoly._of(out, self.den * other.den, dcap, wcap)
-
-    def __mul__(self, other):
-        if isinstance(other, MultiPoly):
-            return self.mul(other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
 
     def deriv(self, index: int) -> MultiPoly:
         """Partial derivative with respect to T_index.

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import Callable, Iterable, Iterator
 
 from .errors import CrossCheckError, InsufficientCutoffError, InvalidKeyError
@@ -225,9 +226,7 @@ def _cycle_sum(js: tuple[int, ...], lt_table, gt_table) -> int:
 
 def states_masks(n: int) -> list[int]:
     """All vertex subsets containing vertex 0, by size."""
-    masks = [m for m in range(1, 1 << n) if m & 1]
-    masks.sort(key=lambda m: bin(m).count("1"))
-    return masks
+    return sorted(range(1, 1 << n, 2), key=int.bit_count)
 
 
 class NPointEngine:
@@ -451,9 +450,7 @@ def genus0_check(engine: NPointEngine, n: int) -> bool:
         raise InvalidKeyError("genus-zero check needs n >= 3")
     target = n - 3
     for ms in _multisets(n, target):
-        expected = Rat(math.factorial(target))
-        for m in ms:
-            expected /= math.factorial(m)
+        expected = math.factorial(target) // math.prod(map(math.factorial, ms))
         if intersection_number(engine, ms) != expected:
             return False
     return True
@@ -541,9 +538,7 @@ def free_energy(engine: NPointEngine, weight_cap: int,
                 f"free energy needs key {ms} beyond reach: {exc}") from exc
         if value == 0:
             continue
-        counts: dict[int, int] = {}
-        for j in js:
-            counts[j] = counts.get(j, 0) + 1
+        counts = Counter(js)
         for r in counts.values():
             value /= math.factorial(r)
         terms[tuple(sorted(counts.items()))] = value

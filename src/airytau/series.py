@@ -10,51 +10,51 @@ bivariate objects in this package are built from explicitly truncated inputs
 whose adequacy is checked by the caller (the kernel assembly enforces its
 input-order precondition), so no per-cell reliability bookkeeping is carried
 here; truncation honesty is certified by cross-route equality checks instead.
-It holds integer numerators over one denominator, so the ring needs only
-integer +, - and * and one scale by a rational; under the Schur
-specializations h_n and e_n are integral and the Jacobi-Trudi determinants
-run on integers.  The kernel expansion routes use ``outer_sum`` and
-``div_diff_powers`` on plain dicts of integer numerators instead.
+Under the Schur specializations h_n and e_n are integral, so the
+Jacobi-Trudi determinants run on integers.  The kernel expansion routes use
+``outer_sum`` and ``div_diff_powers`` on plain dicts of integer numerators
+instead.
 
-Storage is sparse and zero coefficients are never stored; equality is
-structural on canonical forms.  All values are immutable after construction
-and every operation is pure, so unrestricted concurrent use is safe and
-results do not depend on evaluation order.
+Both hold integer numerators over one positive denominator in lowest terms
+(``rational.Ratios``), so the ring needs only integer +, - and * and one
+scale by a rational, zero coefficients are never stored and equality is
+structural.  All values are immutable after construction and every
+operation is pure, so unrestricted concurrent use is safe and results do
+not depend on evaluation order.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 
 from .errors import InvalidKeyError, WindowError
-from .rational import (Rat, format_rat, lowest_terms, min_bound, over_lcm,
-                       sum_over_lcm)
+from .rational import (Rat, Ratios, format_rat, lowest_terms, min_bound,
+                       over_lcm)
 
 
-class Series1:
+class Series1(Ratios):
     """Sparse univariate Laurent series with a reliability order.
 
-    ``coeffs`` maps exponent -> nonzero Fraction.  ``order = N`` means every
-    coefficient with exponent >= -N is exact; reading below -N raises
-    WindowError.  N may be negative (e.g. after multiplying by a positive
-    power of the variable).
+    Integer numerators ``num`` by exponent over one positive ``den``, in
+    lowest terms; ``coeffs`` reads them back as exponent -> nonzero
+    Fraction.  ``order = N`` means every coefficient with exponent >= -N is
+    exact; reading below -N raises WindowError.  N may be negative (e.g.
+    after multiplying by a positive power of the variable).
     """
 
-    __slots__ = ("var", "coeffs", "order")
+    __slots__ = ("var", "order")
 
     def __init__(self, var: str, coeffs: dict[int, Rat] | None = None,
                  order: int | None = None):
-        clean: dict[int, Rat] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if c == 0:
-                    continue
-                if order is not None and e < -order:
-                    continue  # below the reliable window: not representable
-                clean[e] = c if isinstance(c, Rat) else Rat(c)
-        self.var = var
-        self.coeffs = clean
-        self.order = order
+        self._fill(*over_lcm(coeffs or {}), var, order)
+
+    def _fill(self, num, den, var, order) -> None:
+        if order is not None and min(num, default=0) < -order:
+            # below the reliable window: not representable
+            num = {e: n for e, n in num.items() if e >= -order}
+        self.var, self.order = var, order
+        self.num, self.den = lowest_terms(num, den)
 
     # -- constructors ------------------------------------------------------
 
@@ -64,21 +64,18 @@ class Series1:
 
     @classmethod
     def const(cls, var: str, value) -> Series1:
-        return cls(var, {0: Rat(value)}, None)
+        return cls(var, {0: value}, None)
 
     @classmethod
     def monomial(cls, var: str, exp: int, value=1) -> Series1:
-        return cls(var, {exp: Rat(value)}, None)
+        return cls(var, {exp: value}, None)
 
     # -- inspection --------------------------------------------------------
 
     @property
     def top(self) -> int | None:
         """Most positive exponent present, or None for the zero series."""
-        return max(self.coeffs) if self.coeffs else None
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return max(self.num) if self.num else None
 
     def coeff(self, exp: int) -> Rat:
         """Exact coefficient of var**exp; raises below the reliable window."""
@@ -86,19 +83,16 @@ class Series1:
             raise WindowError(
                 f"coefficient of {self.var}^{exp} outside reliable window "
                 f"(order {self.order})")
-        return self.coeffs.get(exp, Rat(0))
+        return self._at(exp)
 
     def get(self, exp: int) -> Rat:
         """Unchecked access (0 for anything not stored)."""
-        return self.coeffs.get(exp, Rat(0))
+        return self._at(exp)
 
     def terms(self) -> list[tuple[int, Rat]]:
         """(exponent, coefficient) pairs, exponents descending."""
-        return sorted(self.coeffs.items(), reverse=True)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Series1) and self.var == other.var
-                and self.coeffs == other.coeffs and self.order == other.order)
+        return [(e, Rat(n, self.den))
+                for e, n in sorted(self.num.items(), reverse=True)]
 
     def __repr__(self) -> str:
         body = " + ".join(f"({format_rat(c)}){self.var}^{e}"
@@ -110,20 +104,18 @@ class Series1:
         """True iff both series match on the overlap of reliable windows.
 
         ``through=K`` additionally demands that the shared window reach down
-        to exponent -K.
+        to exponent -K.  Coefficients are compared across the two
+        denominators: n1 / d1 == n2 / d2 exactly when n1 * d2 == n2 * d1.
         """
         n = min_bound(self.order, other.order)
         if through is not None:
             if n is not None and n < through:
                 return False
             n = through
-        lo = None if n is None else -n
-        for e in set(self.coeffs) | set(other.coeffs):
-            if lo is not None and e < lo:
-                continue
-            if self.coeffs.get(e, Rat(0)) != other.coeffs.get(e, Rat(0)):
-                return False
-        return True
+        d1, d2 = self.den, other.den
+        return all(self.num.get(e, 0) * d2 == other.num.get(e, 0) * d1
+                   for e in self.num.keys() | other.num.keys()
+                   if n is None or e >= -n)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -132,70 +124,45 @@ class Series1:
             raise InvalidKeyError(
                 f"variable mismatch: {self.var!r} vs {other.var!r}")
 
-    def __add__(self, other: Series1) -> Series1:
+    def _sum(self, other: Series1) -> tuple[str, int | None]:
         self._check_var(other)
-        n = min_bound(self.order, other.order)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Rat(0)) + c
-        return Series1(self.var, out, n)
-
-    def __sub__(self, other: Series1) -> Series1:
-        return self + (-other)
-
-    def __neg__(self) -> Series1:
-        return Series1(self.var, {e: -c for e, c in self.coeffs.items()},
-                       self.order)
-
-    def scale(self, factor) -> Series1:
-        f = Rat(factor)
-        if f == 0:
-            return Series1(self.var, {}, self.order)
-        return Series1(self.var, {e: c * f for e, c in self.coeffs.items()},
-                       self.order)
+        return self.var, min_bound(self.order, other.order)
 
     def __mul__(self, other: Series1) -> Series1:
         self._check_var(other)
-        if self.is_zero() or other.is_zero():
-            # zero is exact everywhere; the degenerate sentinel of the design
-            return Series1(self.var, {}, _zero_mul_order(self, other))
-        n = _mul_order(self.order, self.top, other.order, other.top)
-        lo = None if n is None else -n
-        out: dict[int, Rat] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if lo is not None and e < lo:
-                    continue
-                out[e] = out.get(e, Rat(0)) + c1 * c2
-        return Series1(self.var, out, n)
+        n = _mul_order(self, other)
+        lo = -math.inf if n is None else -n
+        right = list(other.num.items())
+        out: dict[int, int] = defaultdict(int)
+        for e1, n1 in self.num.items():
+            for e2, n2 in right:
+                if e1 + e2 >= lo:
+                    out[e1 + e2] += n1 * n2
+        return Series1._of(out, self.den * other.den, self.var, n)
 
     def shift(self, k: int) -> Series1:
         """Multiply by var**k."""
-        n = None if self.order is None else self.order - k
-        return Series1(self.var, {e + k: c for e, c in self.coeffs.items()}, n)
+        return self._with({e + k: c for e, c in self.num.items()},
+                          order=None if self.order is None else self.order - k)
 
     def derivative(self) -> Series1:
         """Term-wise d/dvar; the reliable window deepens by one exponent."""
         n = None if self.order is None else self.order + 1
-        return Series1(self.var,
-                       {e - 1: c * e for e, c in self.coeffs.items() if e != 0},
-                       n)
+        return Series1._of({e - 1: c * e for e, c in self.num.items()},
+                           self.den, self.var, n)
 
     def negate_var(self) -> Series1:
         """Substitute var -> -var (an involution)."""
-        return Series1(self.var,
-                       {e: (c if e % 2 == 0 else -c)
-                        for e, c in self.coeffs.items()},
-                       self.order)
+        return self._with({e: -c if e % 2 else c
+                           for e, c in self.num.items()})
 
     def truncated(self, order: int) -> Series1:
         """Restrict the reliable window to exponents >= -order."""
-        n = order if self.order is None else min(self.order, order)
-        return Series1(self.var, self.coeffs, n)
+        return Series1._of(self.num, self.den, self.var,
+                           min_bound(self.order, order))
 
     def rename(self, var: str) -> Series1:
-        return Series1(var, self.coeffs, self.order)
+        return self._with(self.num, var=var)
 
     # -- dump format -------------------------------------------------------
 
@@ -209,52 +176,38 @@ class Series1:
         return "\n".join(lines) + "\n"
 
 
-def _mul_order(na: int | None, ta: int | None, nb: int | None,
-               tb: int | None) -> int | None:
+def _mul_order(a: Series1, b: Series1) -> int | None:
     """Reliable order of a product.
 
     Unknown terms of one factor (below its window) land against the top
     exponent of the other, so the product is exact for exponents
-    >= -min(N_a - top_b, N_b - top_a).
+    >= -min(N_a - top_b, N_b - top_a).  An exact zero annihilates
+    everything.  A truncated zero has no top, so against a nonzero partner
+    only its own unknown terms count, and against another truncated zero
+    the product is unknown below both windows.
     """
-    ca = None if (na is None or tb is None) else na - tb
-    cb = None if (nb is None or ta is None) else nb - ta
-    return min_bound(ca, cb)
+    ta, tb = a.top, b.top
+    if ta is None and tb is None:
+        return (None if a.order is None or b.order is None
+                else min(a.order, b.order))
+    return min_bound(None if a.order is None or tb is None else a.order - tb,
+                     None if b.order is None or ta is None else b.order - ta)
 
 
-def _zero_mul_order(a: Series1, b: Series1) -> int | None:
-    # An exact zero annihilates everything.  A truncated zero is unknown
-    # below its window, and against a nonzero partner those unknown terms
-    # land against the partner's top exponent, as in _mul_order.
-    if a.is_zero() and a.order is None:
-        return None
-    if b.is_zero() and b.order is None:
-        return None
-    if a.is_zero() and b.is_zero():
-        return min_bound(a.order, b.order)
-    return _mul_order(a.order, a.top, b.order, b.top)
-
-
-class Laurent2:
+class Laurent2(Ratios):
     """Sparse exact Laurent polynomial in an ordered variable pair: integer
     numerators ``num`` by (x, y) exponents over one positive ``den``, in
     lowest terms.  ``coeffs`` reads them back as rationals."""
 
-    __slots__ = ("vars", "num", "den")
+    __slots__ = ("vars",)
 
     def __init__(self, vars: tuple[str, str],
                  coeffs: dict[tuple[int, int], Rat] | None = None):
-        self.vars = vars
-        self.num, self.den = lowest_terms(*over_lcm(
-            {key: Rat(c) for key, c in (coeffs or {}).items()}))
+        self._fill(*over_lcm(coeffs or {}), vars)
 
-    @classmethod
-    def _of(cls, vars: tuple[str, str], num: dict[tuple[int, int], int],
-            den: int) -> Laurent2:
-        out = cls.__new__(cls)
-        out.vars = vars
-        out.num, out.den = lowest_terms(num, den)
-        return out
+    def _fill(self, num, den, vars) -> None:
+        self.vars = vars
+        self.num, self.den = lowest_terms(num, den)
 
     @classmethod
     def zero(cls, vars: tuple[str, str]) -> Laurent2:
@@ -262,59 +215,25 @@ class Laurent2:
 
     @classmethod
     def const(cls, vars: tuple[str, str], value) -> Laurent2:
-        return cls(vars, {(0, 0): Rat(value)})
-
-    @property
-    def coeffs(self) -> dict[tuple[int, int], Rat]:
-        return {key: Rat(n, self.den) for key, n in self.num.items()}
-
-    def is_zero(self) -> bool:
-        return not self.num
+        return cls(vars, {(0, 0): value})
 
     def coeff(self, ex: int, ey: int) -> Rat:
-        return Rat(self.num.get((ex, ey), 0), self.den)
+        return self._at((ex, ey))
 
-    def _check(self, other: Laurent2) -> None:
+    def _sum(self, other: Laurent2) -> tuple[tuple[str, str]]:
         if self.vars != other.vars:
             raise InvalidKeyError(
                 f"variable mismatch: {self.vars} vs {other.vars}")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Laurent2) and self.vars == other.vars
-                and self.num == other.num and self.den == other.den)
-
-    def __add__(self, other: Laurent2) -> Laurent2:
-        self._check(other)
-        return Laurent2._of(self.vars, *sum_over_lcm(
-            self.num, self.den, other.num, other.den, 1))
-
-    def __sub__(self, other: Laurent2) -> Laurent2:
-        return self + other.scale(-1)
-
-    def __neg__(self) -> Laurent2:
-        return self.scale(-1)
-
-    def scale(self, factor) -> Laurent2:
-        f = Rat(factor)
-        return Laurent2._of(self.vars, {k: n * f.numerator
-                                        for k, n in self.num.items()},
-                            self.den * f.denominator)
+        return (self.vars,)
 
     def mul(self, other: Laurent2) -> Laurent2:
-        self._check(other)
+        self._sum(other)
         right = list(other.num.items())
         out: dict[tuple[int, int], int] = defaultdict(int)
         for (x1, y1), n1 in self.num.items():
             for (x2, y2), n2 in right:
                 out[x1 + x2, y1 + y2] += n1 * n2
-        return Laurent2._of(self.vars, out, self.den * other.den)
-
-    def __mul__(self, other):
-        if isinstance(other, Laurent2):
-            return self.mul(other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
+        return Laurent2._of(out, self.den * other.den, self.vars)
 
     def __repr__(self) -> str:
         u, v = self.vars

@@ -59,7 +59,7 @@ from .multipoly import (_EBITS, _EMASK, _WMASK, MONO_ONE, Monomial,
                         MultiPoly, _eoff, _guards, _mono, mono_str, mono_var,
                         mono_weight)
 from .npoint import valid_keys
-from .rational import Rat, format_rat, lowest_terms, over_lcm, sum_over_lcm
+from .rational import Rat, Ratios, format_rat, lowest_terms, over_lcm
 from .series import Series1
 
 INF = 10 ** 9
@@ -211,10 +211,12 @@ def _wave_num(poly: MultiPoly, cap: int) -> dict[int, int]:
 
 
 def _within(num: dict[int, int], cap: int) -> dict[int, int]:
-    """The terms with TW <= cap."""
+    """The terms with TW <= cap; keys sort by TW, so all of them when the
+    largest key is below (cap + 1) << TW_SHIFT."""
     top = (cap + 1) << TW_SHIFT
-    return num if cap >= INF else {key: n for key, n in num.items()
-                                   if key < top}
+    if cap >= INF or max(num, default=0) < top:
+        return num
+    return {key: n for key, n in num.items() if key < top}
 
 
 # What adding to a key multiplies its term by: s^-1, s and T_1.
@@ -222,7 +224,7 @@ _SHALLOWER, _DEEPER, _T1 = (_pack(depths, mono) - _BIAS for depths, mono in
                             (((-1,), ()), ((1,), ()), ((), ((1, 1),))))
 
 
-class WaveSeries:
+class WaveSeries(Ratios):
     """Sparse terms ``{(depths (k_1, ..., k_r), monomial): coefficient}``,
     read as the coefficient of s_1^k_1 ... s_r^k_r times the monomial in T,
     with the TW cap and floor; only the nonzero terms with TW <= cap are
@@ -233,39 +235,32 @@ class WaveSeries:
     ``nvars`` is r.  The constructor takes rational terms and ``terms``
     reads them back."""
 
-    __slots__ = ("tag", "num", "den", "cap", "twmin", "index_cap", "nvars")
+    __slots__ = ("tag", "cap", "twmin", "index_cap", "nvars")
 
     def __init__(self, tag: int, terms: dict[Term, Rat], cap: int,
                  twmin: int, index_cap: int):
-        values = {term: Rat(c) for term, c in terms.items()
+        values = {term: c for term, c in terms.items()
                   if sum(term[0]) + mono_weight(term[1]) <= cap}
         nvars = {len(key) for key, _ in values} or {1}
         if len(nvars) > 1:
             raise InvalidKeyError(f"wave terms mix shift variables {nvars}")
-        self._fill(tag, *over_lcm({_pack(*term): c
-                                   for term, c in values.items()}),
-                   cap, twmin, index_cap, nvars.pop())
+        self._fill(*over_lcm({_pack(*term): c for term, c in values.items()}),
+                   tag, cap, twmin, index_cap, nvars.pop())
 
-    @classmethod
-    def _of(cls, tag: int, num: dict[int, int], den: int, cap: int,
-            twmin: int, index_cap: int, nvars: int) -> WaveSeries:
-        """From numerators over ``den`` whose terms all have TW <= cap."""
-        out = cls.__new__(cls)
-        out._fill(tag, num, den, cap, twmin, index_cap, nvars)
-        return out
-
-    def _fill(self, tag, num, den, cap, twmin, index_cap, nvars) -> None:
+    def _fill(self, num, den, tag, cap, twmin, index_cap, nvars) -> None:
+        """Refuses a key with a guard bit set; drops the terms with
+        TW > cap."""
         if any(map(_GUARD.__and__, num)):
             raise InvalidKeyError(
                 f"a wave term left its packed key fields: {_FIELDS}")
         self.tag, self.cap, self.twmin = tag, cap, twmin
         self.index_cap, self.nvars = index_cap, nvars
-        self.num, self.den = lowest_terms(num, den)
+        self.num, self.den = lowest_terms(_within(num, cap), den)
 
     def _like(self, num: dict[int, int], den: int, cap: int,
               twmin: int) -> WaveSeries:
         """A series with this tag, index cap and r."""
-        return WaveSeries._of(self.tag, num, den, cap, twmin, self.index_cap,
+        return WaveSeries._of(num, den, self.tag, cap, twmin, self.index_cap,
                               self.nvars)
 
     @property
@@ -277,30 +272,14 @@ class WaveSeries:
     def const(cls, value, index_cap: int) -> WaveSeries:
         return cls(0, {((0,), MONO_ONE): Rat(value)}, INF, 0, index_cap)
 
-    def __add__(self, other: WaveSeries) -> WaveSeries:
-        return self._combine(other, 1)
-
-    def __sub__(self, other: WaveSeries) -> WaveSeries:
-        return self._combine(other, -1)
-
-    def _combine(self, other: WaveSeries, sign: int) -> WaveSeries:
-        """self + sign * other over the lcm of the two denominators."""
+    def _sum(self, other: WaveSeries) -> tuple[int, ...]:
         if self.tag != other.tag:
             raise InvalidKeyError(
                 f"cannot add prefactor tags {self.tag} and {other.tag}")
-        cap = min(self.cap, other.cap)
-        out, den = sum_over_lcm(_within(self.num, cap), self.den,
-                                _within(other.num, cap), other.den, sign)
-        return WaveSeries._of(self.tag, out, den, cap,
-                              min(self.twmin, other.twmin),
-                              min(self.index_cap, other.index_cap),
-                              max(self.nvars, other.nvars))
-
-    def scale(self, factor) -> WaveSeries:
-        f = Rat(factor)
-        return self._like({key: n * f.numerator
-                           for key, n in self.num.items()},
-                          self.den * f.denominator, self.cap, self.twmin)
+        return (self.tag, min(self.cap, other.cap),
+                min(self.twmin, other.twmin),
+                min(self.index_cap, other.index_cap),
+                max(self.nvars, other.nvars))
 
     def __mul__(self, other: WaveSeries) -> WaveSeries:
         """Keys add, and the right factor sorted by key is sorted by TW:
@@ -319,8 +298,8 @@ class WaveSeries:
             for k2, n2 in right[:stop]:
                 key = base + k2
                 out[key] = out.get(key, 0) + n1 * n2
-        return WaveSeries._of(self.tag + other.tag, out,
-                              self.den * other.den, cap,
+        return WaveSeries._of(out, self.den * other.den,
+                              self.tag + other.tag, cap,
                               self.twmin + other.twmin,
                               min(self.index_cap, other.index_cap),
                               max(self.nvars, other.nvars))
@@ -329,9 +308,8 @@ class WaveSeries:
         """Multiply by s_1^d_1 ... s_r^d_r; on a wave series shift(-k)
         multiplies by xi^k."""
         total, unit = sum(deltas), _pack(deltas, MONO_ONE) - _BIAS
-        return WaveSeries._of(self.tag,
-                              {key + unit: n for key, n in self.num.items()},
-                              self.den, _cap_add(self.cap, total),
+        return WaveSeries._of({key + unit: n for key, n in self.num.items()},
+                              self.den, self.tag, _cap_add(self.cap, total),
                               self.twmin + total, self.index_cap,
                               max(self.nvars, len(deltas)))
 
@@ -367,10 +345,11 @@ class WaveSeries:
     def eval_zero(self) -> Series1:
         """Set all T to zero in a wave series; the reliability order equals
         the TW cap."""
-        coeffs = {_DBIAS - (key & _DMASK): Rat(n, self.den)
-                  for key, n in self.num.items() if not key & _EXPONENTS}
-        order = None if self.cap >= INF else self.cap
-        return Series1("xi", coeffs, order)
+        return Series1._of({_DBIAS - (key & _DMASK): n
+                            for key, n in self.num.items()
+                            if not key & _EXPONENTS},
+                           self.den, "xi",
+                           None if self.cap >= INF else self.cap)
 
     def agrees_with(self, other: WaveSeries,
                     depth: Key | None = None) -> bool:
@@ -459,7 +438,7 @@ def _shift_expansion(tau: TruncatedTau, signs: Key) -> WaveSeries:
                      for k0, c0 in parts for delta, left, cf in factor]
         for k0, c0 in parts:
             out[k0] += c0
-    return WaveSeries._of(0, out, tau.poly.den * scale, cap, 0,
+    return WaveSeries._of(out, tau.poly.den * scale, 0, cap, 0,
                           tau.index_cap, len(signs))
 
 
@@ -481,8 +460,8 @@ def _sato_quotient(tau: TruncatedTau, inverse: MultiPoly,
                    tag: int) -> WaveSeries:
     """exp(tag * S) * tau(T - tag [1/xi]) / tau(T), with ``inverse`` the
     polynomial 1/tau(T)."""
-    right = WaveSeries._of(tag, _wave_num(inverse, tau.weight_cap),
-                           inverse.den, tau.weight_cap, 0, tau.index_cap, 1)
+    right = WaveSeries._of(_wave_num(inverse, tau.weight_cap), inverse.den,
+                           tag, tau.weight_cap, 0, tau.index_cap, 1)
     return _shift_expansion(tau, (-tag,)) * right
 
 
@@ -506,7 +485,7 @@ def gradient_series(tau: TruncatedTau) -> WaveSeries:
         depth, scale = (n + 1) * (1 + (1 << TW_SHIFT)), den // d.den
         for key, c in _wave_num(d, tau.weight_cap - n).items():
             out[key + depth] = c * scale
-    return WaveSeries._of(0, out, den, tau.weight_cap + 1, 0, tau.index_cap,
+    return WaveSeries._of(out, den, 0, tau.weight_cap + 1, 0, tau.index_cap,
                           1)
 
 

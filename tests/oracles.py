@@ -13,6 +13,7 @@ from itertools import permutations, product
 
 from airytau.airy import STANDARD, required_order, series_pair, \
     transition_matrix
+from airytau.errors import InvalidKeyError, WindowError
 from airytau.multipoly import MultiPoly
 from airytau.partitions import Partition
 from airytau.schur import PowerSums, schur_at
@@ -680,3 +681,130 @@ class FractionPoly:
             if not power.terms:
                 return result
             result = result + power
+
+
+def assert_lowest_terms(container) -> None:
+    """The storage invariant of every integer container: numerators over a
+    positive denominator, none of them zero, with no common factor."""
+    assert container.den > 0
+    assert all(n != 0 for n in container.num.values())
+    assert math.gcd(container.den, *container.num.values()) == 1
+
+class FractionSeries:
+    """Series1 on one Fraction per term: the same reliability order,
+    window rules and dump format, with every operation term by term."""
+
+    __slots__ = ("var", "coeffs", "order")
+
+    def __init__(self, var, coeffs=None, order=None):
+        self.var, self.order = var, order
+        self.coeffs = {e: Fraction(c) for e, c in (coeffs or {}).items()
+                       if c != 0 and (order is None or e >= -order)}
+
+    @property
+    def top(self):
+        return max(self.coeffs) if self.coeffs else None
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def coeff(self, exp: int) -> Fraction:
+        if self.order is not None and exp < -self.order:
+            raise WindowError(
+                f"coefficient of {self.var}^{exp} outside reliable window "
+                f"(order {self.order})")
+        return self.coeffs.get(exp, Fraction(0))
+
+    def get(self, exp: int) -> Fraction:
+        return self.coeffs.get(exp, Fraction(0))
+
+    def terms(self):
+        return sorted(self.coeffs.items(), reverse=True)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, FractionSeries) and self.var == other.var
+                and self.coeffs == other.coeffs and self.order == other.order)
+
+    def agrees_with(self, other, through=None) -> bool:
+        n = _min_bound(self.order, other.order)
+        if through is not None:
+            if n is not None and n < through:
+                return False
+            n = through
+        return all(self.get(e) == other.get(e)
+                   for e in set(self.coeffs) | set(other.coeffs)
+                   if n is None or e >= -n)
+
+    def _check_var(self, other) -> None:
+        if self.var != other.var:
+            raise InvalidKeyError(
+                f"variable mismatch: {self.var!r} vs {other.var!r}")
+
+    def __add__(self, other):
+        self._check_var(other)
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, Fraction(0)) + c
+        return FractionSeries(self.var, out,
+                              _min_bound(self.order, other.order))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, factor):
+        return FractionSeries(self.var, {e: c * Fraction(factor)
+                                         for e, c in self.coeffs.items()},
+                              self.order)
+
+    def __mul__(self, other):
+        self._check_var(other)
+        n = _series_mul_order(self, other)
+        out: dict = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                if n is None or e1 + e2 >= -n:
+                    out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+        return FractionSeries(self.var, out, n)
+
+    def shift(self, k: int):
+        n = None if self.order is None else self.order - k
+        return FractionSeries(self.var, {e + k: c
+                                         for e, c in self.coeffs.items()}, n)
+
+    def derivative(self):
+        n = None if self.order is None else self.order + 1
+        return FractionSeries(self.var, {e - 1: c * e
+                                         for e, c in self.coeffs.items()}, n)
+
+    def negate_var(self):
+        return FractionSeries(self.var, {e: c if e % 2 == 0 else -c
+                                         for e, c in self.coeffs.items()},
+                              self.order)
+
+    def truncated(self, order: int):
+        return FractionSeries(self.var, self.coeffs,
+                              _min_bound(self.order, order))
+
+    def rename(self, var: str):
+        return FractionSeries(var, self.coeffs, self.order)
+
+    def dump(self) -> str:
+        rel = "inf" if self.order is None else str(self.order)
+        return "".join([f"# var={self.var} reliable={rel}\n"]
+                       + [f"{e}\t{c}\n" for e, c in self.terms()])
+
+
+def _series_mul_order(a: FractionSeries, b: FractionSeries):
+    """The reliable order of a * b: unknown terms of one factor meet the
+    other's top exponent, and an exact zero annihilates everything."""
+    if any(f.is_zero() and f.order is None for f in (a, b)):
+        return None
+    if a.is_zero() and b.is_zero():
+        return _min_bound(a.order, b.order)
+    return _min_bound(None if a.order is None or b.top is None
+                      else a.order - b.top,
+                      None if b.order is None or a.top is None
+                      else b.order - a.top)

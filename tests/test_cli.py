@@ -177,6 +177,46 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert code == 2 and "unknown config key" in err
 
 
+def _config_run(capsys, tmp_path, text, *argv):
+    """Run with a config file holding ``text``; a value that argparse
+    refuses exits through SystemExit, as a bad flag does."""
+    config = tmp_path / "run.conf"
+    config.write_text(text)
+    try:
+        return run(capsys, *argv, "--config", str(config))
+    except SystemExit as exc:
+        return exc.code, "", capsys.readouterr().err
+
+
+def test_config_weight_must_be_an_integer(tmp_path, capsys):
+    code, out, _ = _config_run(capsys, tmp_path, "weight = 3\n", "tau")
+    assert code == 0 and out.startswith("# basis=schur weight_cap=3\n")
+    code, out, err = _config_run(capsys, tmp_path, "weight = abc\n", "tau")
+    assert code == 2 and out == ""
+    assert "error: argument --weight: invalid int value: 'abc'" in err
+
+
+def test_config_format_must_be_a_choice(tmp_path, capsys):
+    code, out, _ = _config_run(capsys, tmp_path, "format = csv\n",
+                               "kernel", "--cutoff", "4")
+    assert code == 0 and out.startswith("m,n,value\n")
+    code, out, err = _config_run(capsys, tmp_path, "format = xml\n",
+                                 "kernel", "--cutoff", "4")
+    assert code == 2 and out == ""
+    assert "error: argument --format: invalid choice: 'xml'" in err
+
+
+def test_config_file_must_exist(tmp_path, capsys):
+    code, out, _ = _config_run(capsys, tmp_path, "", "kernel",
+                               "--cutoff", "4")
+    assert code == 0 and out.startswith("m,n,value\n")
+    missing = tmp_path / "missing.conf"
+    code, out, err = run(capsys, "kernel", "--config", str(missing))
+    assert code == 2 and out == ""
+    assert err == (f"error: cannot read config file {missing}: "
+                   "No such file or directory\n")
+
+
 @pytest.mark.parametrize("flag", ["--degree", "--vars"])
 def test_removed_cap_flags_rejected(flag, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import pytest
 
+from airytau.multipoly import MultiPoly
 from airytau.rational import Rat, double_factorial, format_rat
+from airytau.series import Laurent2, Series1
+from airytau.wave import WaveSeries
 
-from oracles import rat
+from oracles import assert_lowest_terms, rat
 
 
 def test_small_denominator_arithmetic():
@@ -50,3 +53,30 @@ def test_double_factorial():
     assert double_factorial(2) == 2
     with pytest.raises(ValueError):
         double_factorial(-3)
+
+
+# Two values of each integer container with denominators that do not match:
+# their sum has terms that cancel and a denominator that reduces.
+CONTAINERS = {
+    "Series1": lambda c: Series1("z", {0: c[0], -1: c[1], -2: c[2]}, 4),
+    "Laurent2": lambda c: Laurent2(("x", "y"), {(0, 0): c[0], (1, -1): c[1],
+                                                (-2, 0): c[2]}),
+    "MultiPoly": lambda c: MultiPoly({(): c[0], ((1, 1),): c[1],
+                                      ((1, 2),): c[2]}, weight_cap=5),
+    "WaveSeries": lambda c: WaveSeries(0, {((0,), ()): c[0],
+                                           ((1,), ((1, 1),)): c[1],
+                                           ((-1,), ()): c[2]}, 6, -1, 5),
+}
+
+
+@pytest.mark.parametrize("build", CONTAINERS.values(), ids=CONTAINERS)
+def test_shared_core_keeps_lowest_terms(build):
+    a = build((rat(1, 6), rat(3, 4), rat(5, 9)))
+    b = build((rat(5, 6), rat(-3, 4), rat(-2, 9)))
+    total = a + b
+    assert total.den == 3 and len(total.num) == 2
+    assert (a - a).is_zero() and (a - a).den == 1
+    for value in (a, b, total, a - b, b - a, -a, a.scale(0),
+                  a.scale(rat(-3, 4)), b.scale(rat(-18, 5)), a - a):
+        assert_lowest_terms(value)
+    assert -a == a.scale(-1) and a.scale(0) == a - a

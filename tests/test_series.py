@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from airytau.airy import slope_series, wave_series
@@ -12,7 +13,7 @@ from airytau.errors import InvalidKeyError, WindowError
 from airytau.rational import Rat
 from airytau.series import Laurent2, Series1, div_diff_powers, outer_sum
 
-from oracles import (convolve, geometric_inv_diff,
+from oracles import (FractionSeries, convolve, geometric_inv_diff,
                      geometric_inv_diff_squares, laurent_product, restrict)
 
 
@@ -144,6 +145,64 @@ def test_truncated_zero_product_window_follows_partner_top():
     # the distributive law on the example that exposed the old window
     a, b = s({1: 1}, 3), s({-4: 1}, 4)
     assert (a * (b + truncated_zero)).agrees_with(a * b + a * truncated_zero)
+
+
+
+def _same_series(series, reference):
+    """Series1 and its Fraction reference hold the same series."""
+    assert (series.var, series.order, series.top, series.is_zero()) == \
+        (reference.var, reference.order, reference.top, reference.is_zero())
+    assert series.coeffs == reference.coeffs
+    assert series.terms() == reference.terms()
+    assert series.dump() == reference.dump()
+
+
+series_data = st.tuples(
+    st.dictionaries(st.integers(-7, 4),
+                    st.fractions(min_value=-5, max_value=5,
+                                 max_denominator=12), max_size=5),
+    st.one_of(st.none(), st.integers(-3, 7)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_data, series_data,
+       st.fractions(min_value=-4, max_value=4, max_denominator=9),
+       st.integers(-3, 3), st.integers(-9, 5),
+       st.one_of(st.none(), st.integers(-3, 8)))
+@example(({}, None), ({1: 1}, 5), Fraction(1), 0, 0, None)  # exact zero
+@example(({}, 3), ({1: 1}, None), Fraction(-1), 1, -4, 2)  # truncated zero
+@example(({}, 3), ({}, 6), Fraction(2, 3), -1, -3, None)
+@example(({0: Fraction(1, 6), -2: Fraction(3, 4)}, 2),
+         ({-1: Fraction(5, 8)}, -1), Fraction(-2, 9), 2, 1, 1)
+def test_series1_matches_fraction_reference(a, b, factor, k, exp, through):
+    """Every Series1 operation equals the one-Fraction-per-term reference,
+    on orders None, finite and negative, exact and truncated zeros and
+    denominators that do not match."""
+    s1, s2 = Series1("z", *a), Series1("z", *b)
+    f1, f2 = FractionSeries("z", *a), FractionSeries("z", *b)
+    for series, reference in (
+            (s1, f1), (s2, f2), (s1 + s2, f1 + f2), (s1 - s2, f1 - f2),
+            (-s1, -f1), (s1.scale(factor), f1.scale(factor)),
+            (s1.scale(0), f1.scale(0)), (s1 * s2, f1 * f2),
+            (s2 * s1, f2 * f1), (s1.shift(k), f1.shift(k)),
+            (s1.derivative(), f1.derivative()),
+            (s1.negate_var(), f1.negate_var()),
+            (s1.truncated(k + 2), f1.truncated(k + 2)),
+            (s1.rename("xi"), f1.rename("xi"))):
+        _same_series(series, reference)
+    assert s1.agrees_with(s2, through) == f1.agrees_with(f2, through)
+    assert s1.agrees_with(s2) == f1.agrees_with(f2)
+    assert (s1 == s2) == (f1 == f2)
+    assert s1.get(exp) == f1.get(exp)
+    try:
+        expected = f1.coeff(exp)
+    except WindowError as exc:
+        with pytest.raises(WindowError, match=re.escape(str(exc))):
+            s1.coeff(exp)
+    else:
+        assert s1.coeff(exp) == expected
+    with pytest.raises(InvalidKeyError):
+        s1 + s2.rename("xi")
 
 
 def test_outer_sum_and_laurent2_mul():

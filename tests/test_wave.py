@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import importlib
 import json
-import math
 import operator
 import random
 from fractions import Fraction
@@ -27,10 +26,11 @@ from airytau.wave import (DIFFERENTIAL_FAY, INF, SHIFTED_FAY, TruncatedTau,
                           shifted_fay_check, shifted_tau,
                           tau_from_free_energy, theorem_one_point_check,
                           time_ladder, wave, wave_pairing_check, wronskian)
-from oracles import (fraction_agrees, fraction_combine, fraction_dx,
-                     fraction_dxi, fraction_shift, full_product_pruned,
-                     geometric_inv_diff_squares_sq, outer, prune_terms,
-                     sato_quotient_cells, shifted_tau_terms)
+from oracles import (assert_lowest_terms, fraction_agrees, fraction_combine,
+                     fraction_dx, fraction_dxi, fraction_shift,
+                     full_product_pruned, geometric_inv_diff_squares_sq,
+                     outer, prune_terms, sato_quotient_cells,
+                     shifted_tau_terms)
 
 # the package re-exports the function ``wave``, which shadows the module name
 wave_module = importlib.import_module("airytau.wave")
@@ -573,9 +573,7 @@ def _cap_of(cap):
 
 
 def _assert_lowest_terms(series):
-    assert series.den > 0
-    assert all(n != 0 for n in series.num.values())
-    assert math.gcd(series.den, *series.num.values()) == 1
+    assert_lowest_terms(series)
     assert all(_cap_of(series.cap) is None or
                sum(k) + sum(i * e for i, e in m) <= series.cap
                for k, m in series.terms)
