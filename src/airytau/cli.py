@@ -270,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, func, **defaults) -> None:
-        p.set_defaults(func=func, **defaults)
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default=None)
         p.add_argument("--out", default=None, help="write output to a file")
@@ -282,6 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="series truncation order")
         p.add_argument("--weight", type=int, default=None,
                        help="total-weight cap")
+        # after add_argument, whose default=None would otherwise win
+        p.set_defaults(func=func, **defaults)
 
     p = sub.add_parser("correlator", help="psi-class intersection number")
     p.add_argument("--indices", required=True,

@@ -63,8 +63,6 @@ def lowest_terms(num: dict, den: int) -> tuple[dict, int]:
     """num / den with zero numerators dropped and the common factor of den
     and the numerators divided out."""
     g = math.gcd(den, *num.values())
-    if g == 1:
-        return {key: n for key, n in num.items() if n}, den
     return {key: n // g for key, n in num.items() if n}, den // g
 
 
@@ -90,7 +88,8 @@ class Ratios:
     terms it keeps, given those fields) and ``_sum`` (the fields of a sum,
     refusing operands that do not mix).  Sums, negation and scaling are
     shared; ``*`` multiplies two containers of one kind by their ``mul``
-    and scales by anything else."""
+    and scales by anything else, on either side.  A container with its own
+    ``__mul__`` scales a non-container there too."""
 
     __slots__ = ("num", "den")
 

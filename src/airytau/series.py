@@ -129,6 +129,8 @@ class Series1(Ratios):
         return self.var, min_bound(self.order, other.order)
 
     def __mul__(self, other: Series1) -> Series1:
+        if not isinstance(other, Series1):
+            return self.scale(other)
         self._check_var(other)
         n = _mul_order(self, other)
         lo = -math.inf if n is None else -n

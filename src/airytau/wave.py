@@ -211,12 +211,10 @@ def _wave_num(poly: MultiPoly, cap: int) -> dict[int, int]:
 
 
 def _within(num: dict[int, int], cap: int) -> dict[int, int]:
-    """The terms with TW <= cap; keys sort by TW, so all of them when the
-    largest key is below (cap + 1) << TW_SHIFT."""
+    """The terms with TW <= cap."""
     top = (cap + 1) << TW_SHIFT
-    if cap >= INF or max(num, default=0) < top:
-        return num
-    return {key: n for key, n in num.items() if key < top}
+    return num if cap >= INF else {key: n for key, n in num.items()
+                                   if key < top}
 
 
 # What adding to a key multiplies its term by: s^-1, s and T_1.
@@ -233,18 +231,18 @@ class WaveSeries(Ratios):
     expansion of tau has tag 0.  The coefficients are integer numerators
     ``num`` by packed key over one positive ``den``, in lowest terms;
     ``nvars`` is r.  The constructor takes rational terms and ``terms``
-    reads them back."""
+    reads them back; it packs every given term before the cap cuts, so a
+    term that does not fit or a mix of shift variables is refused at any
+    TW."""
 
     __slots__ = ("tag", "cap", "twmin", "index_cap", "nvars")
 
     def __init__(self, tag: int, terms: dict[Term, Rat], cap: int,
                  twmin: int, index_cap: int):
-        values = {term: c for term, c in terms.items()
-                  if sum(term[0]) + mono_weight(term[1]) <= cap}
-        nvars = {len(key) for key, _ in values} or {1}
+        nvars = {len(key) for key, _ in terms} or {1}
         if len(nvars) > 1:
             raise InvalidKeyError(f"wave terms mix shift variables {nvars}")
-        self._fill(*over_lcm({_pack(*term): c for term, c in values.items()}),
+        self._fill(*over_lcm({_pack(*term): c for term, c in terms.items()}),
                    tag, cap, twmin, index_cap, nvars.pop())
 
     def _fill(self, num, den, tag, cap, twmin, index_cap, nvars) -> None:
@@ -286,6 +284,8 @@ class WaveSeries(Ratios):
         a left term of TW t meets only the right keys below
         (cap - t + 1) << TW_SHIFT, which gives exactly the full product
         pruned at the cap."""
+        if not isinstance(other, WaveSeries):
+            return self.scale(other)
         cap = min(_cap_add(self.cap, other.twmin),
                   _cap_add(other.cap, self.twmin))
         right = sorted(other.num.items())

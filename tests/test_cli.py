@@ -217,6 +217,21 @@ def test_config_file_must_exist(tmp_path, capsys):
                    "No such file or directory\n")
 
 
+@pytest.mark.parametrize("argv, head", [
+    (("kernel", "--format", "json"),
+     '{\n  "convention": "standard",\n  "cutoff": 12,\n'),
+    (("series", "--which", "a"), "# var=z reliable=16\n"),
+    (("tau",), "# basis=schur weight_cap=9\n"),
+    (("tau", "--basis", "monomial"), "# basis=monomial weight_cap=9\n")])
+def test_constant_defaults_without_flag_or_config(argv, head, tmp_path,
+                                                  capsys):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith(head)
+    # a config that names other keys leaves the default in place
+    code, out, _ = _config_run(capsys, tmp_path, "out = \n", *argv)
+    assert code == 0 and out.startswith(head)
+
+
 @pytest.mark.parametrize("flag", ["--degree", "--vars"])
 def test_removed_cap_flags_rejected(flag, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -80,3 +80,6 @@ def test_shared_core_keeps_lowest_terms(build):
                   a.scale(rat(-3, 4)), b.scale(rat(-18, 5)), a - a):
         assert_lowest_terms(value)
     assert -a == a.scale(-1) and a.scale(0) == a - a
+    # a scalar scales from either side
+    for factor in (0, -2, rat(-3, 4)):
+        assert factor * a == a * factor == a.scale(factor)
