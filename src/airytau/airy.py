@@ -167,13 +167,12 @@ class Kernel:
     generating function; support is restricted to m + n = 2 (mod 3).
     """
 
-    __slots__ = ("cutoff", "table", "route", "convention")
+    __slots__ = ("cutoff", "table", "route")
 
     def __init__(self, cutoff: int, table: dict[tuple[int, int], Rat],
-                 route: str, convention: str = STANDARD):
+                 route: str):
         self.cutoff = cutoff
         self.route = route
-        self.convention = convention
         clean: dict[tuple[int, int], Rat] = {}
         for (m, n), value in table.items():
             if value == 0:
@@ -224,7 +223,9 @@ def kernel_closed(cutoff: int) -> Kernel:
 # ---------------------------------------------------------------------------
 
 def required_order(cutoff: int) -> int:
-    """Input truncation the expansion routes need: 3*cutoff + 6."""
+    """3*cutoff + 6: the series order of the transition matrix that
+    ``kernel_gmatrix`` factors at ``cutoff``, and of the Airy frames the
+    CLI and ``verify`` build (``kernel_frame`` proves a smaller one)."""
     return 3 * cutoff + 6
 
 
@@ -270,7 +271,7 @@ def kernel_series(cutoff: int, convention: str = STANDARD) -> Kernel:
         raise CrossCheckError(f"uncancelled term x^{ex} y^{ey}: "
                               f"{format_rat(Rat(gf[(ex, ey)], den))}")
     table = {(-ey - 1, -ex - 1): Rat(v, den) for (ex, ey), v in gf.items()}
-    return Kernel(cutoff, table, "series", convention)
+    return Kernel(cutoff, table, "series")
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +356,18 @@ def kernel_gmatrix(cutoff: int, convention: str = STANDARD) -> Kernel:
                 if row <= cutoff and col <= cutoff:
                     # transpose into the affine orientation
                     table[(col, row)] = Rat(v, den)
-    return Kernel(cutoff, table, "gmatrix", convention)
+    return Kernel(cutoff, table, "gmatrix")
 
 
 # ---------------------------------------------------------------------------
 # Route 4 lives in grassmann.normalize; the frame it consumes is built here.
 # ---------------------------------------------------------------------------
 
-def airy_frame(count: int, order: int | None = None,
+def airy_frame(count: int, order: int,
                convention: str = STANDARD) -> list[Series1]:
     """Admissible basis of the Airy point: elements 2n and 2n+1 are
-    z^(2n) a(z) and z^(2n) b(z) (leading exponents 2n and 2n+1)."""
-    order = 3 * count + 6 if order is None else order
+    z^(2n) a(z) and z^(2n) b(z) (leading exponents 2n and 2n+1), with a
+    and b exact through z^(-order)."""
     a, b = series_pair(order, convention)
     frame = []
     for k in range(count):
@@ -377,12 +378,19 @@ def airy_frame(count: int, order: int | None = None,
 
 def kernel_frame(cutoff: int, convention: str = STANDARD) -> Kernel:
     """Gauss-normalize the Airy frame and read its affine coordinates
-    entry by entry into a kernel table."""
+    entry by entry into a kernel table.
+
+    a and b are built exactly through z^-(cutoff + 1 + 2 (cutoff//2)).
+    ``normalize(cutoff)`` reads element n only down to z^-(cutoff+1), and
+    element n is z^(2 (n//2)) times a or b, so its reliable window reaches
+    z^-(cutoff+1) exactly when a and b reach 2 (n//2) deeper; the deepest
+    such read is at n = cutoff.  One order less raises WindowError.
+    """
     from .grassmann import AdmissibleFrame
 
-    frame = AdmissibleFrame(airy_frame(cutoff + 1, required_order(cutoff),
-                                       convention))
-    return Kernel(cutoff, frame.normalize(cutoff).table, "frame", convention)
+    order = cutoff + 1 + 2 * (cutoff // 2)
+    frame = AdmissibleFrame(airy_frame(cutoff + 1, order, convention))
+    return Kernel(cutoff, frame.normalize(cutoff).table, "frame")
 
 
 ROUTES = {
@@ -393,8 +401,7 @@ ROUTES = {
 }
 
 
-def build_kernel(cutoff: int, route: str = "closed",
-                 convention: str = STANDARD) -> Kernel:
+def build_kernel(cutoff: int, route: str, convention: str = STANDARD) -> Kernel:
     if route not in ROUTES:
         raise InvalidKeyError(f"unknown kernel route {route!r}")
     if route == "closed":
@@ -435,11 +442,11 @@ def check_all_routes(cutoff: int, convention: str = STANDARD) -> Kernel:
 # Diagonal restriction and the derivative-pairing identity.
 # ---------------------------------------------------------------------------
 
-def kernel_diagonal(order: int, convention: str = STANDARD) -> Series1:
+def kernel_diagonal(order: int) -> Series1:
     """The one-variable restriction (1/(2 xi)) (1 + a'(xi) b(-xi)
     - a(-xi) b'(xi)), truncated at xi^(-order)."""
     work = order + 3
-    a, b = series_pair(work, convention)
+    a, b = series_pair(work)
     a, b = a.rename("xi"), b.rename("xi")
     inner = Series1.const("xi", 1) \
         + a.derivative() * b.negate_var() \

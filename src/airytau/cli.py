@@ -190,10 +190,7 @@ _SERIES_BUILDERS = {
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    which = args.which
-    if which not in _SERIES_BUILDERS:
-        raise InvalidKeyError(f"unknown series {which!r}")
-    series = _SERIES_BUILDERS[which](args.order)
+    series = _SERIES_BUILDERS[args.which](args.order)
     _emit(series.dump(), args.out)
     return 0
 

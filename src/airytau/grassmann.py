@@ -27,7 +27,7 @@ from .linalg import det_int
 from .multipoly import MultiPoly
 from .partitions import Partition, partitions_up_to
 from .rational import Rat
-from .schur import (PowerSums, minus_spec, plus_spec, schur_at,
+from .schur import (MINUS_VARS, PowerSums, minus_spec, plus_spec, schur_at,
                     schur_sum_in_times, shorter_route)
 from .series import Laurent2, Series1
 
@@ -209,35 +209,30 @@ def tau_polynomial(coords: AffineCoords, weight_cap: int) -> MultiPoly:
 # Two-point specializations of tau.
 # ---------------------------------------------------------------------------
 
-def _schur_sum(coords: AffineCoords, weight_cap: int, spec: PowerSums,
-               zero: Laurent2) -> Laurent2:
+def _schur_sum(coords: AffineCoords, weight_cap: int, spec: PowerSums
+               ) -> Laurent2:
     """sum_mu c_mu s_mu(spec) over the Schur expansion of tau through
-    weight_cap, starting from ``zero``."""
+    weight_cap, starting from the specialization's zero."""
     return sum((schur_at(mu, spec, shorter_route(mu)).scale(c)
                 for mu, c in tau_schur_coeffs(coords, weight_cap).items()),
-               zero)
+               spec.zero)
 
 
-def tau_minus_two_point(coords: AffineCoords, weight_cap: int,
-                        vars: tuple[str, str] = ("xi", "eta")) -> Laurent2:
+def tau_minus_two_point(coords: AffineCoords, weight_cap: int) -> Laurent2:
     """Evaluate the Schur expansion at p_k = eta^(-k) - xi^(-k).
 
     Only the empty partition and hooks survive the specialization; the full
     sum is taken anyway so the vanishing is exercised, not assumed.
     """
-    return _schur_sum(coords, weight_cap, minus_spec(weight_cap, vars),
-                      Laurent2.const(vars, 0))
+    return _schur_sum(coords, weight_cap, minus_spec(weight_cap))
 
 
-def tau_plus_two_point(coords: AffineCoords, weight_cap: int,
-                       vars: tuple[str, str] = ("x", "y")) -> Laurent2:
+def tau_plus_two_point(coords: AffineCoords, weight_cap: int) -> Laurent2:
     """Evaluate the Schur expansion at p_k = x^(-k) + y^(-k)."""
-    return _schur_sum(coords, weight_cap, plus_spec(weight_cap, vars),
-                      Laurent2.const(vars, 0))
+    return _schur_sum(coords, weight_cap, plus_spec(weight_cap))
 
 
-def kernel_pairing_form(coords: AffineCoords, depth: int,
-                        vars: tuple[str, str] = ("xi", "eta")) -> Laurent2:
+def kernel_pairing_form(coords: AffineCoords, depth: int) -> Laurent2:
     """1 + (xi - eta) * sum a[n][m] xi^(-n-1) eta^(-m-1): the closed
     two-point form the minus specialization must reproduce."""
     acc: dict[tuple[int, int], Rat] = {(0, 0): Rat(1)}
@@ -247,23 +242,20 @@ def kernel_pairing_form(coords: AffineCoords, depth: int,
         # (xi - eta) * xi^(-n-1) eta^(-m-1)
         acc[(-n, -m - 1)] = acc.get((-n, -m - 1), Rat(0)) + value
         acc[(-n - 1, -m)] = acc.get((-n - 1, -m), Rat(0)) - value
-    return Laurent2(vars, acc)
+    return Laurent2(MINUS_VARS, acc)
 
 
 # ---------------------------------------------------------------------------
 # Reduction predicate and the recursion operator.
 # ---------------------------------------------------------------------------
 
-def reduction_check(frame: AdmissibleFrame, multiplier: Series1,
-                    depth: int | None = None) -> bool:
+def reduction_check(frame: AdmissibleFrame, multiplier: Series1) -> bool:
     """True iff multiplier * f_n lies in the span of the frame, for every n
     up to the testable depth, within the elements' reliable windows."""
     top = multiplier.top
     if top is None:
         return True  # zero multiplier
     limit = len(frame) - max(top, 0)
-    if depth is not None:
-        limit = min(limit, depth)
     if limit <= 0:
         raise InsufficientCutoffError("frame too short for this multiplier")
     for n in range(limit):

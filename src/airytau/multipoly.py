@@ -105,10 +105,10 @@ def mono_weight(mono: Monomial) -> int:
     return sum(idx * exp for idx, exp in mono)
 
 
-def mono_var(index: int, exp: int = 1) -> Monomial:
-    if index < 1 or exp < 1:
-        raise InvalidKeyError(f"bad variable power T_{index}^{exp}")
-    return ((index, exp),)
+def mono_var(index: int) -> Monomial:
+    if index < 1:
+        raise InvalidKeyError(f"bad variable power T_{index}^1")
+    return ((index, 1),)
 
 
 def mono_str(mono: Monomial) -> str:

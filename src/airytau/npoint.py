@@ -307,112 +307,100 @@ class NPointEngine:
 # Determinant form and Moebius inversion.
 # ---------------------------------------------------------------------------
 
-def set_partitions(items: list) -> Iterator[list[list]]:
-    """All partitions of a list into nonempty blocks."""
-    if not items:
-        yield []
-        return
-    head, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[head] + part[i]] + part[i + 1:]
-        yield [[head]] + part
-
-
-def _chain_value(vertices: tuple[int, ...], js: tuple[int, ...],
+def _chain_value(cycle: tuple[int, ...], js: tuple[int, ...],
                  lt_table, gt_table) -> Rat:
-    """Contraction of one directed cycle over the given vertex labels
-    (no sign)."""
+    """Contraction of one directed cycle over the given vertex labels,
+    lowest label first (no sign).
 
-    def table_for(u: int, v: int):
-        return lt_table if u < v else gt_table
-
-    n = len(vertices)
+    The walk starts at the lowest label with the exponent ``start`` that
+    the closing edge leaves there, and keeps the walks that return with
+    it.  Only -j0 <= start <= -1 can close, as proved in ``_cycle_sum``
+    for the first row -j0 - 1 - start."""
+    head = cycle[0]
     total = Rat(0)
-    first = table_for(vertices[0], vertices[1])
-    for p0, terms in first.items():
-        states = {}
-        for q, c in terms:
-            states[q] = states.get(q, Rat(0)) + c
-        for i in range(1, n):
-            u, v = vertices[i], vertices[(i + 1) % n]
-            tab = table_for(u, v)
+    for start in range(-js[head], 0):
+        states = {start: Rat(1)}
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            tab = lt_table if u < v else gt_table
             nxt: dict[int, Rat] = {}
             for q, acc in states.items():
-                p = -js[u] - 1 - q
-                for q2, c in tab.get(p, ()):
+                for q2, c in tab.get(-js[u] - 1 - q, ()):
                     nxt[q2] = nxt.get(q2, Rat(0)) + acc * c
             states = nxt
-            if not states:
-                break
-        total += states.get(-js[vertices[0]] - 1 - p0, Rat(0))
+        total += states.get(start, Rat(0))
     return total
-
-
-def disconnected_coeff(kernel, js: tuple[int, ...],
-                       labels: tuple[int, ...] | None = None) -> Rat:
-    """Coefficient of the determinant (full correlator) form on a label set.
-
-    Permutations are enumerated through their cycle decompositions; fixed
-    points contribute diagonal values, longer cycles the chain contraction.
-    Orders must be >= 1, as the Cauchy window of the edge tables assumes.
-    """
-    labels = tuple(range(len(js))) if labels is None else labels
-    lt = _edge_table(kernel, True)
-    gt = _edge_table(kernel, False)
-
-    def rec(remaining: tuple[int, ...]) -> Rat:
-        if not remaining:
-            return Rat(1)
-        head, rest = remaining[0], remaining[1:]
-        total = Rat(0)
-        # head alone as a fixed point
-        total += antidiagonal_sum(kernel, js[head]) * rec(rest)
-        # cycles of length >= 2 through head
-        for size in range(1, len(rest) + 1):
-            for combo in itertools.combinations(rest, size):
-                others = tuple(x for x in rest if x not in combo)
-                for order in itertools.permutations(combo):
-                    cycle = (head,) + order
-                    sign = Rat((-1) ** (len(cycle) - 1))
-                    total += sign * _chain_value(cycle, js, lt, gt) \
-                        * rec(others)
-        return total
-
-    return rec(labels)
 
 
 def disconnected_family(kernel, js: tuple[int, ...]
                         ) -> dict[frozenset[int], Rat]:
-    """Determinant-form coefficients for every nonempty label subset."""
+    """Determinant-form (full correlator) coefficients for every nonempty
+    label subset.
+
+    A permutation of S splits into the cycle through h = min S and a
+    permutation of the rest, so with full(empty) = 1
+
+        full(S) = diag(h) full(S - h)
+                  + sum over ordered tuples t of distinct labels of S - h
+                    of (-1)^|t| chain(h, t) full(S - h - t),
+
+    filled by increasing bitmask, after every subset of S.  The Fraction
+    edge tables are built once; orders must be >= 1, as their Cauchy
+    window assumes.
+    """
     n = len(js)
-    family = {}
+    lt = _edge_table(kernel, True)
+    gt = _edge_table(kernel, False)
+    full = {0: Rat(1)}
     for mask in range(1, 1 << n):
-        labels = tuple(i for i in range(n) if mask & (1 << i))
-        family[frozenset(labels)] = disconnected_coeff(kernel, js, labels)
-    return family
+        head = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << head)
+        total = antidiagonal_sum(kernel, js[head]) * full[rest]
+        sub = rest
+        while sub:
+            labels = [i for i in range(n) if sub >> i & 1]
+            cycles = sum((_chain_value((head, *t), js, lt, gt)
+                          for t in itertools.permutations(labels)), Rat(0))
+            total += (-1) ** len(labels) * cycles * full[rest ^ sub]
+            sub = (sub - 1) & rest
+        full[mask] = total
+    return {frozenset(i for i in range(n) if mask >> i & 1): value
+            for mask, value in full.items() if mask}
 
 
-def _partition_sums(values: dict[frozenset, Rat], weight
-                    ) -> dict[frozenset, Rat]:
-    """For every subset, the sum over its set partitions of
-    weight(number of blocks) times the product of the blocks' values."""
-    return {subset: sum((weight(len(part)) * math.prod(
-                (values[frozenset(block)] for block in part), start=Rat(1))
-                for part in set_partitions(sorted(subset))), Rat(0))
-            for subset in sorted(values, key=len)}
+def _lowest_block_sum(subset: frozenset, connected: dict, full: dict) -> Rat:
+    """Sum over the proper blocks B of ``subset`` that hold its lowest
+    label of connected(B) full(subset - B)."""
+    low = min(subset)
+    rest = sorted(subset - {low})
+    return sum((connected[frozenset((low, *t))]
+                * full[subset.difference(t, (low,))]
+                for size in range(len(rest))
+                for t in itertools.combinations(rest, size)), Rat(0))
 
 
 def mobius_connect(family: dict[frozenset, Rat]) -> dict[frozenset, Rat]:
-    """Partition-lattice inversion: connected values from full values."""
-    return _partition_sums(
-        family, lambda k: (-1) ** (k - 1) * math.factorial(k - 1))
+    """Connected values from full values, on a family closed under
+    subsets, by the exponential formula (Stanley, Enumerative
+    Combinatorics 2, 5.1): full(S) is the sum over the blocks B of S that
+    hold its lowest label of connected(B) full(S - B), full(empty) = 1."""
+    full = {frozenset(): Rat(1), **family}
+    connected: dict[frozenset, Rat] = {}
+    for subset in sorted(family, key=len):
+        connected[subset] = family[subset] \
+            - _lowest_block_sum(subset, connected, full)
+    return connected
 
 
 def mobius_disconnect(connected: dict[frozenset, Rat]
                       ) -> dict[frozenset, Rat]:
-    """Inverse direction: full values as sums over partitions."""
-    return _partition_sums(connected, lambda k: 1)
+    """Inverse direction: full values from connected ones by the same
+    formula."""
+    full = {frozenset(): Rat(1)}
+    for subset in sorted(connected, key=len):
+        full[subset] = connected[subset] \
+            + _lowest_block_sum(subset, connected, full)
+    del full[frozenset()]
+    return full
 
 
 # ---------------------------------------------------------------------------

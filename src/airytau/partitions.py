@@ -104,11 +104,10 @@ class Partition:
         return (self.weight, self.parts) < (other.weight, other.parts)
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n with parts bounded by max_part."""
+def partitions_of(n: int) -> Iterator[Partition]:
+    """All partitions of n, parts in weakly decreasing order."""
     if n < 0:
         return
-    bound = n if max_part is None else min(max_part, n)
 
     def rec(remaining: int, cap: int, prefix: list[int]):
         if remaining == 0:
@@ -119,7 +118,7 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
             yield from rec(remaining - p, p, prefix)
             prefix.pop()
 
-    yield from rec(n, bound, [])
+    yield from rec(n, n, [])
 
 
 def partitions_up_to(weight: int) -> Iterator[Partition]:

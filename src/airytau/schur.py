@@ -186,39 +186,40 @@ def schur_sum_in_times(coeffs: dict[Partition, Rat], weight_cap: int
 # The two bivariate specializations used by the tau-function layer.
 # ---------------------------------------------------------------------------
 
-def minus_spec(bound: int, vars: tuple[str, str] = ("xi", "eta")
-               ) -> PowerSums:
+MINUS_VARS = ("xi", "eta")
+PLUS_VARS = ("x", "y")
+
+
+def minus_spec(bound: int) -> PowerSums:
     """p_k = eta^(-k) - xi^(-k), as exact Laurent polynomials in (xi, eta)."""
-    xi, eta = vars
-    values = {k: Laurent2((xi, eta), {(0, -k): Rat(1), (-k, 0): Rat(-1)})
+    values = {k: Laurent2(MINUS_VARS, {(0, -k): Rat(1), (-k, 0): Rat(-1)})
               for k in range(1, bound + 1)}
-    return PowerSums(values, Laurent2.zero(vars), Laurent2.const(vars, 1),
-                     bound)
+    return PowerSums(values, Laurent2.zero(MINUS_VARS),
+                     Laurent2.const(MINUS_VARS, 1), bound)
 
 
-def plus_spec(bound: int, vars: tuple[str, str] = ("x", "y")) -> PowerSums:
+def plus_spec(bound: int) -> PowerSums:
     """p_k = x^(-k) + y^(-k), as exact Laurent polynomials in (x, y)."""
-    values = {k: Laurent2(vars, {(-k, 0): Rat(1), (0, -k): Rat(1)})
+    values = {k: Laurent2(PLUS_VARS, {(-k, 0): Rat(1), (0, -k): Rat(1)})
               for k in range(1, bound + 1)}
-    return PowerSums(values, Laurent2.zero(vars), Laurent2.const(vars, 1),
-                     bound)
+    return PowerSums(values, Laurent2.zero(PLUS_VARS),
+                     Laurent2.const(PLUS_VARS, 1), bound)
 
 
-def plus_spec_h(n: int, vars: tuple[str, str] = ("x", "y")) -> Laurent2:
+def plus_spec_h(n: int) -> Laurent2:
     """Closed form of h_n under p_k = x^(-k) + y^(-k): the full geometric
     antidiagonal sum_{i+j=n} x^(-i) y^(-j)."""
     if n < 0:
-        return Laurent2.zero(vars)
-    return Laurent2(vars, {(-i, -(n - i)): Rat(1) for i in range(n + 1)})
+        return Laurent2.zero(PLUS_VARS)
+    return Laurent2(PLUS_VARS, {(-i, i - n): Rat(1) for i in range(n + 1)})
 
 
-def hook_minus_closed(arm: int, leg: int,
-                      vars: tuple[str, str] = ("xi", "eta")) -> Laurent2:
+def hook_minus_closed(arm: int, leg: int) -> Laurent2:
     """Closed form of s_(arm|leg) at p_k = eta^(-k) - xi^(-k):
     (-1)^leg (xi - eta) xi^(-leg-1) eta^(-arm-1)."""
     sign = Rat((-1) ** leg)
-    return Laurent2(vars, {(-leg, -arm - 1): sign,
-                           (-leg - 1, -arm): -sign})
+    return Laurent2(MINUS_VARS, {(-leg, -arm - 1): sign,
+                                 (-leg - 1, -arm): -sign})
 
 
 def hook_minus_identity_check(arm: int, leg: int) -> bool:

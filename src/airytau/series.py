@@ -67,8 +67,8 @@ class Series1(Ratios):
         return cls(var, {0: value}, None)
 
     @classmethod
-    def monomial(cls, var: str, exp: int, value=1) -> Series1:
-        return cls(var, {exp: value}, None)
+    def monomial(cls, var: str, exp: int) -> Series1:
+        return cls(var, {exp: 1}, None)
 
     # -- inspection --------------------------------------------------------
 

@@ -119,6 +119,10 @@ SUM_SPEC_HEADLINE = (Rat(37182145, 7962624), Rat(-40415375, 7962624))
 # Check plumbing.
 # ---------------------------------------------------------------------------
 
+# Seed of every check's random inputs, so a run is reproducible.
+SEED = 20240913
+
+
 @dataclass
 class CheckResult:
     suite: str
@@ -138,7 +142,6 @@ class VerifyContext:
     """Shared artifacts for a verification run."""
 
     scale: str = "full"
-    seed: int = 20240913
     _engines: dict[int, NPointEngine] = field(default_factory=dict)
     _taus: dict[int, TruncatedTau] = field(default_factory=dict)
 
@@ -159,12 +162,11 @@ class VerifyContext:
         if weight not in self._taus:
             f = free_energy(self.engine, weight)
             self._taus[weight] = tau_from_free_energy(
-                f, padded_weight_cap(weight),
-                provenance=f"kernel cutoff {self.engine.cutoff}")
+                f, padded_weight_cap(weight))
         return self._taus[weight]
 
     def rng(self) -> random.Random:
-        return random.Random(self.seed)
+        return random.Random(SEED)
 
 
 def _run(suite: str, name: str, fn: Callable[[], bool | str]
@@ -614,7 +616,7 @@ def suite_kp(ctx: VerifyContext) -> list[CheckResult]:
         # every verified cell, so the build stops at weight 9
         f = free_energy(engine, 9, index_cap=9, degree_cap=3)
         cap = reliable_weight_cap(degree_cap=3, index_cap=9)
-        tau = TruncatedTau(f.exp(), f, cap, 9, "degree-capped")
+        tau = TruncatedTau(f.exp(), f, cap, 9)
         if not wave_pairing_check(tau):
             return "degree-capped pairing failed"
         if not wave_pairing_check(ctx.tau(base_weight)):
@@ -635,7 +637,7 @@ def suite_kp(ctx: VerifyContext) -> list[CheckResult]:
         # one-variable exponential toy tau: exp(T_1) solves the hierarchy
         # trivially and the shift identity reduces to a polynomial identity
         f = MultiPoly.var(1, weight_cap=8)
-        tau = TruncatedTau(f.exp(), f, 8, 1, "toy")
+        tau = TruncatedTau(f.exp(), f, 8, 1)
         return differential_fay_check(tau, (3, 3))
 
     @check("matrix-one-point")
@@ -665,7 +667,7 @@ def suite_kp(ctx: VerifyContext) -> list[CheckResult]:
     @check("matrix-vacuum-entries")
     def vacuum_matrix():
         vac = TruncatedTau(MultiPoly.const(1, weight_cap=9),
-                           MultiPoly.zero(weight_cap=9), 9, 9, "vacuum")
+                           MultiPoly.zero(weight_cap=9), 9, 9)
         top_right = vac.theta_at_zero[0][1]
         bottom_left = vac.theta_at_zero[1][0]
         if top_right.get(0) != -1 or any(e != 0 for e in top_right.coeffs):
@@ -686,9 +688,8 @@ SUITES = {
 }
 
 
-def run_suites(names, scale: str = "full",
-               context: VerifyContext | None = None) -> list[CheckResult]:
-    ctx = context or VerifyContext(scale=scale)
+def run_suites(names, scale: str = "full") -> list[CheckResult]:
+    ctx = VerifyContext(scale=scale)
     results: list[CheckResult] = []
     for name in names:
         if name not in SUITES:

@@ -75,7 +75,7 @@ def _cap_add(cap: int, delta: int) -> int:
 
 @dataclass(frozen=True)
 class TruncatedTau:
-    """exp(free energy) truncated by total weight, plus provenance.
+    """exp(free energy) truncated by total weight.
 
     ``weight_cap`` is the completeness guarantee: every tau monomial of
     weight <= weight_cap is present and exact.  ``index_cap`` bounds the
@@ -86,7 +86,6 @@ class TruncatedTau:
     free_energy: MultiPoly
     weight_cap: int
     index_cap: int
-    provenance: str = ""
 
     def __post_init__(self):
         if self.poly.constant != 1:
@@ -116,12 +115,12 @@ class TruncatedTau:
         return {}
 
 
-def tau_from_free_energy(free_energy: MultiPoly, weight_cap: int,
-                         index_cap: int | None = None,
-                         provenance: str = "") -> TruncatedTau:
+def tau_from_free_energy(free_energy: MultiPoly,
+                         weight_cap: int) -> TruncatedTau:
+    """exp(free energy) through ``weight_cap``, with the index cap
+    ``weight_cap`` (no time index above the weight can occur)."""
     poly = free_energy.with_caps(weight_cap=weight_cap).exp()
-    cap = index_cap if index_cap is not None else weight_cap
-    return TruncatedTau(poly, free_energy, weight_cap, cap, provenance)
+    return TruncatedTau(poly, free_energy, weight_cap, weight_cap)
 
 
 def padded_weight_cap(weight_cap: int) -> int:
@@ -593,14 +592,21 @@ def shifted_fay_check(tau: TruncatedTau,
 
 def _at_miwa(poly: MultiPoly, sign: int, order: int) -> Series1:
     """poly at the Miwa point T_n = sign * z^(-n) / n: a weight-w monomial
-    lands on z^(-w), and the series is exact through z^(-order)."""
-    coeffs = defaultdict(int)
-    for key, n in poly.num.items():
-        if (weight := key & _WMASK) <= order:
-            mono = _mono(key)
-            coeffs[-weight] += Rat(n * sign ** sum(e for _, e in mono),
-                                   math.prod(idx ** e for idx, e in mono))
-    return Series1("z", {e: c / poly.den for e, c in coeffs.items()}, order)
+    lands on z^(-w), and the series is exact through z^(-order).
+
+    A kept monomial prod_idx T_idx^e has idx * e <= w <= order, so its
+    prod_idx idx^e divides L = prod_idx idx^floor(order / idx) over the
+    indices of the kept monomials, as in ``_shift_expansion``: the
+    numerators sum on integers over poly.den * L."""
+    kept = [(key & _WMASK, n, _mono(key)) for key, n in poly.num.items()
+            if key & _WMASK <= order]
+    scale = math.prod(idx ** (order // idx)
+                      for idx in {idx for *_, mono in kept for idx, _ in mono})
+    num = defaultdict(int)
+    for weight, n, mono in kept:
+        num[-weight] += n * sign ** sum(e for _, e in mono) \
+            * (scale // math.prod(idx ** e for idx, e in mono))
+    return Series1._of(num, poly.den * scale, "z", order)
 
 
 def bilinear_matrix(tau: TruncatedTau) -> tuple[tuple[Series1, ...], ...]:
@@ -656,8 +662,11 @@ def matrix_two_point_coeff(tau: TruncatedTau, j: int, k: int) -> Rat:
     sum_t (t + 1) sum_(r,c) Theta_rc[3 - j + 2t] Theta_cr[-k - 1 - 2t];
     no entry has a term above z^2, so t stops at (j - 1) // 2.  The sum
     reads Theta no deeper than z^(-(j + k)), so with the smallest entry
-    order W - 2 every pair with j + k <= W - 2 is served.
+    order W - 2 every pair with j + k <= W - 2 is served.  Orders below 1
+    are refused, as ``NPointEngine.connected`` refuses them.
     """
+    if j < 1 or k < 1:
+        raise InvalidKeyError(f"orders must be >= 1: {(j, k)}")
     entries = tau.theta_at_zero
     orders = [s.order for row in entries for s in row]
     if any(o is not None and o < j + k for o in orders):

@@ -28,16 +28,16 @@ def engine_deep():
 @pytest.fixture(scope="session")
 def tau9(engine):
     f = free_energy(engine, 9)
-    return tau_from_free_energy(f, padded_weight_cap(9), provenance="W9")
+    return tau_from_free_energy(f, padded_weight_cap(9))
 
 
 @pytest.fixture(scope="session")
 def tau12(engine):
     f = free_energy(engine, 12)
-    return tau_from_free_energy(f, padded_weight_cap(12), provenance="W12")
+    return tau_from_free_energy(f, padded_weight_cap(12))
 
 
 @pytest.fixture(scope="session")
 def tau15(engine):
     f = free_energy(engine, 15)
-    return tau_from_free_energy(f, padded_weight_cap(15), provenance="W15")
+    return tau_from_free_energy(f, padded_weight_cap(15))

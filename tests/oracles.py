@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from airytau.airy import STANDARD, required_order, series_pair, \
     transition_matrix
 from airytau.errors import InvalidKeyError, WindowError
 from airytau.multipoly import MultiPoly
+from airytau.npoint import _edge_table, antidiagonal_sum
 from airytau.partitions import Partition
 from airytau.schur import PowerSums, schur_at
 from airytau.series import Laurent2
@@ -167,6 +168,115 @@ def cycle_sum_brute(table: dict[tuple[int, int], Fraction],
         total += sum((c for first, last, c in chosen
                       if first + last == -js[0] - 1), Fraction(0))
     return -total if n % 2 == 0 else total
+
+
+# The determinant route by set partitions: every permutation of a label set
+# through its cycle decomposition, each cycle walked from every first row,
+# and both Moebius directions as sums over all set partitions.
+
+def set_partitions(items: list):
+    """All partitions of a list into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    head, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[head] + part[i]] + part[i + 1:]
+        yield [[head]] + part
+
+
+def _chain_value_all_rows(vertices: tuple[int, ...], js: tuple[int, ...],
+                          lt_table, gt_table) -> Fraction:
+    """Contraction of one directed cycle over the given vertex labels
+    (no sign), from every row of its first factor's edge table."""
+
+    def table_for(u: int, v: int):
+        return lt_table if u < v else gt_table
+
+    n = len(vertices)
+    total = Fraction(0)
+    first = table_for(vertices[0], vertices[1])
+    for p0, terms in first.items():
+        states = {}
+        for q, c in terms:
+            states[q] = states.get(q, Fraction(0)) + c
+        for i in range(1, n):
+            u, v = vertices[i], vertices[(i + 1) % n]
+            tab = table_for(u, v)
+            nxt: dict[int, Fraction] = {}
+            for q, acc in states.items():
+                p = -js[u] - 1 - q
+                for q2, c in tab.get(p, ()):
+                    nxt[q2] = nxt.get(q2, Fraction(0)) + acc * c
+            states = nxt
+            if not states:
+                break
+        total += states.get(-js[vertices[0]] - 1 - p0, Fraction(0))
+    return total
+
+
+def _disconnected_coeff_brute(kernel, js: tuple[int, ...],
+                              labels: tuple[int, ...]) -> Fraction:
+    """Coefficient of the determinant (full correlator) form on a label
+    set: fixed points contribute diagonal values, longer cycles the chain
+    contraction, with the cycle sign."""
+    lt = _edge_table(kernel, True)
+    gt = _edge_table(kernel, False)
+
+    def rec(remaining: tuple[int, ...]) -> Fraction:
+        if not remaining:
+            return Fraction(1)
+        head, rest = remaining[0], remaining[1:]
+        total = antidiagonal_sum(kernel, js[head]) * rec(rest)
+        for size in range(1, len(rest) + 1):
+            for combo in combinations(rest, size):
+                others = tuple(x for x in rest if x not in combo)
+                for order in permutations(combo):
+                    cycle = (head,) + order
+                    sign = Fraction((-1) ** (len(cycle) - 1))
+                    total += sign * _chain_value_all_rows(
+                        cycle, js, lt, gt) * rec(others)
+        return total
+
+    return rec(labels)
+
+
+def disconnected_family_brute(kernel, js: tuple[int, ...]
+                              ) -> dict[frozenset[int], Fraction]:
+    """Determinant-form coefficients for every nonempty label subset, each
+    by its own recursion."""
+    n = len(js)
+    family = {}
+    for mask in range(1, 1 << n):
+        labels = tuple(i for i in range(n) if mask & (1 << i))
+        family[frozenset(labels)] = _disconnected_coeff_brute(kernel, js,
+                                                              labels)
+    return family
+
+
+def _partition_sums(values: dict[frozenset, Fraction], weight
+                    ) -> dict[frozenset, Fraction]:
+    """For every subset, the sum over its set partitions of
+    weight(number of blocks) times the product of the blocks' values."""
+    return {subset: sum((weight(len(part)) * math.prod(
+                (values[frozenset(block)] for block in part),
+                start=Fraction(1))
+                for part in set_partitions(sorted(subset))), Fraction(0))
+            for subset in sorted(values, key=len)}
+
+
+def mobius_connect_brute(family: dict[frozenset, Fraction]
+                         ) -> dict[frozenset, Fraction]:
+    """Partition-lattice inversion: connected values from full values."""
+    return _partition_sums(
+        family, lambda k: (-1) ** (k - 1) * math.factorial(k - 1))
+
+
+def mobius_disconnect_brute(connected: dict[frozenset, Fraction]
+                            ) -> dict[frozenset, Fraction]:
+    """Inverse direction: full values as sums over partitions."""
+    return _partition_sums(connected, lambda k: 1)
 
 
 def det_leibniz(rows: list[list]) -> Fraction:

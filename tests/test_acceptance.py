@@ -166,7 +166,7 @@ def test_criterion_9_kdv_wave_layer(engine, tau9, tau12, tau15):
     f = free_energy(engine, 9, index_cap=9, degree_cap=3)
     capped = TruncatedTau(f.exp(), f,
                           reliable_weight_cap(degree_cap=3, index_cap=9),
-                          9, "degree-capped")
+                          9)
     assert wave_pairing_check(capped)
     assert wave_pairing_check(tau12)
     # the three one-point wave expressions agree mutually and with the

@@ -10,11 +10,11 @@ from airytau.airy import (ALTERNATING, STANDARD, Kernel, airy_d_check,
                           airy_frame, build_kernel, check_all_routes,
                           closed_entry, diagonal_closed_coeff,
                           faber_zagier_identity_check, kernel_closed,
-                          kernel_diagonal, kernel_gmatrix, kernel_series,
-                          kernel_to_csv, required_order, slope_series,
-                          transition_matrix, wave_series)
+                          kernel_diagonal, kernel_frame, kernel_gmatrix,
+                          kernel_series, kernel_to_csv, required_order,
+                          slope_series, transition_matrix, wave_series)
 from airytau.errors import (CrossCheckError, InsufficientCutoffError,
-                            InvalidKeyError)
+                            InvalidKeyError, WindowError)
 from airytau.npoint import antidiagonal_sum
 from airytau.rational import Rat, double_factorial
 from airytau.series import Series1
@@ -101,7 +101,7 @@ def test_series_route_guard_sees_nonnegative_cells(monkeypatch, which, exp):
     def perturbed(order, convention=STANDARD):
         pair = list(real(order, convention))
         f = pair[which]
-        pair[which] = f + Series1.monomial(f.var, exp, Rat(1, 7))
+        pair[which] = f + Series1.monomial(f.var, exp).scale(Rat(1, 7))
         return tuple(pair)
 
     monkeypatch.setattr(airy_module, "series_pair", perturbed)
@@ -125,7 +125,7 @@ def test_series_route_guard_message(monkeypatch, which, exp, cutoff,
     def perturbed(order, convention=STANDARD):
         pair = list(real(order, convention))
         f = pair[which]
-        pair[which] = f + Series1.monomial(f.var, exp, Rat(1, 7))
+        pair[which] = f + Series1.monomial(f.var, exp).scale(Rat(1, 7))
         return tuple(pair)
 
     monkeypatch.setattr(airy_module, "series_pair", perturbed)
@@ -147,7 +147,7 @@ def test_gmatrix_determinant_guard_message(monkeypatch, cutoff, r, c, below,
 
     def perturbed(order, convention=STANDARD):
         g = real(order, convention)
-        g[r][c] = g[r][c] + Series1.monomial("z", -depth, Rat(1, 5))
+        g[r][c] = g[r][c] + Series1.monomial("z", -depth).scale(Rat(1, 5))
         return g
 
     monkeypatch.setattr(airy_module, "transition_matrix", perturbed)
@@ -187,7 +187,7 @@ def test_check_all_routes_names_first_difference(monkeypatch, route, cell,
             table[cell] += 1
         else:
             del table[cell]
-        return Kernel(cutoff, table, route, convention)
+        return Kernel(cutoff, table, route)
 
     monkeypatch.setitem(airy_module.ROUTES, route, perturbed)
     with pytest.raises(CrossCheckError) as caught:
@@ -207,6 +207,20 @@ def test_routes_equal_closed_at_every_cutoff():
         for route in ("gmatrix", "frame"):
             assert build_kernel(cutoff, route, ALTERNATING) == alternating, \
                 (route, cutoff)
+
+
+def test_frame_route_order_is_tight(monkeypatch):
+    # the frame route builds a and b through z^-(c + 1 + 2 (c//2)), where
+    # every table above agrees; one order less leaves element c short of
+    # z^-(c+1), and normalize refuses
+    real = airy_module.airy_frame
+    monkeypatch.setattr(airy_module, "airy_frame",
+                        lambda count, order, convention:
+                        real(count, order - 1, convention))
+    for cutoff in range(2, 34):
+        for convention in (STANDARD, ALTERNATING):
+            with pytest.raises(WindowError):
+                kernel_frame(cutoff, convention)
 
 
 def test_gmatrix_determinant_is_one():

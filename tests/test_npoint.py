@@ -7,16 +7,17 @@ import pytest
 
 from airytau.errors import (CrossCheckError, InsufficientCutoffError,
                             InvalidKeyError)
-from airytau.npoint import (NPointEngine, disconnected_coeff,
-                            disconnected_family, free_energy, genus0_check,
-                            genus_of, intersection_number, mobius_connect,
-                            mobius_disconnect, puncture_check, set_partitions,
+from airytau.npoint import (NPointEngine, disconnected_family, free_energy,
+                            genus0_check, genus_of, intersection_number,
+                            mobius_connect, mobius_disconnect, puncture_check,
                             valid_keys)
 from airytau.rational import Rat, double_factorial
 from airytau.verify import _RandomKernel, dvv_correlator
 from airytau.airy import kernel_closed
 
-from oracles import LITERATURE_CORRELATORS, cycle_sum_brute
+from oracles import (LITERATURE_CORRELATORS, cycle_sum_brute,
+                     disconnected_family_brute, mobius_connect_brute,
+                     mobius_disconnect_brute, set_partitions)
 
 
 def test_genus_of():
@@ -191,7 +192,8 @@ def test_edge_table_expansion_signs(engine):
 
 def test_determinant_route_single_point(engine):
     kernel = engine.kernel()
-    assert disconnected_coeff(kernel, (3,)) == engine.connected((3,))
+    assert disconnected_family(kernel, (3,))[frozenset({0})] == \
+        engine.connected((3,))
 
 
 def test_cycle_vs_determinant_airy(engine):
@@ -242,6 +244,30 @@ def test_cycle_vs_determinant_prime_denominator_kernels():
             connected = mobius_connect(family)
             assert connected[frozenset(range(len(js)))] == \
                 probe.connected_at(js, 4), (seed, js)
+
+
+def test_determinant_route_matches_set_partition_oracle():
+    # the determinant family and both Moebius directions against the
+    # set-partition enumeration with every cycle walked from every first
+    # row, on unstructured tables at orders of both parities
+    rng = random.Random(6211)
+    keys = ((2,), (3,), (1, 2), (3, 3), (2, 1, 4), (4, 3, 1), (1, 1, 2, 2),
+            (2, 3, 1, 4))
+    for kernel in (_RandomKernel(rng, 4), _PrimeDenominatorKernel(rng, 4),
+                   _PrimeDenominatorKernel(rng, 5)):
+        for js in keys:
+            family = disconnected_family(kernel, js)
+            assert family == disconnected_family_brute(kernel, js), js
+            connected = mobius_connect(family)
+            assert connected == mobius_connect_brute(family), js
+            assert mobius_disconnect(connected) == \
+                mobius_disconnect_brute(connected) == family, js
+    for n in range(1, 5):
+        values = {frozenset(i for i in range(n) if mask >> i & 1):
+                  Rat(rng.randint(-9, 9), rng.randint(1, 7))
+                  for mask in range(1, 1 << n)}
+        assert mobius_connect(values) == mobius_connect_brute(values)
+        assert mobius_disconnect(values) == mobius_disconnect_brute(values)
 
 
 def test_cycle_sum_matches_brute_oracle_on_random_tables():

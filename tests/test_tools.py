@@ -28,3 +28,35 @@ def test_src_lines_parts_sum_to_each_line_count():
               '    """One line."""\n    return x\n')
     assert tool.count_lines(sample) == {"code": 6, "docstring": 4,
                                         "comment": 1, "blank": 3}
+
+
+def test_knobs_counts_defaults_and_dataclass_fields():
+    spec = importlib.util.spec_from_file_location(
+        "knobs", ROOT / "tools" / "knobs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    sample = ('from dataclasses import dataclass, field\n'
+              'import dataclasses\n'
+              'from typing import ClassVar\n\n\n'
+              'def f(a, b=1, /, c=2, *args, d, e=3, **kw):\n'
+              '    g = lambda x, y=0: x + y\n'
+              '    return g\n\n\n'
+              '@dataclass(frozen=True)\n'
+              'class Config:\n'
+              '    required: int\n'
+              '    size: int = 4\n'
+              '    items: list = field(default_factory=list)\n'
+              '    LIMIT: ClassVar[int] = 9\n\n'
+              '    def scaled(self, by=2):\n'
+              '        return self.size * by\n\n\n'
+              '@dataclasses.dataclass\n'
+              'class Bare:\n'
+              '    flag: bool = False\n\n\n'
+              'class Plain:\n'
+              '    width: int = 3\n')
+    assert tool.knobs(sample) == ["f.b", "f.c", "f.e", "<lambda>.y",
+                                  "Config.size", "Config.items",
+                                  "scaled.by", "Bare.flag"]
+    package = ROOT / "src" / "airytau"
+    rows = tool.knobs_tree(package)
+    assert set(rows) == {path.name for path in package.glob("*.py")}

@@ -60,8 +60,7 @@ def _xi_cells(series):
 
 def vacuum_tau(weight=9):
     return TruncatedTau(MultiPoly.const(1, weight_cap=weight),
-                        MultiPoly.zero(weight_cap=weight), weight, weight,
-                        "vacuum")
+                        MultiPoly.zero(weight_cap=weight), weight, weight)
 
 
 def test_vacuum_wave_is_bare_exponential():
@@ -139,7 +138,7 @@ def test_differential_fay_trivial_and_toy():
     assert differential_fay_check(vacuum_tau(), (3, 3))
     # tau = exp(T_1)
     f = MultiPoly.var(1, weight_cap=8)
-    toy = TruncatedTau(f.exp(), f, 8, 1, "toy")
+    toy = TruncatedTau(f.exp(), f, 8, 1)
     assert differential_fay_check(toy, (3, 3))
     assert shifted_fay_check(toy, (3, 3))
 
@@ -158,7 +157,7 @@ def test_fay_reach_error(tau9):
 
 def test_theta_requires_kdv():
     f = MultiPoly.var(2, weight_cap=6)
-    non_kdv = TruncatedTau(f.exp(), f, 6, 6, "even time")
+    non_kdv = TruncatedTau(f.exp(), f, 6, 6)
     with pytest.raises(InvalidKeyError):
         bilinear_matrix(non_kdv)
 
@@ -199,8 +198,8 @@ def _oracle_taus(tau9, tau12, tau15, engine):
         "tau12_unpadded": tau_from_free_energy(tau12.free_energy, 12),
         "degree_capped": TruncatedTau(
             fdeg.exp(), fdeg, reliable_weight_cap(degree_cap=3, index_cap=9),
-            9, "degree-capped"),
-        "toy_exp_t1": TruncatedTau(t1.exp(), t1, 8, 1, "toy"),
+            9),
+        "toy_exp_t1": TruncatedTau(t1.exp(), t1, 8, 1),
         "vacuum": vacuum_tau(),
     }
 
@@ -218,7 +217,7 @@ def test_two_point_sum_matches_trace_oracle(tau9, tau12, tau15, engine):
     # the trace of Theta(z1) Theta(z2) times the expansion of
     # 1/(z1^2 - z2^2)^2, read at one cell, on every pair through the cap;
     # the sum reads down to z^(-(j + k)) and the smallest entry order is
-    # W - 2, so pairs with j + k > W - 2 raise
+    # W - 2, so pairs with j + k > W - 2 raise, and so do orders below 1
     pair = ("z1", "z2")
     for name, tau in _oracle_taus(tau9, tau12, tau15, engine).items():
         cap = tau.weight_cap
@@ -231,7 +230,10 @@ def test_two_point_sum_matches_trace_oracle(tau9, tau12, tau15, engine):
         product = trace.mul(geometric_inv_diff_squares_sq(pair, cap))
         for j in range(-3, cap + 1):
             for k in range(-3, cap + 1):
-                if j + k > cap - 2:
+                if j < 1 or k < 1:
+                    with pytest.raises(InvalidKeyError):
+                        matrix_two_point_coeff(tau, j, k)
+                elif j + k > cap - 2:
                     with pytest.raises(InsufficientCutoffError):
                         matrix_two_point_coeff(tau, j, k)
                 else:
@@ -250,6 +252,17 @@ def test_matrix_two_point_matches_engine(tau12, engine):
     for j, k in ((1, 5), (3, 3), (5, 1)):
         assert matrix_two_point_coeff(tau12, j, k) == \
             engine.connected((j, k))
+
+
+@pytest.mark.parametrize("j, k", [(0, 5), (-3, 5), (5, 0), (1, -1)])
+def test_matrix_two_point_refuses_orders_below_one(tau12, engine, j, k):
+    # (1, 5) is served above; an order below 1 is refused as the engine
+    # refuses it, not answered with 0
+    with pytest.raises(InvalidKeyError) as wave_err:
+        matrix_two_point_coeff(tau12, j, k)
+    with pytest.raises(InvalidKeyError) as engine_err:
+        engine.connected((j, k))
+    assert str(wave_err.value) == str(engine_err.value)
 
 
 def test_matrix_two_point_deep_block(tau15, engine):
@@ -286,7 +299,7 @@ def test_reliable_weight_cap():
 def test_degree_capped_pairing(engine):
     f = free_energy(engine, 9, index_cap=9, degree_cap=3)
     cap = reliable_weight_cap(degree_cap=3, index_cap=9)
-    tau = TruncatedTau(f.exp(), f, cap, 9, "degree-capped")
+    tau = TruncatedTau(f.exp(), f, cap, 9)
     assert wave_pairing_check(tau)
 
 
@@ -403,7 +416,7 @@ def test_wave_quotients_match_full_product_oracle(tau12):
     toy = MultiPoly({((1, 1),): Fraction(1), ((1, 1), (3, 1)): Fraction(1, 2)},
                     weight_cap=8)
     taus = (tau12, tau_from_free_energy(tau12.free_energy, 12),
-            TruncatedTau(toy.exp(), toy, 8, 3, "toy"))
+            TruncatedTau(toy.exp(), toy, 8, 3))
     for tau in taus:
         inverse = dict(tau.poly.inverse().terms)
         for build, direction, tag in ((wave, -1, 1), (dual_wave, 1, -1)):
@@ -426,7 +439,7 @@ def test_theta_at_zero_built_once_per_tau(tau9, engine, monkeypatch):
     def fresh():
         # tau9 is shared across tests and may already hold its matrix
         return TruncatedTau(tau9.poly, tau9.free_energy, tau9.weight_cap,
-                            tau9.index_cap, tau9.provenance)
+                            tau9.index_cap)
 
     pairs = ((1, 5), (3, 3), (5, 1))
     tau = fresh()
@@ -448,7 +461,7 @@ def test_theta_at_zero_built_once_per_tau(tau9, engine, monkeypatch):
     assert len(builds) == 2 and builds[1] is twin
 
     f = MultiPoly.var(2, weight_cap=6)
-    non_kdv = TruncatedTau(f.exp(), f, 6, 6, "even time")
+    non_kdv = TruncatedTau(f.exp(), f, 6, 6)
     for _ in range(2):
         with pytest.raises(InvalidKeyError):
             matrix_one_point_series(non_kdv)
@@ -461,8 +474,8 @@ def test_shifted_tau_embeds_one_variable_shift(tau9):
     t1 = MultiPoly.var(1, weight_cap=8)
     f = MultiPoly({((1, 1),): Fraction(1), ((1, 1), (3, 1)): Fraction(1, 2)},
                   weight_cap=8)
-    toys = (TruncatedTau(t1.exp(), t1, 8, 1, "toy"),
-            TruncatedTau(f.exp(), f, 8, 3, "toy"))
+    toys = (TruncatedTau(t1.exp(), t1, 8, 1),
+            TruncatedTau(f.exp(), f, 8, 3))
     for tau in (tau9,) + toys:
         for s in (1, -1):
             one = shifted_tau(tau, (s,))
@@ -519,8 +532,8 @@ def test_wave_layer_matches_golden(tau9, tau12, engine):
         "tau12_unpadded": tau_from_free_energy(tau12.free_energy, 12),
         "degree_capped": TruncatedTau(
             fdeg.exp(), fdeg, reliable_weight_cap(degree_cap=3, index_cap=9),
-            9, "degree-capped"),
-        "toy_exp_t1": TruncatedTau(toy.exp(), toy, 8, 1, "toy"),
+            9),
+        "toy_exp_t1": TruncatedTau(toy.exp(), toy, 8, 1),
     }
     golden = json.loads(GOLDEN.read_text())
     assert set(golden) == set(taus)
@@ -657,7 +670,7 @@ def _toy_odd_tau(weight_cap, poly_cap):
                    ((1, 1), (3, 1)): Fraction(3, 5), ((5, 1),): Fraction(1, 4),
                    ((7, 1),): Fraction(-5, 7), ((9, 1),): Fraction(2, 9),
                    ((1, 2), (5, 1)): Fraction(7, 6)}, weight_cap=poly_cap)
-    return TruncatedTau(f.exp(), f, weight_cap, 9, "toy odd times")
+    return TruncatedTau(f.exp(), f, weight_cap, 9)
 
 
 def test_shifted_tau_matches_fraction_reference():
@@ -686,7 +699,7 @@ def test_one_wave_bundle_per_tau(tau9, monkeypatch):
 
         monkeypatch.setattr(wave_module, name, counting)
     tau = TruncatedTau(tau9.poly, tau9.free_energy, tau9.weight_cap,
-                       tau9.index_cap, tau9.provenance)
+                       tau9.index_cap)
     assert theorem_one_point_check(tau)
     assert wave_pairing_check(tau)
     assert len(quotients) == 2
