@@ -1,8 +1,11 @@
 """Golden CLI outputs: stdout, stderr and exit code, byte for byte.
 
 Each case's expected streams live in ``tests/golden/<name>.out`` and
-``<name>.err``.  They were recorded with ``python -m airytau.cli <argv>``;
-regenerate them the same way only when an output change is intended.
+``<name>.err``.  They were recorded with ``python -m airytau.cli <argv>``
+and ``COLUMNS=80``, since argparse wraps help and usage text at the
+terminal width; regenerate them the same way only when an output change
+is intended.  Help and argparse errors leave through ``SystemExit``, whose
+code is compared as the exit code.
 """
 
 from __future__ import annotations
@@ -35,13 +38,30 @@ CASES = [
     ("tau_schur_w11", ["tau", "--basis", "schur", "--weight", "11"], 0),
     ("kernel_alternating_check_all_c30",
      ["kernel", "--cutoff", "30", "--alternating", "--check-all"], 0),
+    ("usage_no_args", [], 2),
+    ("help", ["--help"], 0),
+    *((f"help_{command}", [command, "--help"], 0)
+      for command in ("correlator", "npoint", "kernel", "series", "tau",
+                      "verify")),
+    ("bogus_command", ["bogus"], 2),
+    ("correlator_missing_indices", ["correlator"], 2),
+    ("correlator_bogus_flag", ["correlator", "--indices", "0,0,0", "--bogus"],
+     2),
+    ("bogus_flag_before_command",
+     ["--bogus", "correlator", "--indices", "0,0,0"], 2),
+    ("series_invalid_choice", ["series", "--which", "tau"], 2),
 ]
 
 
 @pytest.mark.parametrize("name,argv,code", CASES,
                          ids=[case[0] for case in CASES])
-def test_cli_output_matches_golden(name, argv, code, capsys):
-    assert main(argv) == code
+def test_cli_output_matches_golden(name, argv, code, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    assert status == code
     captured = capsys.readouterr()
     assert captured.out == (GOLDEN / f"{name}.out").read_text()
     assert captured.err == (GOLDEN / f"{name}.err").read_text()
