@@ -32,8 +32,13 @@ def canonical_json(payload) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InvalidKeyError(
+                f"cannot write output file {out_path}: {exc.strerror}"
+            ) from exc
     else:
         sys.stdout.write(text)
 
@@ -259,73 +264,67 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 4
 
 
-def build_parser() -> argparse.ArgumentParser:
+# One row per command: name, help, handler, its defaults for the shared
+# flags, and its own flags as (flag, keywords) pairs.
+_COMMANDS = (
+    ("correlator", "psi-class intersection number", cmd_correlator, {}, (
+        ("--indices", dict(required=True,
+                           help="comma-separated exponents, e.g. 0,0,0")),)),
+    ("npoint", "raw connected n-point coefficient", cmd_npoint, {}, (
+        ("--orders", dict(required=True, help="comma-separated derivative "
+                                              "orders, e.g. 1,5")),)),
+    ("kernel", "dump the kernel coefficient table", cmd_kernel,
+     {"cutoff": 12}, (
+         ("--check-all", dict(action="store_true", help="verify all "
+                              "construction routes agree first")),
+         ("--alternating", dict(action="store_true",
+                                help="use the sign-alternated series pair")))),
+    ("series", "dump one of the generating series", cmd_series, {"order": 16},
+     (("--which", dict(required=True, choices=sorted(_SERIES_BUILDERS))),)),
+    ("tau", "dump tau-function coefficients", cmd_tau, {"weight": 9},
+     (("--basis", dict(choices=("schur", "monomial"), default="schur")),)),
+    ("verify", "run the verification suites", cmd_verify, {}, (
+        ("--suite", dict(choices=sorted(SUITES) + ["all"], default="all")),
+        ("--truncation", dict(choices=("small", "full"))))),
+)
+_SHARED_FLAGS = (
+    ("--format", dict(choices=("json", "csv", "text"))),
+    ("--out", dict(help="write output to a file")),
+    ("--config", dict(help="key = value config file; flags take precedence")),
+    ("--cutoff", dict(type=int, help="kernel cutoff")),
+    ("--order", dict(type=int, help="series truncation order")),
+    ("--weight", dict(type=int, help="total-weight cap")))
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for one command line.  All six commands are listed (in
+    the usage, ``--help`` and an invalid choice), but only those named in
+    ``argv`` get their flags and handler: argparse runs the first
+    positional, a whole item of ``argv``, so the one that runs is complete.
+    """
     parser = argparse.ArgumentParser(
         prog="airytau",
         description="Exact psi-class intersection numbers and n-point "
                     "functions from the Airy fermionic kernel.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, func, **defaults) -> None:
-        p.add_argument("--format", choices=("json", "csv", "text"),
-                       default=None)
-        p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--config", default=None,
-                       help="key = value config file; flags take precedence")
-        p.add_argument("--cutoff", type=int, default=None,
-                       help="kernel cutoff")
-        p.add_argument("--order", type=int, default=None,
-                       help="series truncation order")
-        p.add_argument("--weight", type=int, default=None,
-                       help="total-weight cap")
-        # after add_argument, whose default=None would otherwise win
-        p.set_defaults(func=func, **defaults)
-
-    p = sub.add_parser("correlator", help="psi-class intersection number")
-    p.add_argument("--indices", required=True,
-                   help="comma-separated exponents, e.g. 0,0,0")
-    common(p, cmd_correlator)
-
-    p = sub.add_parser("npoint", help="raw connected n-point coefficient")
-    p.add_argument("--orders", required=True,
-                   help="comma-separated derivative orders, e.g. 1,5")
-    common(p, cmd_npoint)
-
-    p = sub.add_parser("kernel", help="dump the kernel coefficient table")
-    p.add_argument("--check-all", action="store_true",
-                   help="verify all construction routes agree first")
-    p.add_argument("--alternating", action="store_true",
-                   help="use the sign-alternated series pair")
-    common(p, cmd_kernel, cutoff=12)
-
-    p = sub.add_parser("series", help="dump one of the generating series")
-    p.add_argument("--which", required=True,
-                   choices=sorted(_SERIES_BUILDERS))
-    common(p, cmd_series, order=16)
-
-    p = sub.add_parser("tau", help="dump tau-function coefficients")
-    p.add_argument("--basis", choices=("schur", "monomial"),
-                   default="schur")
-    common(p, cmd_tau, weight=9)
-
-    p = sub.add_parser("verify", help="run the verification suites")
-    p.add_argument("--suite", choices=sorted(SUITES) + ["all"],
-                   default="all")
-    p.add_argument("--truncation", choices=("small", "full"), default=None)
-    common(p, cmd_verify)
-
+    for name, text, func, defaults, flags in _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        if name in argv:
+            for flag, keywords in flags + _SHARED_FLAGS:
+                p.add_argument(flag, **keywords)
+            p.set_defaults(func=func, **defaults)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         if args.config:
             # The config pairs go right after the command, so argparse
             # checks them as it checks flags (exit 2) and an explicit flag,
-            # parsed later, wins.
+            # parsed later, wins; as --key=value items they name no command.
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_flags(args.config)
                                      + argv[at:])

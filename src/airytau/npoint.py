@@ -13,11 +13,11 @@ Extraction is a bounded tensor contraction: each factor is a finite table of
 exponent pairs; exponent conservation at each point (its two incident factors
 sum to -j-1) threads a transfer chain along the cycle, evaluated by dynamic
 programming over visited subsets.  The dynamic programming runs on Python
-integers: every term (p, q, c) of an edge table is multiplied by D^(-(p+q)),
-with the base D derived from the table's denominators (12 for the Airy
-kernel).  The exponents along a contributing cycle sum to -(sum(j) + n), so
-each cycle term carries the same scale D^(sum(j) + n) and one exact division
-at the end recovers the rational.
+integers: both edge tables come from one sorted pass over the kernel table,
+each term (p, q, c) multiplied by D^(-(p+q)), with the base D derived from
+the kernel's denominators (12 for the Airy kernel).  The exponents along a
+contributing cycle sum to -(sum(j) + n), so each cycle term carries the
+same scale D^(sum(j) + n) and one exact division recovers the rational.
 
 The truncation is proved, not found by trial.  Two bounds make the cycle
 sum at kernel cutoff C exact:
@@ -101,59 +101,62 @@ def _edge_table(kernel, ascending: bool) -> dict[int, list[tuple[int, Rat]]]:
     return table
 
 
-def _scale_base(*tables) -> int:
-    """The base D that turns every term (p, q, c) of the tables into the
-    integer c * D^(-(p+q)).
+def _scale_base(table) -> int:
+    """The base D that turns every term (p, q, c) of both edge tables into
+    the integer c * D^(-(p+q)), from the kernel table {(m, n): c}.
 
-    Each trial prime enters D to the smallest power that clears its share
-    of every denominator at that term's exponent -(p+q) >= 1; a cofactor
-    left over after the trial primes is folded into D whole.  A denominator
-    is factored once, at its smallest exponent, where it demands the most.
+    A kernel term sits at exponent e = -(p+q) = m + n + 2; a Cauchy term,
+    +-1, needs nothing.  A trial prime p enters D to the power
+    max ceil(v_p(d) / e) over the denominators d at each e, the least that
+    lets D^e clear p from each; a cofactor left after the trial primes is
+    folded into D whole.  The d at one e are merged by lcm into L_e first,
+    so at most 2 cutoff + 1 numbers are factored, and D is the same:
+    v_p(L_e) = max v_p(d), ceil(v / e) grows with v, and stripping the trial
+    primes commutes with lcm.
     """
-    exponents: dict[int, int] = {}
-    for table in tables:
-        for p, terms in table.items():
-            for q, c in terms:
-                den = c.denominator
-                if den != 1:
-                    exponents[den] = min(exponents.get(den, -(p + q)),
-                                         -(p + q))
+    merged: dict[int, int] = {}
+    for (m, n), c in table.items():
+        merged[m + n + 2] = math.lcm(merged.get(m + n + 2, 1), c.denominator)
     powers: dict[int, int] = {}
     cofactor = 1
-    for den, exponent in exponents.items():
+    for exponent, den in merged.items():
         for prime in _TRIAL_PRIMES:
-            if den == 1:
-                break
             k = 0
             while den % prime == 0:
                 den //= prime
                 k += 1
             if k:
-                power = -(-k // exponent)
-                powers[prime] = max(powers.get(prime, 0), power)
+                powers[prime] = max(powers.get(prime, 0), -(-k // exponent))
         cofactor = math.lcm(cofactor, den)
     return cofactor * math.prod(prime ** k for prime, k in powers.items())
 
 
-def _scale_table(table, base: int) -> dict[int, list[tuple[int, int]]]:
-    """The edge table with each term (p, q, c) multiplied by base^(-(p+q)).
+def _scaled_tables(kernel, base: int) -> tuple[dict, dict]:
+    """The ascending and descending edge tables of ``_edge_table``, rows and
+    terms in the same order, with each term (p, q, c) multiplied by
+    base^(-(p+q)): one sorted pass over ``kernel.table`` for the kernel
+    terms both share, then the Cauchy terms +-base.
 
     Along a contributing n-cycle the exponents sum to -(sum(js) + n), so the
     product of the scales is base^(sum(js) + n) for every term of the cycle
     sum.  Raises CrossCheckError when a scaled term is not an integer.
     """
-    scaled: dict[int, list[tuple[int, int]]] = {}
-    for p, terms in table.items():
-        row = scaled[p] = []
-        for q, c in terms:
-            k = -(p + q)
+    lt: dict[int, list[tuple[int, int]]] = {}
+    gt: dict[int, list[tuple[int, int]]] = {}
+    for (m, n), c in sorted(kernel.table.items()):
+        if c != 0:
+            k = m + n + 2
             value, rest = divmod(c.numerator * base ** k, c.denominator)
             if rest:
                 raise CrossCheckError(
-                    f"edge term ({p}, {q}) = {c} is not integral at scale "
-                    f"{base}^{k}")
-            row.append((q, value))
-    return scaled
+                    f"edge term ({-m - 1}, {-n - 1}) = {c} is not integral "
+                    f"at scale {base}^{k}")
+            lt.setdefault(-m - 1, []).append((-n - 1, value))
+            gt.setdefault(-m - 1, []).append((-n - 1, value))
+    for k in range(kernel.cutoff):
+        lt.setdefault(-1 - k, []).append((k, base))
+        gt.setdefault(k, []).append((-1 - k, -base))
+    return lt, gt
 
 
 def _cycle_sum(js: tuple[int, ...], lt_table, gt_table) -> int:
@@ -259,11 +262,8 @@ class NPointEngine:
         their common scaling base."""
         if cutoff not in self._tables:
             kernel = self.kernel(cutoff)
-            lt = _edge_table(kernel, True)
-            gt = _edge_table(kernel, False)
-            base = _scale_base(lt, gt)
-            self._tables[cutoff] = (_scale_table(lt, base),
-                                    _scale_table(gt, base), base)
+            base = _scale_base(kernel.table)
+            self._tables[cutoff] = (*_scaled_tables(kernel, base), base)
         return self._tables[cutoff]
 
     def connected_at(self, js: tuple[int, ...], cutoff: int) -> Rat:

@@ -13,7 +13,7 @@ from itertools import combinations, permutations, product
 
 from airytau.airy import STANDARD, required_order, series_pair, \
     transition_matrix
-from airytau.errors import InvalidKeyError, WindowError
+from airytau.errors import CrossCheckError, InvalidKeyError, WindowError
 from airytau.multipoly import MultiPoly
 from airytau.npoint import _edge_table, antidiagonal_sum
 from airytau.partitions import Partition
@@ -173,6 +173,53 @@ def cycle_sum_brute(table: dict[tuple[int, int], Fraction],
 # The determinant route by set partitions: every permutation of a label set
 # through its cycle decomposition, each cycle walked from every first row,
 # and both Moebius directions as sums over all set partitions.
+
+def scaled_tables_two_step(kernel, base: int | None = None):
+    """The engine's integer edge tables by the two-step route: the Fraction
+    tables of ``_edge_table``, a base from every denominator of both, each
+    factored at its smallest exponent -(p+q), then each table scanned again
+    with every term (p, q, c) multiplied by base^(-(p+q)), the ascending
+    table first.  Returns (ascending, descending, base); a given ``base``
+    replaces the derived one.  Raises CrossCheckError when a scaled term is
+    not an integer."""
+    tables = (_edge_table(kernel, True), _edge_table(kernel, False))
+    exponents: dict[int, int] = {}
+    for table in tables:
+        for p, terms in table.items():
+            for q, c in terms:
+                if c.denominator != 1:
+                    exponents[c.denominator] = min(
+                        exponents.get(c.denominator, -(p + q)), -(p + q))
+    powers: dict[int, int] = {}
+    cofactor = 1
+    for den, exponent in exponents.items():
+        for prime in (2, 3, 5, 7, 11, 13):
+            k = 0
+            while den % prime == 0:
+                den //= prime
+                k += 1
+            if k:
+                powers[prime] = max(powers.get(prime, 0), -(-k // exponent))
+        cofactor = math.lcm(cofactor, den)
+    if base is None:
+        base = cofactor * math.prod(prime ** k
+                                    for prime, k in powers.items())
+    scaled = []
+    for table in tables:
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for p, terms in table.items():
+            row = rows[p] = []
+            for q, c in terms:
+                k = -(p + q)
+                value, rest = divmod(c.numerator * base ** k, c.denominator)
+                if rest:
+                    raise CrossCheckError(
+                        f"edge term ({p}, {q}) = {c} is not integral at "
+                        f"scale {base}^{k}")
+                row.append((q, value))
+        scaled.append(rows)
+    return scaled[0], scaled[1], base
+
 
 def set_partitions(items: list):
     """All partitions of a list into nonempty blocks."""

@@ -256,6 +256,15 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text().startswith("m,n,value")
 
 
+def test_out_file_unwritable(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "correlator", "--indices", "0,0,0", "--out",
+                         str(target))
+    assert code == 2 and out == "" and not target.parent.exists()
+    assert err == (f"error: cannot write output file {target}: "
+                   "No such file or directory\n")
+
+
 def test_verify_small_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "airy",
                        "--truncation", "small")

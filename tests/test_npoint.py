@@ -17,7 +17,8 @@ from airytau.airy import kernel_closed
 
 from oracles import (LITERATURE_CORRELATORS, cycle_sum_brute,
                      disconnected_family_brute, mobius_connect_brute,
-                     mobius_disconnect_brute, set_partitions)
+                     mobius_disconnect_brute, scaled_tables_two_step,
+                     set_partitions)
 
 
 def test_genus_of():
@@ -326,37 +327,70 @@ def test_free_energy_builds_one_kernel_and_one_table_pair(monkeypatch):
     from airytau import npoint
 
     tables = []
-    real = npoint._edge_table
+    real = npoint._scaled_tables
 
-    def counting(kernel, ascending):
-        tables.append(ascending)
-        return real(kernel, ascending)
+    def counting(kernel, base):
+        tables.append(kernel.cutoff)
+        return real(kernel, base)
 
-    monkeypatch.setattr(npoint, "_edge_table", counting)
+    def fraction_tables(kernel, ascending):
+        raise AssertionError("the engine reads no Fraction edge table")
+
+    monkeypatch.setattr(npoint, "_scaled_tables", counting)
+    monkeypatch.setattr(npoint, "_edge_table", fraction_tables)
     factory, built = _counting_factory()
     free_energy(NPointEngine(factory, 18), 11)
     assert built == [18]
-    assert sorted(tables) == [False, True]
+    # one call builds the ascending and the descending table
+    assert tables == [18]
 
 
 def test_scale_table_rejects_too_small_base(engine):
-    from airytau.npoint import _edge_table, _scale_base, _scale_table
+    from airytau.npoint import _scale_base, _scaled_tables
 
-    table = _edge_table(engine.kernel(), True)
-    base = _scale_base(table)
+    kernel = engine.kernel()
+    base = _scale_base(kernel.table)
     assert base == 12
     assert all(isinstance(c, int)
-               for terms in _scale_table(table, base).values()
+               for table in _scaled_tables(kernel, base)
+               for terms in table.values()
                for _, c in terms)
     for smaller in (base // 2, base // 3):
         with pytest.raises(CrossCheckError):
-            _scale_table(table, smaller)
+            _scaled_tables(kernel, smaller)
     kernel = _PrimeDenominatorKernel(random.Random(5), 4)
-    table = _edge_table(kernel, False)
-    base = _scale_base(table)
+    base = _scale_base(kernel.table)
     assert base % (7 * 17 ** 2) == 0
     with pytest.raises(CrossCheckError):
-        _scale_table(table, base // 7)
+        _scaled_tables(kernel, base // 7)
+
+
+def test_scaled_tables_match_two_step_oracle():
+    # one sorted pass and the lcm-merged base against the Fraction edge
+    # tables scaled term by term: same base, rows, row order and terms,
+    # and the same refusal of a base one trial prime short
+    from airytau.npoint import _scale_base, _scaled_tables
+
+    rng = random.Random(1913)
+    kernels = [kernel_closed(cutoff) for cutoff in range(2, 25)]
+    kernels += [_RandomKernel(rng, cutoff) for cutoff in (2, 3, 4, 5, 6)]
+    kernels += [_PrimeDenominatorKernel(rng, cutoff)
+                for cutoff in (2, 3, 4, 5, 6)]
+    for kernel in kernels:
+        lt, gt, base = scaled_tables_two_step(kernel)
+        assert _scale_base(kernel.table) == base, kernel.cutoff
+        new_lt, new_gt = _scaled_tables(kernel, base)
+        assert list(new_lt.items()) == list(lt.items()), kernel.cutoff
+        assert list(new_gt.items()) == list(gt.items()), kernel.cutoff
+        # a trial prime short of its power leaves a term fractional
+        for prime in (2, 3, 5, 7, 11, 13):
+            if base % prime:
+                continue
+            with pytest.raises(CrossCheckError) as expected:
+                scaled_tables_two_step(kernel, base // prime)
+            with pytest.raises(CrossCheckError) as found:
+                _scaled_tables(kernel, base // prime)
+            assert str(found.value) == str(expected.value), prime
 
 
 def test_engine_matches_dvv_on_every_key_through_weight_15(engine):
