@@ -264,53 +264,53 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 4
 
 
-# One row per command: name, help, handler, its defaults for the shared
-# flags, and its own flags as (flag, keywords) pairs.
-_COMMANDS = (
-    ("correlator", "psi-class intersection number", cmd_correlator, {}, (
-        ("--indices", dict(required=True,
-                           help="comma-separated exponents, e.g. 0,0,0")),)),
-    ("npoint", "raw connected n-point coefficient", cmd_npoint, {}, (
-        ("--orders", dict(required=True, help="comma-separated derivative "
-                                              "orders, e.g. 1,5")),)),
-    ("kernel", "dump the kernel coefficient table", cmd_kernel,
-     {"cutoff": 12}, (
-         ("--check-all", dict(action="store_true", help="verify all "
-                              "construction routes agree first")),
-         ("--alternating", dict(action="store_true",
-                                help="use the sign-alternated series pair")))),
-    ("series", "dump one of the generating series", cmd_series, {"order": 16},
-     (("--which", dict(required=True, choices=sorted(_SERIES_BUILDERS))),)),
-    ("tau", "dump tau-function coefficients", cmd_tau, {"weight": 9},
-     (("--basis", dict(choices=("schur", "monomial"), default="schur")),)),
-    ("verify", "run the verification suites", cmd_verify, {}, (
-        ("--suite", dict(choices=sorted(SUITES) + ["all"], default="all")),
-        ("--truncation", dict(choices=("small", "full"))))),
-)
-_SHARED_FLAGS = (
-    ("--format", dict(choices=("json", "csv", "text"))),
-    ("--out", dict(help="write output to a file")),
-    ("--config", dict(help="key = value config file; flags take precedence")),
-    ("--cutoff", dict(type=int, help="kernel cutoff")),
-    ("--order", dict(type=int, help="series truncation order")),
-    ("--weight", dict(type=int, help="total-weight cap")))
-
-
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """The parser for one command line.  All six commands are listed (in
     the usage, ``--help`` and an invalid choice), but only those named in
     ``argv`` get their flags and handler: argparse runs the first
     positional, a whole item of ``argv``, so the one that runs is complete.
     """
+    # One row per command: name, help, handler, its defaults for the shared
+    # flags, and its own flags as (flag, keywords) pairs.
+    commands = (
+        ("correlator", "psi-class intersection number", cmd_correlator, {},
+         (("--indices", dict(required=True, help="comma-separated "
+                             "exponents, e.g. 0,0,0")),)),
+        ("npoint", "raw connected n-point coefficient", cmd_npoint, {},
+         (("--orders", dict(required=True, help="comma-separated "
+                            "derivative orders, e.g. 1,5")),)),
+        ("kernel", "dump the kernel coefficient table", cmd_kernel,
+         {"cutoff": 12},
+         (("--check-all", dict(action="store_true", help="verify all "
+                               "construction routes agree first")),
+          ("--alternating", dict(action="store_true", help="use the "
+                                 "sign-alternated series pair")))),
+        ("series", "dump one of the generating series", cmd_series,
+         {"order": 16},
+         (("--which", dict(required=True,
+                           choices=sorted(_SERIES_BUILDERS))),)),
+        ("tau", "dump tau-function coefficients", cmd_tau, {"weight": 9},
+         (("--basis", dict(choices=("schur", "monomial"), default="schur")),)),
+        ("verify", "run the verification suites", cmd_verify, {},
+         (("--suite", dict(choices=sorted(SUITES) + ["all"], default="all")),
+          ("--truncation", dict(choices=("small", "full"))))))
+    shared = (
+        ("--format", dict(choices=("json", "csv", "text"))),
+        ("--out", dict(help="write output to a file")),
+        ("--config",
+         dict(help="key = value config file; flags take precedence")),
+        ("--cutoff", dict(type=int, help="kernel cutoff")),
+        ("--order", dict(type=int, help="series truncation order")),
+        ("--weight", dict(type=int, help="total-weight cap")))
     parser = argparse.ArgumentParser(
         prog="airytau",
         description="Exact psi-class intersection numbers and n-point "
                     "functions from the Airy fermionic kernel.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text, func, defaults, flags in _COMMANDS:
+    for name, text, func, defaults, flags in commands:
         p = sub.add_parser(name, help=text)
         if name in argv:
-            for flag, keywords in flags + _SHARED_FLAGS:
+            for flag, keywords in flags + shared:
                 p.add_argument(flag, **keywords)
             p.set_defaults(func=func, **defaults)
     return parser
