@@ -50,6 +50,13 @@ CASES = [
     ("bogus_flag_before_command",
      ["--bogus", "correlator", "--indices", "0,0,0"], 2),
     ("series_invalid_choice", ["series", "--which", "tau"], 2),
+    ("verify_all", ["verify", "--suite", "all"], 0),
+    ("verify_all_json", ["verify", "--suite", "all", "--format", "json"], 0),
+    ("kernel_alternating_c6_json",
+     ["kernel", "--cutoff", "6", "--alternating", "--format", "json"], 0),
+    ("series_a", ["series", "--which", "a"], 0),
+    ("series_q_o10", ["series", "--which", "q", "--order", "10"], 0),
+    ("series_diagonal", ["series", "--which", "diagonal"], 0),
 ]
 
 
