@@ -27,7 +27,7 @@ from .schur import PowerSums, schur_at
 from .series import Laurent2, Series1
 from .wave import (TruncatedTau, WaveSeries, bilinear_matrix,
                    differential_fay_check, dual_wave, shifted_fay_check,
-                   tau_from_free_energy, theorem_one_point_check, wave,
+                   tau_from_free_energy, theorem_one_point_check,
                    wave_pairing_check, wronskian)
 
 __version__ = "1.0.0"

@@ -30,8 +30,8 @@ the nonnegative cells that must cancel), s = 1 on [-cutoff//2-1, -1]^2 for
 each ``kernel_gmatrix`` block.  The frame route cuts every element to
 order cutoff + 1 before elimination.
 
-A documented ``alternating`` flag switches a, b to their sign-alternated
-partners (the Faber-Zagier series c, q), the opposite time-scaling
+Every builder takes one flag, ``alternating``, that switches a, b to their
+sign-alternated partners (the Faber-Zagier series c, q), the opposite
 convention; the closed-form route applies to the standard convention only.
 """
 
@@ -43,9 +43,6 @@ from .errors import CrossCheckError, InsufficientCutoffError, InvalidKeyError
 from .rational import ZERO, Rat, double_factorial, format_rat
 from .series import Series1, div_diff_powers, outer_sum
 
-STANDARD = "standard"
-ALTERNATING = "alternating"
-
 
 # ---------------------------------------------------------------------------
 # The Airy asymptotic series.
@@ -56,8 +53,7 @@ def _airy_term(m: int) -> Rat:
                6 ** (2 * m) * math.factorial(2 * m))
 
 
-def wave_series(order: int, alternating: bool = False,
-                var: str = "z") -> Series1:
+def wave_series(order: int, alternating: bool = False) -> Series1:
     """a(z) = sum_m (6m-1)!!/(6^(2m) (2m)!) z^(-3m), truncated at z^(-order).
 
     With ``alternating`` the signs alternate in m (the series c(z))."""
@@ -71,11 +67,10 @@ def wave_series(order: int, alternating: bool = False,
             c = -c
         coeffs[-3 * m] = c
         m += 1
-    return Series1(var, coeffs, order)
+    return Series1("z", coeffs, order)
 
 
-def slope_series(order: int, alternating: bool = False,
-                 var: str = "z") -> Series1:
+def slope_series(order: int, alternating: bool = False) -> Series1:
     """b(z) = -sum_m (6m-1)!!/(6^(2m) (2m)!) (6m+1)/(6m-1) z^(-3m+1).
 
     The m = 0 term is +z.  With ``alternating`` the m-th sign is
@@ -88,21 +83,12 @@ def slope_series(order: int, alternating: bool = False,
         val = _airy_term(m) * Rat(6 * m + 1, 6 * m - 1)
         coeffs[-3 * m + 1] = (-1) ** (m + 1) * val if alternating else -val
         m += 1
-    return Series1(var, coeffs, order)
+    return Series1("z", coeffs, order)
 
 
-def series_pair(order: int, convention: str = STANDARD
+def series_pair(order: int, alternating: bool = False
                 ) -> tuple[Series1, Series1]:
-    alt = _alt_flag(convention)
-    return wave_series(order, alt), slope_series(order, alt)
-
-
-def _alt_flag(convention: str) -> bool:
-    if convention == STANDARD:
-        return False
-    if convention == ALTERNATING:
-        return True
-    raise InvalidKeyError(f"unknown convention {convention!r}")
+    return wave_series(order, alternating), slope_series(order, alternating)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +223,7 @@ def _numerators(series: list[Series1]) -> tuple[list[dict[int, int]], int]:
             for f in series], den
 
 
-def kernel_series(cutoff: int, convention: str = STANDARD) -> Kernel:
+def kernel_series(cutoff: int, alternating: bool = False) -> Kernel:
     """Expand 1/(x-y) + (a(x) b(-y) - a(-y) b(x))/(x^2-y^2) in |x| > |y|.
 
     As 1/(x-y) = (x+y)/(x^2-y^2), the whole function is one numerator f
@@ -258,7 +244,7 @@ def kernel_series(cutoff: int, convention: str = STANDARD) -> Kernel:
     the cut factors, f and the quotient sit over D^2.  The table is read
     off transposed (rows index the y-exponent, as in the other routes).
     """
-    a, b = series_pair(2 * cutoff + 1, convention)
+    a, b = series_pair(2 * cutoff + 1, alternating)
     (ax, bx, ay, by), den = _numerators(
         [f.truncated(cutoff - 1) for f in (a, b)]
         + [f.truncated(2 * cutoff + 1).negate_var() for f in (a, b)])
@@ -286,7 +272,7 @@ def _parity_part(f: Series1, odd: int) -> Series1:
                         if e <= -odd and (e - odd) % 2 == 0}, f.den, "z", n)
 
 
-def transition_matrix(order: int, convention: str = STANDARD
+def transition_matrix(order: int, alternating: bool = False
                       ) -> list[list[Series1]]:
     """The 2x2 series matrix of even/odd splits of a and b/z.
 
@@ -294,13 +280,13 @@ def transition_matrix(order: int, convention: str = STANDARD
     odd depth 2n+1 at z^(-n), one compressed step higher than the odd part
     of the constant-normalized split (which pairs depth 2n-1 with z^(-n)).
     """
-    a, b = series_pair(order, convention)
+    a, b = series_pair(order, alternating)
     bt = b.shift(-1)  # constant-normalized slope series
     return [[_parity_part(a, 0), _parity_part(bt, 1).shift(1)],
             [_parity_part(a, 1), _parity_part(bt, 0)]]
 
 
-def kernel_gmatrix(cutoff: int, convention: str = STANDARD) -> Kernel:
+def kernel_gmatrix(cutoff: int, alternating: bool = False) -> Kernel:
     """Assemble the table from (1/(x-y)) (I - G(x) G(y)^(-1)).
 
     G(y)^(-1) is the adjugate, (-1)^(s+c) G[1-c][1-s] at (s, c), using
@@ -326,7 +312,7 @@ def kernel_gmatrix(cutoff: int, convention: str = STANDARD) -> Kernel:
     """
     order = required_order(cutoff)
     w, half = order // 2 - 1, cutoff // 2
-    g = [f for row in transition_matrix(order, convention) for f in row]
+    g = [f for row in transition_matrix(order, alternating) for f in row]
     # entry (r, s) of G cut at w, then at the x and y cuts, at 2r + s
     nums, den = _numerators([f.truncated(k) for k in (w, half, 2 * half + 1)
                              for f in g])
@@ -364,11 +350,11 @@ def kernel_gmatrix(cutoff: int, convention: str = STANDARD) -> Kernel:
 # ---------------------------------------------------------------------------
 
 def airy_frame(count: int, order: int,
-               convention: str = STANDARD) -> list[Series1]:
+               alternating: bool = False) -> list[Series1]:
     """Admissible basis of the Airy point: elements 2n and 2n+1 are
     z^(2n) a(z) and z^(2n) b(z) (leading exponents 2n and 2n+1), with a
     and b exact through z^(-order)."""
-    a, b = series_pair(order, convention)
+    a, b = series_pair(order, alternating)
     frame = []
     for k in range(count):
         base = a if k % 2 == 0 else b
@@ -376,7 +362,7 @@ def airy_frame(count: int, order: int,
     return frame
 
 
-def kernel_frame(cutoff: int, convention: str = STANDARD) -> Kernel:
+def kernel_frame(cutoff: int, alternating: bool = False) -> Kernel:
     """Gauss-normalize the Airy frame and read its affine coordinates
     entry by entry into a kernel table.
 
@@ -389,7 +375,7 @@ def kernel_frame(cutoff: int, convention: str = STANDARD) -> Kernel:
     from .grassmann import AdmissibleFrame
 
     order = cutoff + 1 + 2 * (cutoff // 2)
-    frame = AdmissibleFrame(airy_frame(cutoff + 1, order, convention))
+    frame = AdmissibleFrame(airy_frame(cutoff + 1, order, alternating))
     return Kernel(cutoff, frame.normalize(cutoff).table, "frame")
 
 
@@ -401,40 +387,37 @@ ROUTES = {
 }
 
 
-def build_kernel(cutoff: int, route: str, convention: str = STANDARD) -> Kernel:
+def build_kernel(cutoff: int, route: str, alternating: bool = False
+                 ) -> Kernel:
     if route not in ROUTES:
         raise InvalidKeyError(f"unknown kernel route {route!r}")
     if route == "closed":
-        if convention != STANDARD:
+        if alternating:
             raise InvalidKeyError(
                 "closed-form route exists for the standard convention only")
         return kernel_closed(cutoff)
-    return ROUTES[route](cutoff, convention=convention)
+    return ROUTES[route](cutoff, alternating=alternating)
 
 
-def check_all_routes(cutoff: int, convention: str = STANDARD) -> Kernel:
+def check_all_routes(cutoff: int, alternating: bool = False) -> Kernel:
     """Build every applicable route and demand entry-wise equality.
 
-    Tables hold no zeros, so whole tables are compared first; only when two
-    differ are entries walked.  Returns the reference kernel; raises
-    CrossCheckError naming the first differing entry otherwise.
+    Returns the reference kernel (the first route built); raises
+    CrossCheckError naming the first entry, in (m, n) order, where another
+    route differs.  Tables hold no zeros, so a missing entry reads 0.
     """
-    names = ["closed", "series", "gmatrix", "frame"] if convention == STANDARD \
-        else ["series", "gmatrix", "frame"]
-    kernels = [build_kernel(cutoff, name, convention) for name in names]
+    kernels = [build_kernel(cutoff, name, alternating) for name in ROUTES
+               if not (alternating and name == "closed")]
     reference = kernels[0]
     for other in kernels[1:]:
-        if other.table == reference.table:
-            continue
-        for m in range(cutoff + 1):
-            for n in range(cutoff + 1):
-                left = reference.entry(m, n)
-                right = other.entry(m, n)
-                if left != right:
-                    raise CrossCheckError(
-                        f"route {other.route} differs from {reference.route} "
-                        f"at ({m},{n}): {format_rat(right)} vs "
-                        f"{format_rat(left)}")
+        left, right = reference.table, other.table
+        if left != right:
+            m, n = min(key for key in left.keys() | right.keys()
+                       if left.get(key) != right.get(key))
+            raise CrossCheckError(
+                f"route {other.route} differs from {reference.route} "
+                f"at ({m},{n}): {format_rat(other.entry(m, n))} vs "
+                f"{format_rat(reference.entry(m, n))}")
     return reference
 
 
@@ -442,15 +425,16 @@ def check_all_routes(cutoff: int, convention: str = STANDARD) -> Kernel:
 # Diagonal restriction and the derivative-pairing identity.
 # ---------------------------------------------------------------------------
 
+def _wronskian(order: int) -> Series1:
+    """a'(xi) b(-xi) - a(-xi) b'(xi), from a and b exact through order + 3."""
+    a, b = (f.rename("xi") for f in series_pair(order + 3))
+    return a.derivative() * b.negate_var() - a.negate_var() * b.derivative()
+
+
 def kernel_diagonal(order: int) -> Series1:
     """The one-variable restriction (1/(2 xi)) (1 + a'(xi) b(-xi)
     - a(-xi) b'(xi)), truncated at xi^(-order)."""
-    work = order + 3
-    a, b = series_pair(work)
-    a, b = a.rename("xi"), b.rename("xi")
-    inner = Series1.const("xi", 1) \
-        + a.derivative() * b.negate_var() \
-        - a.negate_var() * b.derivative()
+    inner = Series1.const("xi", 1) + _wronskian(order)
     return inner.shift(-1).scale(Rat(1, 2)).truncated(order)
 
 
@@ -467,17 +451,13 @@ def faber_zagier_identity_check(order: int) -> bool:
     xi^(-4) after dividing by 2 xi); quoting the right side with exponent
     6g instead belongs to the opposite spectral-variable convention.
     """
-    work = order + 3
-    a, b = series_pair(work)
-    a, b = a.rename("xi"), b.rename("xi")
-    lhs = a.derivative() * b.negate_var() - a.negate_var() * b.derivative()
     rhs_terms: dict[int, Rat] = {0: Rat(-1)}
     g = 1
     while 6 * g - 3 <= order:
         rhs_terms[-(6 * g - 3)] = 2 * diagonal_closed_coeff(g)
         g += 1
     rhs = Series1("xi", rhs_terms, order)
-    return lhs.agrees_with(rhs, through=order)
+    return _wronskian(order).agrees_with(rhs, through=order)
 
 
 def airy_d_check(order: int) -> bool:

@@ -13,11 +13,12 @@ import argparse
 import json
 import sys
 
-from .airy import (ALTERNATING, STANDARD, build_kernel, check_all_routes,
+from .airy import (airy_frame, build_kernel, check_all_routes,
                    kernel_closed, kernel_diagonal, kernel_to_csv,
                    required_order, slope_series, wave_series)
 from .errors import AirytauError, InvalidKeyError
 from .grassmann import AdmissibleFrame, tau_schur_coeffs
+from .multipoly import mono_str, mono_weight
 from .npoint import NPointEngine, free_energy, genus_of, intersection_number
 from .rational import format_rat
 from .verify import SUITES, run_suites
@@ -164,12 +165,12 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     cutoff = args.cutoff
     if cutoff < 2:
         raise InvalidKeyError("cutoff must be >= 2")
-    convention = ALTERNATING if args.alternating else STANDARD
+    convention = "alternating" if args.alternating else "standard"
     if args.check_all:
-        kernel = check_all_routes(cutoff, convention)
+        kernel = check_all_routes(cutoff, args.alternating)
         note = f"all routes agree at cutoff {cutoff} ({convention})\n"
     else:
-        kernel = (build_kernel(cutoff, "series", ALTERNATING)
+        kernel = (build_kernel(cutoff, "series", alternating=True)
                   if args.alternating else kernel_closed(cutoff))
         note = ""
     fmt = args.format or "csv"
@@ -186,11 +187,11 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 _SERIES_BUILDERS = {
-    "a": lambda order: wave_series(order, var="z"),
-    "b": lambda order: slope_series(order, var="z"),
-    "c": lambda order: wave_series(order, alternating=True, var="z"),
-    "q": lambda order: slope_series(order, alternating=True, var="z"),
-    "diagonal": lambda order: kernel_diagonal(order),
+    "a": wave_series,
+    "b": slope_series,
+    "c": lambda order: wave_series(order, alternating=True),
+    "q": lambda order: slope_series(order, alternating=True),
+    "diagonal": kernel_diagonal,
 }
 
 
@@ -206,8 +207,6 @@ def cmd_tau(args: argparse.Namespace) -> int:
     basis = args.basis
     if basis == "schur":
         cutoff = weight if args.cutoff is None else args.cutoff
-        from .airy import airy_frame
-
         frame = AdmissibleFrame(airy_frame(cutoff + 1,
                                            required_order(cutoff)))
         coords = frame.normalize(cutoff)
@@ -222,8 +221,6 @@ def cmd_tau(args: argparse.Namespace) -> int:
         engine = NPointEngine(kernel_closed, cutoff)
         f = free_energy(engine, weight)
         tau = tau_from_free_energy(f, padded_weight_cap(weight))
-        from .multipoly import mono_str, mono_weight
-
         rows = [{"monomial": mono_str(mono), "value": format_rat(c)}
                 for mono, c in sorted(tau.poly.terms.items(),
                                       key=lambda kv: (mono_weight(kv[0]),

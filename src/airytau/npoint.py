@@ -437,7 +437,10 @@ def genus0_check(engine: NPointEngine, n: int) -> bool:
     if n < 3:
         raise InvalidKeyError("genus-zero check needs n >= 3")
     target = n - 3
-    for ms in _multisets(n, target):
+    for ms in itertools.combinations_with_replacement(range(target, -1, -1),
+                                                      n):
+        if sum(ms) != target:
+            continue
         expected = math.factorial(target) // math.prod(map(math.factorial, ms))
         if intersection_number(engine, ms) != expected:
             return False
@@ -465,24 +468,6 @@ def puncture_check(engine: NPointEngine, ms: Iterable[int]) -> bool:
     return lhs == rhs
 
 
-def _multisets(n: int, total: int) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing n-tuples of nonnegative integers with given sum."""
-
-    def rec(slots: int, remaining: int, cap: int
-            ) -> Iterator[tuple[int, ...]]:
-        if slots == 0:
-            if remaining == 0:
-                yield ()
-            return
-        for first in range(min(cap, remaining), -1, -1):
-            if first * slots < remaining:
-                break
-            for tail in rec(slots - 1, remaining - first, first):
-                yield (first,) + tail
-
-    yield from rec(n, total, total)
-
-
 # ---------------------------------------------------------------------------
 # Free-energy truncation (consumer: the wave layer).
 # ---------------------------------------------------------------------------
@@ -496,12 +481,12 @@ def valid_keys(weight_cap: int, index_cap: int | None = None,
         budget = (weight_cap - n) // 2  # sum of the m_i
         top = budget if index_cap is None else min(budget,
                                                    (index_cap - 1) // 2)
-        for total in range(budget + 1):
-            for ms in _multisets(n, total):
-                if ms and ms[0] > top:
-                    continue
-                if genus_of(ms) is not None:
-                    yield ms
+        # weakly decreasing tuples, reverse-lexicographic; the stable sort
+        # by sum keeps that order within each sum
+        keys = itertools.combinations_with_replacement(range(top, -1, -1), n)
+        for ms in sorted((ms for ms in keys if sum(ms) <= budget), key=sum):
+            if genus_of(ms) is not None:
+                yield ms
 
 
 def free_energy(engine: NPointEngine, weight_cap: int,

@@ -62,15 +62,11 @@ class Partition:
         if any(m < 0 for m in arms) or any(n < 0 for n in legs):
             raise InvalidKeyError("Frobenius coordinates must be nonnegative")
         d = len(pairs)
-        parts = [arms[i] + i + 1 for i in range(d)]
-        # rows below the Durfee square, reconstructed from the legs
-        for i in range(d):
-            rows_above = legs[i] + i + 1  # column i has this many cells
-            for r in range(d, rows_above):
-                while len(parts) <= r:
-                    parts.append(0)
-                parts[r] = max(parts[r], i + 1)
-        return cls(parts)
+        # below the Durfee square, row r reaches column i exactly when
+        # column i, of legs[i] + i + 1 cells, reaches row r
+        below = [sum(n + i >= r for i, n in enumerate(legs))
+                 for r in range(d, max(legs, default=-1) + 1)]
+        return cls([m + i + 1 for i, m in enumerate(arms)] + below)
 
     @classmethod
     def hook(cls, arm: int, leg: int) -> Partition:

@@ -143,15 +143,6 @@ def _remove_strips(weights: dict[int, object], k: int) -> dict[int, object]:
     return {mask: weight for mask, weight in out.items() if weight}
 
 
-def character(mu: Partition, rho: Partition) -> int:
-    """The symmetric-group character chi^mu at the cycle type rho (same
-    weight), by removing border strips of the parts of rho in turn."""
-    weights = {_beta_mask(mu): 1}
-    for k in rho.parts:
-        weights = _remove_strips(weights, k)
-    return weights.get(0, 0)
-
-
 def schur_sum_in_times(coeffs: dict[Partition, Rat], weight_cap: int
                        ) -> MultiPoly:
     """sum_mu c_mu s_mu(T) at p_k = k T_k, complete through weight_cap.

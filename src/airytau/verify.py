@@ -377,21 +377,15 @@ def suite_sato(ctx: VerifyContext) -> list[CheckResult]:
         tp = tau_plus_two_point(big_coords, weight)
         a = wave_series(3 * weight)
         bt = slope_series(3 * weight).shift(-1)
-        cells: dict[tuple[int, int], Rat] = {}
-        for j in range(weight // 3 + 2):
-            aj = a.get(-3 * j)
-            if aj == 0:
-                continue
-            for k in range(weight // 3 + 2):
-                bk = bt.get(-3 * k)
-                if bk == 0:
-                    continue
-                c = aj * bk
-                cells[(-3 * j - 1, -3 * k)] = \
-                    cells.get((-3 * j - 1, -3 * k), Rat(0)) + c
-                cells[(-3 * k, -3 * j - 1)] = \
-                    cells.get((-3 * k, -3 * j - 1), Rat(0)) - c
-        rhs = Laurent2(("x", "y"), cells)
+
+        def at(f: Series1, axis: int) -> Laurent2:
+            # f(x) on axis 0 or f(y) on axis 1, through the compared cells
+            return Laurent2(("x", "y"), {(e, 0) if axis == 0 else (0, e): c
+                                         for e, c in f.coeffs.items()
+                                         if e >= -weight - 1})
+
+        a1 = a.shift(-1)
+        rhs = at(a1, 0).mul(at(bt, 1)) - at(bt, 0).mul(at(a1, 1))
         delta = Laurent2(("x", "y"), {(-1, 0): Rat(1), (0, -1): Rat(-1)})
         lhs = delta.mul(tp)
         for key in set(lhs.coeffs) | set(rhs.coeffs):
@@ -604,7 +598,7 @@ def suite_kp(ctx: VerifyContext) -> list[CheckResult]:
     def wave_at_origin():
         tau = ctx.tau(base_weight)
         stripped = wave(tau).eval_zero()
-        reference = wave_series(base_weight, alternating=True, var="xi")
+        reference = wave_series(base_weight, alternating=True).rename("xi")
         return stripped.agrees_with(reference, through=base_weight) \
             or "series differ"
 

@@ -11,13 +11,12 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from airytau.airy import STANDARD, required_order, series_pair, \
-    transition_matrix
+from airytau.airy import required_order, series_pair, transition_matrix
 from airytau.errors import CrossCheckError, InvalidKeyError, WindowError
 from airytau.multipoly import MultiPoly
-from airytau.npoint import _edge_table, antidiagonal_sum
+from airytau.npoint import _edge_table, antidiagonal_sum, genus_of
 from airytau.partitions import Partition
-from airytau.schur import PowerSums, schur_at
+from airytau.schur import PowerSums, _beta_mask, _remove_strips, schur_at
 from airytau.series import Laurent2
 
 
@@ -63,7 +62,7 @@ def outer(fx, fy) -> Laurent2:
                                        for e2, c2 in fy.coeffs.items()})
 
 
-def kernel_series_fraction(cutoff: int, convention: str = STANDARD
+def kernel_series_fraction(cutoff: int, alternating: bool = False
                            ) -> dict[tuple[int, int], Fraction]:
     """Table of the generating-function route on Fraction cells.
 
@@ -72,7 +71,7 @@ def kernel_series_fraction(cutoff: int, convention: str = STANDARD
     [-cutoff-1, 2]^2; every nonnegative cell must vanish, and cell
     (ex, ey) is read transposed into (-ey-1, -ex-1).
     """
-    a, b = series_pair(required_order(cutoff), convention)
+    a, b = series_pair(required_order(cutoff), alternating)
     ax, bx = (f.rename("x").truncated(cutoff - 1) for f in (a, b))
     ay, by = (f.negate_var().rename("y").truncated(2 * cutoff + 1)
               for f in (a, b))
@@ -86,7 +85,7 @@ def kernel_series_fraction(cutoff: int, convention: str = STANDARD
     return {(-ey - 1, -ex - 1): c for (ex, ey), c in gf.coeffs.items()}
 
 
-def kernel_gmatrix_fraction(cutoff: int, convention: str = STANDARD
+def kernel_gmatrix_fraction(cutoff: int, alternating: bool = False
                             ) -> dict[tuple[int, int], Fraction]:
     """Table of the transition-matrix route on Fraction cells.
 
@@ -95,7 +94,7 @@ def kernel_gmatrix_fraction(cutoff: int, convention: str = STANDARD
     restricted to [-half-1, -1]^2 (half = cutoff // 2); block (r, c) cell
     (-m-1, -n-1) is row 2m + 1 - r, column 2n + c, read transposed.
     """
-    g = transition_matrix(required_order(cutoff), convention)
+    g = transition_matrix(required_order(cutoff), alternating)
     ginv = [[g[1][1], -g[0][1]], [-g[1][0], g[0][0]]]
     half = cutoff // 2
     gx = [[f.rename("x").truncated(half) for f in row] for row in g]
@@ -326,11 +325,12 @@ def mobius_disconnect_brute(connected: dict[frozenset, Fraction]
     return _partition_sums(connected, lambda k: 1)
 
 
-def det_leibniz(rows: list[list]) -> Fraction:
+def det_leibniz(rows: list[list], zero=Fraction(0)):
     """Determinant by the permutation expansion, sign from the inversion
-    count: sum over sigma of sgn(sigma) * prod_i rows[i][sigma(i)]."""
+    count: sum over sigma of sgn(sigma) * prod_i rows[i][sigma(i)], summed
+    from ``zero`` (a ring's zero for a nonempty matrix over that ring)."""
     n = len(rows)
-    total = Fraction(0)
+    total = zero
     for sigma in permutations(range(n)):
         inversions = sum(1 for i in range(n) for j in range(i + 1, n)
                          if sigma[i] > sigma[j])
@@ -435,6 +435,48 @@ def standard_tableaux_count(mu: Partition) -> int:
 
     rec(1)
     return count
+
+
+def character(mu: Partition, rho: Partition) -> int:
+    """The symmetric-group character chi^mu at the cycle type rho (same
+    weight), by removing border strips of the parts of rho in turn."""
+    weights = {_beta_mask(mu): 1}
+    for k in rho.parts:
+        weights = _remove_strips(weights, k)
+    return weights.get(0, 0)
+
+
+def multisets_recursive(n: int, total: int):
+    """Weakly decreasing n-tuples of nonnegative integers with given sum,
+    by decreasing first entry, then recursively on the tail."""
+
+    def rec(slots: int, remaining: int, cap: int):
+        if slots == 0:
+            if remaining == 0:
+                yield ()
+            return
+        for first in range(min(cap, remaining), -1, -1):
+            if first * slots < remaining:
+                break
+            for tail in rec(slots - 1, remaining - first, first):
+                yield (first,) + tail
+
+    yield from rec(n, total, total)
+
+
+def valid_keys_recursive(weight_cap: int, index_cap: int | None = None,
+                         degree_cap: int | None = None):
+    """The exponent multisets of ``npoint.valid_keys``, in its order, from
+    the recursive enumeration by sum."""
+    max_n = weight_cap if degree_cap is None else min(weight_cap, degree_cap)
+    for n in range(1, max_n + 1):
+        budget = (weight_cap - n) // 2
+        top = budget if index_cap is None else min(budget,
+                                                   (index_cap - 1) // 2)
+        for total in range(budget + 1):
+            for ms in multisets_recursive(n, total):
+                if ms[0] <= top and genus_of(ms) is not None:
+                    yield ms
 
 
 def times_power_sums(weight_cap: int) -> PowerSums:

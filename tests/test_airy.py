@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from airytau import airy as airy_module
-from airytau.airy import (ALTERNATING, STANDARD, Kernel, airy_d_check,
-                          airy_frame, build_kernel, check_all_routes,
-                          closed_entry, diagonal_closed_coeff,
-                          faber_zagier_identity_check, kernel_closed,
-                          kernel_diagonal, kernel_frame, kernel_gmatrix,
-                          kernel_series, kernel_to_csv, required_order,
-                          slope_series, transition_matrix, wave_series)
+from airytau.airy import (Kernel, airy_d_check, airy_frame, build_kernel,
+                          check_all_routes, closed_entry,
+                          diagonal_closed_coeff, faber_zagier_identity_check,
+                          kernel_closed, kernel_diagonal, kernel_frame,
+                          kernel_gmatrix, kernel_series, kernel_to_csv,
+                          required_order, slope_series, transition_matrix,
+                          wave_series)
 from airytau.errors import (CrossCheckError, InsufficientCutoffError,
                             InvalidKeyError, WindowError)
 from airytau.npoint import antidiagonal_sum
@@ -98,8 +98,8 @@ def test_series_route_guard_sees_nonnegative_cells(monkeypatch, which, exp):
     # which only a division that still builds those cells can see
     real = airy_module.series_pair
 
-    def perturbed(order, convention=STANDARD):
-        pair = list(real(order, convention))
+    def perturbed(order, alternating=False):
+        pair = list(real(order, alternating))
         f = pair[which]
         pair[which] = f + Series1.monomial(f.var, exp).scale(Rat(1, 7))
         return tuple(pair)
@@ -109,28 +109,28 @@ def test_series_route_guard_sees_nonnegative_cells(monkeypatch, which, exp):
         kernel_series(12)
 
 
-@pytest.mark.parametrize("which, exp, cutoff, convention, message", [
-    (0, -3, 12, STANDARD, "uncancelled term x^-13 y^0: -13585/82944"),
-    (1, -2, 12, STANDARD, "uncancelled term x^-13 y^0: 12155/82944"),
-    (0, -9, 13, ALTERNATING, "uncancelled term x^-14 y^1: 1/24"),
-    (1, 1, 7, STANDARD, "uncancelled term x^-8 y^1: -55/1152"),
-    (1, -29, 31, ALTERNATING, "uncancelled term x^-32 y^1: -1/7"),
+@pytest.mark.parametrize("which, exp, cutoff, alternating, message", [
+    (0, -3, 12, False, "uncancelled term x^-13 y^0: -13585/82944"),
+    (1, -2, 12, False, "uncancelled term x^-13 y^0: 12155/82944"),
+    (0, -9, 13, True, "uncancelled term x^-14 y^1: 1/24"),
+    (1, 1, 7, False, "uncancelled term x^-8 y^1: -55/1152"),
+    (1, -29, 31, True, "uncancelled term x^-32 y^1: -1/7"),
 ])
 def test_series_route_guard_message(monkeypatch, which, exp, cutoff,
-                                    convention, message):
+                                    alternating, message):
     # the guard names the first uncancelled cell in (x, y) order and its
     # value, for a perturbed a (which = 0) or b (which = 1)
     real = airy_module.series_pair
 
-    def perturbed(order, convention=STANDARD):
-        pair = list(real(order, convention))
+    def perturbed(order, alternating=False):
+        pair = list(real(order, alternating))
         f = pair[which]
         pair[which] = f + Series1.monomial(f.var, exp).scale(Rat(1, 7))
         return tuple(pair)
 
     monkeypatch.setattr(airy_module, "series_pair", perturbed)
     with pytest.raises(CrossCheckError) as caught:
-        kernel_series(cutoff, convention)
+        kernel_series(cutoff, alternating)
     assert str(caught.value) == message
 
 
@@ -145,8 +145,8 @@ def test_gmatrix_determinant_guard_message(monkeypatch, cutoff, r, c, below,
     real = airy_module.transition_matrix
     depth = required_order(cutoff) // 2 - 1 + below
 
-    def perturbed(order, convention=STANDARD):
-        g = real(order, convention)
+    def perturbed(order, alternating=False):
+        g = real(order, alternating)
         g[r][c] = g[r][c] + Series1.monomial("z", -depth).scale(Rat(1, 5))
         return g
 
@@ -160,14 +160,14 @@ def test_gmatrix_determinant_guard_message(monkeypatch, cutoff, r, c, below,
         "transition matrix determinant differs from 1 inside the window"
 
 
-@pytest.mark.parametrize("convention", [STANDARD, ALTERNATING])
-def test_expansion_routes_match_fraction_oracles(convention):
+@pytest.mark.parametrize("alternating", [False, True])
+def test_expansion_routes_match_fraction_oracles(alternating):
     # odd cutoffs too, as the gmatrix window is set by half = cutoff // 2
     for cutoff in range(2, 32):
-        assert kernel_series(cutoff, convention).table == \
-            kernel_series_fraction(cutoff, convention), cutoff
-        assert kernel_gmatrix(cutoff, convention).table == \
-            kernel_gmatrix_fraction(cutoff, convention), cutoff
+        assert kernel_series(cutoff, alternating).table == \
+            kernel_series_fraction(cutoff, alternating), cutoff
+        assert kernel_gmatrix(cutoff, alternating).table == \
+            kernel_gmatrix_fraction(cutoff, alternating), cutoff
 
 
 @pytest.mark.parametrize("route, cell, message", [
@@ -180,8 +180,8 @@ def test_check_all_routes_names_first_difference(monkeypatch, route, cell,
                                                  message):
     real = airy_module.ROUTES[route]
 
-    def perturbed(cutoff, convention=STANDARD):
-        kernel = real(cutoff, convention=convention)
+    def perturbed(cutoff, alternating=False):
+        kernel = real(cutoff, alternating=alternating)
         table = dict(kernel.table)
         if route == "gmatrix":
             table[cell] += 1
@@ -195,6 +195,30 @@ def test_check_all_routes_names_first_difference(monkeypatch, route, cell,
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("changed, missing, message", [
+    ((0, 2), (5, 0), "route gmatrix differs from closed at (0,2): "
+                     "29/24 vs 5/24"),
+    ((5, 0), (0, 2), "route gmatrix differs from closed at (0,2): "
+                     "0 vs 5/24"),
+])
+def test_check_all_routes_names_the_smallest_of_several_differences(
+        monkeypatch, changed, missing, message):
+    # one changed and one missing entry: the message names the smaller
+    # (m, n), whichever kind it is
+    real = airy_module.ROUTES["gmatrix"]
+
+    def perturbed(cutoff, alternating=False):
+        table = dict(real(cutoff, alternating=alternating).table)
+        table[changed] += 1
+        del table[missing]
+        return Kernel(cutoff, table, "gmatrix")
+
+    monkeypatch.setitem(airy_module.ROUTES, "gmatrix", perturbed)
+    with pytest.raises(CrossCheckError) as caught:
+        check_all_routes(6)
+    assert str(caught.value) == message
+
+
 def test_routes_equal_closed_at_every_cutoff():
     # the truncated factors and division windows of each route, at every
     # cutoff and in both conventions
@@ -202,10 +226,10 @@ def test_routes_equal_closed_at_every_cutoff():
         closed = kernel_closed(cutoff)
         for route in ("series", "gmatrix", "frame"):
             assert build_kernel(cutoff, route) == closed, (route, cutoff)
-        alternating = kernel_series(cutoff, convention=ALTERNATING)
+        alternating = kernel_series(cutoff, alternating=True)
         assert alternating != closed
         for route in ("gmatrix", "frame"):
-            assert build_kernel(cutoff, route, ALTERNATING) == alternating, \
+            assert build_kernel(cutoff, route, True) == alternating, \
                 (route, cutoff)
 
 
@@ -215,12 +239,12 @@ def test_frame_route_order_is_tight(monkeypatch):
     # z^-(c+1), and normalize refuses
     real = airy_module.airy_frame
     monkeypatch.setattr(airy_module, "airy_frame",
-                        lambda count, order, convention:
-                        real(count, order - 1, convention))
+                        lambda count, order, alternating:
+                        real(count, order - 1, alternating))
     for cutoff in range(2, 34):
-        for convention in (STANDARD, ALTERNATING):
+        for alternating in (False, True):
             with pytest.raises(WindowError):
-                kernel_frame(cutoff, convention)
+                kernel_frame(cutoff, alternating)
 
 
 def test_gmatrix_determinant_is_one():
@@ -230,10 +254,10 @@ def test_gmatrix_determinant_is_one():
 
 
 def test_alternating_convention_routes_agree():
-    reference = check_all_routes(6, ALTERNATING)
+    reference = check_all_routes(6, True)
     assert reference.route in ("series", "gmatrix", "frame")
     with pytest.raises(InvalidKeyError):
-        build_kernel(6, "closed", ALTERNATING)
+        build_kernel(6, "closed", True)
 
 
 def test_kernel_diagonal_values():

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from airytau.linalg import det_bareiss, det_int
+from airytau.linalg import det_bareiss, det_int, det_ring
+from airytau.series import Laurent2
 
 from oracles import det_leibniz
 
@@ -50,6 +51,56 @@ def _matrices(rng, n, rational):
     for r in range(n):
         dead[r][col] = 0
     yield dead
+
+
+PAIR = ("x", "y")
+
+
+def _ring_entry(rng):
+    """A Laurent2 entry: zero, or one or two cells near the origin."""
+    if rng.random() < 0.3:
+        return Laurent2.zero(PAIR)
+    return Laurent2(PAIR, {(rng.randint(-2, 1), rng.randint(-2, 1)):
+                           Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                    rng.randint(1, 12))
+                           for _ in range(rng.randint(1, 2))})
+
+
+def _ring_matrices(rng, n):
+    """Dense, singular, zero-column and zero-leading-entry n x n matrices
+    over Laurent2."""
+    dense = [[_ring_entry(rng) for _ in range(n)] for _ in range(n)]
+    yield dense
+    if n < 2:
+        return
+    a, b = rng.sample(range(n), 2)
+    singular = [row[:] for row in dense]
+    singular[a] = [Laurent2(PAIR, {(1, -1): Fraction(-2, 3)}) * x
+                   for x in dense[b]]
+    yield singular
+    dead = [row[:] for row in dense]
+    col = rng.randrange(n)
+    for r in range(n):
+        dead[r][col] = Laurent2.zero(PAIR)
+    yield dead
+    lead = [row[:] for row in dense]
+    lead[0][0] = Laurent2.zero(PAIR)
+    yield lead
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_det_ring_matches_leibniz_over_laurent2(n):
+    rng = random.Random(3000 + n)
+    zero, one = Laurent2.zero(PAIR), Laurent2.const(PAIR, 1)
+    kinds = set()
+    for _ in range(1 if n >= 5 else 4):
+        for rows in _ring_matrices(rng, n):
+            value = det_ring(rows, zero, one)
+            assert value == det_leibniz(rows, zero), rows
+            kinds.add(value.is_zero())
+    if n >= 2:
+        assert kinds == {True, False}
+    assert det_ring([], zero, one) == one
 
 
 @pytest.mark.parametrize("n", range(8))

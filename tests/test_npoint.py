@@ -18,7 +18,7 @@ from airytau.airy import kernel_closed
 from oracles import (LITERATURE_CORRELATORS, cycle_sum_brute,
                      disconnected_family_brute, mobius_connect_brute,
                      mobius_disconnect_brute, scaled_tables_two_step,
-                     set_partitions)
+                     set_partitions, valid_keys_recursive)
 
 
 def test_genus_of():
@@ -415,6 +415,20 @@ def test_valid_keys_enumeration():
     assert all(sum(2 * m + 1 for m in k) <= 6 for k in keys)
     capped = list(valid_keys(9, index_cap=3, degree_cap=2))
     assert all(len(k) <= 2 and max(k, default=0) <= 1 for k in capped)
+
+
+def test_valid_keys_match_the_recursive_enumeration_in_order():
+    for weight in range(24):
+        for index_cap in (None, 1, 3, 5, 9):
+            for degree_cap in (None, 1, 2, 3, 5):
+                caps = (weight, index_cap, degree_cap)
+                assert list(valid_keys(*caps)) == \
+                    list(valid_keys_recursive(*caps)), caps
+
+
+def test_genus_zero_check_through_eight_points(engine):
+    for n in range(3, 9):
+        assert genus0_check(engine, n), n
 
 
 def test_free_energy_low_weight(engine):

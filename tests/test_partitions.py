@@ -79,6 +79,11 @@ def test_frobenius_roundtrip(mu):
     assert legs == sorted(legs, reverse=True)
 
 
+def test_frobenius_roundtrip_through_weight_14():
+    for mu in partitions_up_to(14):
+        assert Partition.from_frobenius(mu.frobenius()) == mu, mu
+
+
 def test_from_frobenius_rejects_bad_data():
     with pytest.raises(InvalidKeyError):
         Partition.from_frobenius([(0, 0), (1, 1)])  # arms must decrease

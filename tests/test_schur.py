@@ -9,7 +9,7 @@ import pytest
 from airytau.errors import InsufficientCutoffError
 from airytau.partitions import Partition, partitions_of, partitions_up_to
 from airytau.rational import Rat
-from airytau.schur import (PowerSums, character, hook_minus_closed,
+from airytau.schur import (PowerSums, hook_minus_closed,
                            hook_minus_identity_check,
                            minus_spec,
                            minus_spec_nonhook_vanishing, plus_spec,
@@ -17,7 +17,7 @@ from airytau.schur import (PowerSums, character, hook_minus_closed,
                            shorter_route)
 from airytau.series import Laurent2
 
-from oracles import (minus_spec_h_alternating, schur_brute,
+from oracles import (character, minus_spec_h_alternating, schur_brute,
                      standard_tableaux_count)
 
 

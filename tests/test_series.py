@@ -119,7 +119,7 @@ def test_shift_and_scale():
 
 
 def test_dump_parse_roundtrip():
-    a = slope_series(9, var="q")
+    a = slope_series(9).rename("q")
     text = a.dump()
     assert text == ("# var=q reliable=9\n1\t1\n-2\t-7/24\n-5\t-455/1152\n"
                     "-8\t-95095/82944\n")

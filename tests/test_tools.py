@@ -63,7 +63,7 @@ def test_knobs_counts_defaults_and_dataclass_fields():
 # as counted by tools/knobs.py.  Each is one more setting that tests and
 # benchmarks must cover: raise this only together with a CHANGES.md line
 # that names the new knob and the callers that need different values.
-KNOB_LIMIT = 46
+KNOB_LIMIT = 44
 
 
 def test_knob_count_does_not_grow():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import importlib
 import json
 import operator
 import random
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from airytau import wave as wave_module
 from airytau.airy import slope_series, wave_series
 from airytau.errors import InsufficientCutoffError, InvalidKeyError
 from airytau.multipoly import MultiPoly, mono_str
@@ -32,8 +32,6 @@ from oracles import (assert_lowest_terms, fraction_agrees, fraction_combine,
                      outer, prune_terms, sato_quotient_cells,
                      shifted_tau_terms)
 
-# the package re-exports the function ``wave``, which shadows the module name
-wave_module = importlib.import_module("airytau.wave")
 
 GOLDEN = Path(__file__).parent / "golden" / "wave_layer.json"
 
@@ -84,7 +82,7 @@ def test_wave_normalization(tau12):
 
 def test_wave_at_origin_matches_alternating_series(tau12):
     stripped = wave(tau12).eval_zero()
-    reference = wave_series(12, alternating=True, var="xi")
+    reference = wave_series(12, alternating=True).rename("xi")
     assert stripped.agrees_with(reference, through=12)
 
 
@@ -92,7 +90,7 @@ def test_wave_x_derivative_at_origin(tau12):
     # the mixed constant: d/dx of the wave at the origin is the
     # alternating slope series
     slope = wave(tau12).dx().eval_zero()
-    reference = slope_series(12, alternating=True, var="xi")
+    reference = slope_series(12, alternating=True).rename("xi")
     assert slope.agrees_with(reference, through=11)
 
 
@@ -868,3 +866,11 @@ def test_constructor_refuses_mixed_shift_variables():
         WaveSeries(0, {((0,), ()): Fraction(1), ((0, 0), ()): Fraction(1)},
                    INF, 0, 1)
     assert str(err.value) == "wave terms mix shift variables {1, 2}"
+
+
+def test_package_attribute_wave_is_the_module():
+    import sys
+
+    import airytau
+
+    assert airytau.wave is sys.modules["airytau.wave"]
