@@ -109,13 +109,20 @@ def test_series_route_guard_sees_nonnegative_cells(monkeypatch, which, exp):
         kernel_series(12)
 
 
+def _convention_id(value):
+    """Name a test's sign flag by the convention word the CLI prints."""
+    if isinstance(value, bool):
+        return "alternating" if value else "standard"
+    return None
+
+
 @pytest.mark.parametrize("which, exp, cutoff, alternating, message", [
     (0, -3, 12, False, "uncancelled term x^-13 y^0: -13585/82944"),
     (1, -2, 12, False, "uncancelled term x^-13 y^0: 12155/82944"),
     (0, -9, 13, True, "uncancelled term x^-14 y^1: 1/24"),
     (1, 1, 7, False, "uncancelled term x^-8 y^1: -55/1152"),
     (1, -29, 31, True, "uncancelled term x^-32 y^1: -1/7"),
-])
+], ids=_convention_id)
 def test_series_route_guard_message(monkeypatch, which, exp, cutoff,
                                     alternating, message):
     # the guard names the first uncancelled cell in (x, y) order and its
@@ -160,7 +167,7 @@ def test_gmatrix_determinant_guard_message(monkeypatch, cutoff, r, c, below,
         "transition matrix determinant differs from 1 inside the window"
 
 
-@pytest.mark.parametrize("alternating", [False, True])
+@pytest.mark.parametrize("alternating", [False, True], ids=_convention_id)
 def test_expansion_routes_match_fraction_oracles(alternating):
     # odd cutoffs too, as the gmatrix window is set by half = cutoff // 2
     for cutoff in range(2, 32):
