@@ -434,6 +434,8 @@ def _wronskian(order: int) -> Series1:
 def kernel_diagonal(order: int) -> Series1:
     """The one-variable restriction (1/(2 xi)) (1 + a'(xi) b(-xi)
     - a(-xi) b'(xi)), truncated at xi^(-order)."""
+    if order < 0:
+        raise InvalidKeyError("order must be >= 0")
     inner = Series1.const("xi", 1) + _wronskian(order)
     return inner.shift(-1).scale(Rat(1, 2)).truncated(order)
 

@@ -12,12 +12,12 @@ and the one-point case is the kernel's diagonal restriction.
 Extraction is a bounded tensor contraction: each factor is a finite table of
 exponent pairs; exponent conservation at each point (its two incident factors
 sum to -j-1) threads a transfer chain along the cycle, evaluated by dynamic
-programming over visited subsets.  The dynamic programming runs on Python
-integers: both edge tables come from one sorted pass over the kernel table,
-each term (p, q, c) multiplied by D^(-(p+q)), with the base D derived from
-the kernel's denominators (12 for the Airy kernel).  The exponents along a
-contributing cycle sum to -(sum(j) + n), so each cycle term carries the
-same scale D^(sum(j) + n) and one exact division recovers the rational.
+programming over visited subsets, one subset size at a time.  It runs on
+Python integers: both edge tables come from one sorted pass over the kernel
+table, each term (p, q, c) multiplied by D^(-(p+q)), with the base D derived
+from the kernel's denominators (12 for the Airy kernel).  The exponents
+along a contributing cycle sum to -(sum(j) + n), so each cycle term carries
+the same scale D^(sum(j) + n) and one exact division recovers the rational.
 
 The truncation is proved, not found by trial.  Two bounds make the cycle
 sum at kernel cutoff C exact:
@@ -50,6 +50,7 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import CrossCheckError, InsufficientCutoffError, InvalidKeyError
 from .multipoly import Monomial, MultiPoly
+from .partitions import partitions_of
 from .rational import Rat, double_factorial
 
 GROWTH = 3
@@ -162,8 +163,12 @@ def _scaled_tables(kernel, base: int) -> tuple[dict, dict]:
 def _cycle_sum(js: tuple[int, ...], lt_table, gt_table) -> int:
     """Sum over all n-cycles of the transfer-chain contraction, times the
     cycle sign (-1)^(n-1), on scaled integer edge tables.  DP over (visited
-    set, last vertex) merges the shared prefixes of the (n-1)! cycles.
-    Requires n >= 2.
+    set, last vertex) merges the shared prefixes of the (n-1)! cycles, one
+    visited-set size at a time: each step pops the current layer's states,
+    grouped by visited set, as it reads them, so at most two layers are
+    alive.  The terms an edge leaves at its head depend only on the state
+    it leaves and on whether it ascends, so each state is expanded at most
+    once per direction.  Requires n >= 2.
 
     Only the first rows p0 with -j0 <= p0 <= -1 can close.  A cycle leaves
     vertex 0 on the ascending table and returns to it on the descending
@@ -175,61 +180,58 @@ def _cycle_sum(js: tuple[int, ...], lt_table, gt_table) -> int:
     whole table, and the vertex labels stay as given, because they fix the
     Cauchy expansion regions."""
     n = len(js)
-    full = (1 << n) - 1
     # the two exponents meeting at vertex i sum to sums[i]
     sums = [-j - 1 for j in js]
 
-    def table_for(u: int, v: int):
-        return lt_table if u < v else gt_table
+    def expand(pending: dict[int, int], shift: int, table) -> dict[int, int]:
+        # an edge's terms at its head, on `table`, from a tail with sum `shift`
+        out: dict[int, int] = {}
+        for q, acc in pending.items():
+            for q2, c in table.get(shift - q, ()):
+                out[q2] = out.get(q2, 0) + acc * c
+        return out
 
     total = 0
-    masks = states_masks(n)
     for p0 in range(-js[0], 0):
-        first_terms = lt_table.get(p0)
-        if first_terms is None:
-            continue
-        # every first edge (0 -> v) shares the ascending table; seed each
-        # second vertex with the same exponent split of the first factor
-        # (shared read-only: the DP only writes to larger visited sets)
-        first: dict[int, int] = {}
-        for q, c in first_terms:
-            first[q] = first.get(q, 0) + c
-        states: dict[tuple[int, int], dict[int, int]] = {
-            (1 | (1 << v), v): first for v in range(1, n)}
+        # the closing edge must leave `want` at vertex 0
         want = sums[0] - p0
-        for mask in masks:
-            for last in range(1, n):
-                pending = states.get((mask, last))
-                if pending is None:
-                    continue
-                shift = sums[last]
-                if mask == full:
-                    closing = table_for(last, 0)
-                    for q, acc in pending.items():
-                        for q2, c in closing.get(shift - q, ()):
-                            if q2 == want:
-                                total += acc * c
-                    continue
+        # the seeds share the first edge's expansion (0 -> v ascends) read-only
+        first = expand({want: 1}, sums[0], lt_table)
+        layer = {1 | (1 << v): {v: first} for v in range(1, n)}
+        for _ in range(n - 2):
+            fresh: dict[int, dict[int, dict[int, int]]] = {}
+            while layer:
+                mask, lasts = layer.popitem()
+                expanded: dict[tuple[int, bool], dict[int, int]] = {}
                 for nxt in range(1, n):
-                    bit = 1 << nxt
-                    if mask & bit:
+                    if mask >> nxt & 1:
                         continue
-                    tab = table_for(last, nxt)
                     bucket = None
-                    for q, acc in pending.items():
-                        terms = tab.get(shift - q)
-                        if not terms:
-                            continue
+                    for last, pending in lasts.items():
+                        up = last < nxt
+                        terms = expanded.get((last, up))
+                        if terms is None:
+                            terms = expanded[last, up] = expand(
+                                pending, sums[last],
+                                lt_table if up else gt_table)
                         if bucket is None:
-                            bucket = states.setdefault((mask | bit, nxt), {})
-                        for q2, c in terms:
-                            bucket[q2] = bucket.get(q2, 0) + acc * c
+                            # a copy: other heads of the group read `terms`
+                            bucket = dict(terms)
+                            continue
+                        for q, acc in terms.items():
+                            bucket[q] = bucket.get(q, 0) + acc
+                    if bucket:
+                        fresh.setdefault(mask | 1 << nxt, {})[nxt] = bucket
+            layer = fresh
+        # every closing edge (last -> 0) descends
+        for lasts in layer.values():
+            for last, pending in lasts.items():
+                shift = sums[last]
+                for q, acc in pending.items():
+                    for q2, c in gt_table.get(shift - q, ()):
+                        if q2 == want:
+                            total += acc * c
     return -total if n % 2 == 0 else total
-
-
-def states_masks(n: int) -> list[int]:
-    """All vertex subsets containing vertex 0, by size."""
-    return sorted(range(1, 1 << n, 2), key=int.bit_count)
 
 
 class NPointEngine:
@@ -437,10 +439,8 @@ def genus0_check(engine: NPointEngine, n: int) -> bool:
     if n < 3:
         raise InvalidKeyError("genus-zero check needs n >= 3")
     target = n - 3
-    for ms in itertools.combinations_with_replacement(range(target, -1, -1),
-                                                      n):
-        if sum(ms) != target:
-            continue
+    for p in partitions_of(target):
+        ms = p.parts + (0,) * (n - p.length)
         expected = math.factorial(target) // math.prod(map(math.factorial, ms))
         if intersection_number(engine, ms) != expected:
             return False
@@ -457,8 +457,7 @@ def puncture_check(engine: NPointEngine, ms: Iterable[int]) -> bool:
     ms = tuple(sorted(int(m) for m in ms))
     if 0 not in ms or genus_of(ms) is None or max(ms) == 0:
         raise InvalidKeyError(f"not a valid puncture key: {ms}")
-    rest = list(ms)
-    rest.remove(0)
+    rest = list(ms[1:])  # sorted, so ms[0] is a zero
     lhs = intersection_number(engine, ms)
     rhs = Rat(0)
     for i, m in enumerate(rest):
@@ -481,12 +480,13 @@ def valid_keys(weight_cap: int, index_cap: int | None = None,
         budget = (weight_cap - n) // 2  # sum of the m_i
         top = budget if index_cap is None else min(budget,
                                                    (index_cap - 1) // 2)
-        # weakly decreasing tuples, reverse-lexicographic; the stable sort
-        # by sum keeps that order within each sum
-        keys = itertools.combinations_with_replacement(range(top, -1, -1), n)
-        for ms in sorted((ms for ms in keys if sum(ms) <= budget), key=sum):
-            if genus_of(ms) is not None:
-                yield ms
+        # a key is a partition of its sum padded with zeros, by sum and then
+        # reverse-lexicographic; the selection rule needs sum = n (mod 3)
+        for s in range(n % 3, budget + 1, 3):
+            for p in partitions_of(s):
+                ms = p.parts + (0,) * (n - p.length)
+                if len(ms) == n and ms[0] <= top and genus_of(ms) is not None:
+                    yield ms
 
 
 def free_energy(engine: NPointEngine, weight_cap: int,
@@ -512,7 +512,6 @@ def free_energy(engine: NPointEngine, weight_cap: int,
         if value == 0:
             continue
         counts = Counter(js)
-        for r in counts.values():
-            value /= math.factorial(r)
+        value /= math.prod(map(math.factorial, counts.values()))
         terms[tuple(sorted(counts.items()))] = value
     return MultiPoly(terms, degree_cap=degree_cap, weight_cap=weight_cap)

@@ -57,6 +57,10 @@ CASES = [
     ("series_a", ["series", "--which", "a"], 0),
     ("series_q_o10", ["series", "--which", "q", "--order", "10"], 0),
     ("series_diagonal", ["series", "--which", "diagonal"], 0),
+    ("series_diagonal_order_m1",
+     ["series", "--which", "diagonal", "--order", "-1"], 2),
+    ("series_diagonal_order_m3",
+     ["series", "--which", "diagonal", "--order", "-3"], 2),
 ]
 
 

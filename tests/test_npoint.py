@@ -284,6 +284,19 @@ def test_cycle_sum_matches_brute_oracle_on_random_tables():
             assert probe.connected_at(js, cutoff) == expected, (cutoff, js)
 
 
+def test_cycle_sum_matches_brute_oracle_through_six_points():
+    # five and six points run the DP through three and four extension steps,
+    # with unsorted orders so that edges both ascend and descend
+    rng = random.Random(5171)
+    for cutoff in (3, 4):
+        for js in ((2, 1, 3, 1, 2), (1, 3, 2, 1, 2, 1)):
+            kernel = _PrimeDenominatorKernel(rng, cutoff)
+            probe = NPointEngine(lambda m: kernel, cutoff)
+            expected = cycle_sum_brute(kernel.table, js, cutoff + sum(js) + 2)
+            assert expected != 0, (cutoff, js)
+            assert probe.connected_at(js, cutoff) == expected, (cutoff, js)
+
+
 def _multi_point_keys_through_weight_18():
     keys = [ms for ms in valid_keys(18) if len(ms) > 1]
     assert len(keys) == 73
