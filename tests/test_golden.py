@@ -55,6 +55,8 @@ CASES = [
     ("kernel_alternating_c6_json",
      ["kernel", "--cutoff", "6", "--alternating", "--format", "json"], 0),
     ("series_a", ["series", "--which", "a"], 0),
+    ("series_b", ["series", "--which", "b"], 0),
+    ("series_c", ["series", "--which", "c"], 0),
     ("series_q_o10", ["series", "--which", "q", "--order", "10"], 0),
     ("series_diagonal", ["series", "--which", "diagonal"], 0),
     ("series_diagonal_order_m1",
