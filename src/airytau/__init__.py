@@ -7,7 +7,7 @@ expansions) and a KP wave-function layer used for independent verification.
 All arithmetic is exact rational; nothing here ever touches floating point.
 """
 
-from .airy import (Kernel, build_kernel, check_all_routes, closed_entry,
+from .airy import (Kernel, alternate, check_all_routes, closed_entry,
                    faber_zagier_identity_check, kernel_closed,
                    kernel_diagonal, kernel_frame, kernel_gmatrix,
                    kernel_series, slope_series, wave_series)

@@ -30,9 +30,18 @@ the nonnegative cells that must cancel), s = 1 on [-cutoff//2-1, -1]^2 for
 each ``kernel_gmatrix`` block.  The frame route cuts every element to
 order cutoff + 1 before elimination.
 
-Every builder takes one flag, ``alternating``, that switches a, b to their
-sign-alternated partners (the Faber-Zagier series c, q), the opposite
-convention; the closed-form route applies to the standard convention only.
+Every builder reads a and b.  The opposite convention, the Faber-Zagier
+pair c(z) = a(-z) and q(z) = -b(-z), is the same curve read at -z, so its
+kernel is a sign twist of this one (``alternate``).  Substituting c, q for
+a, b in A gives
+
+    A_cq(x, y) = (a(-y) b(x) - a(x) b(-y)) / (x^2 - y^2) - 1/(x - y)
+               = -A(-x, -y),
+
+and the expansion region |x| > |y| is kept.  The coefficient of
+x^(-m-1) y^(-n-1) in -A(-x, -y) is -(-1)^(m+n) times its coefficient in A,
+so entry (m, n) of the alternating table is (-1)^(m+n+1) times the
+standard entry.
 """
 
 from __future__ import annotations
@@ -53,42 +62,27 @@ def _airy_term(m: int) -> Rat:
                6 ** (2 * m) * math.factorial(2 * m))
 
 
-def wave_series(order: int, alternating: bool = False) -> Series1:
-    """a(z) = sum_m (6m-1)!!/(6^(2m) (2m)!) z^(-3m), truncated at z^(-order).
-
-    With ``alternating`` the signs alternate in m (the series c(z))."""
+def wave_series(order: int) -> Series1:
+    """a(z) = sum_m (6m-1)!!/(6^(2m) (2m)!) z^(-3m), truncated at
+    z^(-order)."""
     if order < 0:
         raise InvalidKeyError("order must be >= 0")
-    coeffs: dict[int, Rat] = {}
-    m = 0
-    while 3 * m <= order:
-        c = _airy_term(m)
-        if alternating and m % 2 == 1:
-            c = -c
-        coeffs[-3 * m] = c
-        m += 1
-    return Series1("z", coeffs, order)
+    return Series1("z", {-3 * m: _airy_term(m)
+                         for m in range(order // 3 + 1)}, order)
 
 
-def slope_series(order: int, alternating: bool = False) -> Series1:
+def slope_series(order: int) -> Series1:
     """b(z) = -sum_m (6m-1)!!/(6^(2m) (2m)!) (6m+1)/(6m-1) z^(-3m+1).
 
-    The m = 0 term is +z.  With ``alternating`` the m-th sign is
-    (-1)^(m+1) instead of the overall minus (the series q(z))."""
+    The m = 0 term is +z."""
     if order < 0:
         raise InvalidKeyError("order must be >= 0")
-    coeffs: dict[int, Rat] = {}
-    m = 0
-    while 3 * m - 1 <= order:
-        val = _airy_term(m) * Rat(6 * m + 1, 6 * m - 1)
-        coeffs[-3 * m + 1] = (-1) ** (m + 1) * val if alternating else -val
-        m += 1
-    return Series1("z", coeffs, order)
+    return Series1("z", {1 - 3 * m: -_airy_term(m) * Rat(6 * m + 1, 6 * m - 1)
+                         for m in range((order + 1) // 3 + 1)}, order)
 
 
-def series_pair(order: int, alternating: bool = False
-                ) -> tuple[Series1, Series1]:
-    return wave_series(order, alternating), slope_series(order, alternating)
+def series_pair(order: int) -> tuple[Series1, Series1]:
+    return wave_series(order), slope_series(order)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +217,7 @@ def _numerators(series: list[Series1]) -> tuple[list[dict[int, int]], int]:
             for f in series], den
 
 
-def kernel_series(cutoff: int, alternating: bool = False) -> Kernel:
+def kernel_series(cutoff: int) -> Kernel:
     """Expand 1/(x-y) + (a(x) b(-y) - a(-y) b(x))/(x^2-y^2) in |x| > |y|.
 
     As 1/(x-y) = (x+y)/(x^2-y^2), the whole function is one numerator f
@@ -244,7 +238,7 @@ def kernel_series(cutoff: int, alternating: bool = False) -> Kernel:
     the cut factors, f and the quotient sit over D^2.  The table is read
     off transposed (rows index the y-exponent, as in the other routes).
     """
-    a, b = series_pair(2 * cutoff + 1, alternating)
+    a, b = series_pair(2 * cutoff + 1)
     (ax, bx, ay, by), den = _numerators(
         [f.truncated(cutoff - 1) for f in (a, b)]
         + [f.truncated(2 * cutoff + 1).negate_var() for f in (a, b)])
@@ -272,21 +266,20 @@ def _parity_part(f: Series1, odd: int) -> Series1:
                         if e <= -odd and (e - odd) % 2 == 0}, f.den, "z", n)
 
 
-def transition_matrix(order: int, alternating: bool = False
-                      ) -> list[list[Series1]]:
+def transition_matrix(order: int) -> list[list[Series1]]:
     """The 2x2 series matrix of even/odd splits of a and b/z.
 
     Row convention: the top-right slot collects the slope coefficients of
     odd depth 2n+1 at z^(-n), one compressed step higher than the odd part
     of the constant-normalized split (which pairs depth 2n-1 with z^(-n)).
     """
-    a, b = series_pair(order, alternating)
+    a, b = series_pair(order)
     bt = b.shift(-1)  # constant-normalized slope series
     return [[_parity_part(a, 0), _parity_part(bt, 1).shift(1)],
             [_parity_part(a, 1), _parity_part(bt, 0)]]
 
 
-def kernel_gmatrix(cutoff: int, alternating: bool = False) -> Kernel:
+def kernel_gmatrix(cutoff: int) -> Kernel:
     """Assemble the table from (1/(x-y)) (I - G(x) G(y)^(-1)).
 
     G(y)^(-1) is the adjugate, (-1)^(s+c) G[1-c][1-s] at (s, c), using
@@ -312,7 +305,7 @@ def kernel_gmatrix(cutoff: int, alternating: bool = False) -> Kernel:
     """
     order = required_order(cutoff)
     w, half = order // 2 - 1, cutoff // 2
-    g = [f for row in transition_matrix(order, alternating) for f in row]
+    g = [f for row in transition_matrix(order) for f in row]
     # entry (r, s) of G cut at w, then at the x and y cuts, at 2r + s
     nums, den = _numerators([f.truncated(k) for k in (w, half, 2 * half + 1)
                              for f in g])
@@ -349,12 +342,11 @@ def kernel_gmatrix(cutoff: int, alternating: bool = False) -> Kernel:
 # Route 4 lives in grassmann.normalize; the frame it consumes is built here.
 # ---------------------------------------------------------------------------
 
-def airy_frame(count: int, order: int,
-               alternating: bool = False) -> list[Series1]:
+def airy_frame(count: int, order: int) -> list[Series1]:
     """Admissible basis of the Airy point: elements 2n and 2n+1 are
     z^(2n) a(z) and z^(2n) b(z) (leading exponents 2n and 2n+1), with a
     and b exact through z^(-order)."""
-    a, b = series_pair(order, alternating)
+    a, b = series_pair(order)
     frame = []
     for k in range(count):
         base = a if k % 2 == 0 else b
@@ -362,7 +354,7 @@ def airy_frame(count: int, order: int,
     return frame
 
 
-def kernel_frame(cutoff: int, alternating: bool = False) -> Kernel:
+def kernel_frame(cutoff: int) -> Kernel:
     """Gauss-normalize the Airy frame and read its affine coordinates
     entry by entry into a kernel table.
 
@@ -375,7 +367,7 @@ def kernel_frame(cutoff: int, alternating: bool = False) -> Kernel:
     from .grassmann import AdmissibleFrame
 
     order = cutoff + 1 + 2 * (cutoff // 2)
-    frame = AdmissibleFrame(airy_frame(cutoff + 1, order, alternating))
+    frame = AdmissibleFrame(airy_frame(cutoff + 1, order))
     return Kernel(cutoff, frame.normalize(cutoff).table, "frame")
 
 
@@ -387,27 +379,14 @@ ROUTES = {
 }
 
 
-def build_kernel(cutoff: int, route: str, alternating: bool = False
-                 ) -> Kernel:
-    if route not in ROUTES:
-        raise InvalidKeyError(f"unknown kernel route {route!r}")
-    if route == "closed":
-        if alternating:
-            raise InvalidKeyError(
-                "closed-form route exists for the standard convention only")
-        return kernel_closed(cutoff)
-    return ROUTES[route](cutoff, alternating=alternating)
-
-
-def check_all_routes(cutoff: int, alternating: bool = False) -> Kernel:
-    """Build every applicable route and demand entry-wise equality.
+def check_all_routes(cutoff: int) -> Kernel:
+    """Build every route and demand entry-wise equality.
 
     Returns the reference kernel (the first route built); raises
     CrossCheckError naming the first entry, in (m, n) order, where another
     route differs.  Tables hold no zeros, so a missing entry reads 0.
     """
-    kernels = [build_kernel(cutoff, name, alternating) for name in ROUTES
-               if not (alternating and name == "closed")]
+    kernels = [build(cutoff) for build in ROUTES.values()]
     reference = kernels[0]
     for other in kernels[1:]:
         left, right = reference.table, other.table
@@ -419,6 +398,15 @@ def check_all_routes(cutoff: int, alternating: bool = False) -> Kernel:
                 f"at ({m},{n}): {format_rat(other.entry(m, n))} vs "
                 f"{format_rat(reference.entry(m, n))}")
     return reference
+
+
+def alternate(kernel: Kernel) -> Kernel:
+    """The table in the opposite convention, the one read from c and q:
+    entry (m, n) times (-1)^(m+n+1), as the module docstring proves.  An
+    involution."""
+    return Kernel(kernel.cutoff, {(m, n): v if (m + n) % 2 else -v
+                                  for (m, n), v in kernel.table.items()},
+                  kernel.route)
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +460,8 @@ def airy_d_check(order: int) -> bool:
     """
     from .grassmann import d_operator
 
-    work = order + 6
-    c = wave_series(work, alternating=True)
-    q = slope_series(work, alternating=True)
+    a, b = series_pair(order + 6)
+    c, q = a.negate_var(), b.negate_var().scale(-1)
     dc = d_operator(c)
     if not dc.agrees_with(q, through=order):
         return False

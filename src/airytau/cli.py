@@ -13,9 +13,9 @@ import argparse
 import json
 import sys
 
-from .airy import (airy_frame, build_kernel, check_all_routes,
-                   kernel_closed, kernel_diagonal, kernel_to_csv,
-                   required_order, slope_series, wave_series)
+from .airy import (airy_frame, alternate, check_all_routes, kernel_closed,
+                   kernel_diagonal, kernel_to_csv, required_order,
+                   slope_series, wave_series)
 from .errors import AirytauError, InvalidKeyError
 from .grassmann import AdmissibleFrame, tau_schur_coeffs
 from .multipoly import mono_str, mono_weight
@@ -166,13 +166,9 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     if cutoff < 2:
         raise InvalidKeyError("cutoff must be >= 2")
     convention = "alternating" if args.alternating else "standard"
-    if args.check_all:
-        kernel = check_all_routes(cutoff, args.alternating)
-        note = f"all routes agree at cutoff {cutoff} ({convention})\n"
-    else:
-        kernel = (build_kernel(cutoff, "series", alternating=True)
-                  if args.alternating else kernel_closed(cutoff))
-        note = ""
+    kernel = (check_all_routes if args.check_all else kernel_closed)(cutoff)
+    if args.alternating:
+        kernel = alternate(kernel)
     fmt = args.format or "csv"
     if fmt == "json":
         rows = [{"m": m, "n": n, "value": format_rat(v)}
@@ -181,16 +177,17 @@ def cmd_kernel(args: argparse.Namespace) -> int:
                               "entries": rows}), args.out)
     else:
         _emit(kernel_to_csv(kernel), args.out)
-    if note:
-        sys.stderr.write(note)
+    if args.check_all:
+        sys.stderr.write(f"all routes agree at cutoff {cutoff} "
+                         f"({convention})\n")
     return 0
 
 
 _SERIES_BUILDERS = {
     "a": wave_series,
     "b": slope_series,
-    "c": lambda order: wave_series(order, alternating=True),
-    "q": lambda order: slope_series(order, alternating=True),
+    "c": lambda order: wave_series(order).negate_var(),
+    "q": lambda order: slope_series(order).negate_var().scale(-1),
     "diagonal": kernel_diagonal,
 }
 
@@ -203,6 +200,8 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 def cmd_tau(args: argparse.Namespace) -> int:
     weight = args.weight
+    if weight < 0:
+        raise InvalidKeyError("weight must be >= 0")
     fmt = args.format or "text"
     basis = args.basis
     if basis == "schur":

@@ -11,13 +11,13 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from airytau.airy import required_order, series_pair, transition_matrix
+from airytau.airy import required_order
 from airytau.errors import CrossCheckError, InvalidKeyError, WindowError
 from airytau.multipoly import MultiPoly
 from airytau.npoint import _edge_table, antidiagonal_sum, genus_of
 from airytau.partitions import Partition
 from airytau.schur import PowerSums, _beta_mask, _remove_strips, schur_at
-from airytau.series import Laurent2
+from airytau.series import Laurent2, Series1
 
 
 def convolve(a: dict[int, Fraction], b: dict[int, Fraction]
@@ -62,6 +62,38 @@ def outer(fx, fy) -> Laurent2:
                                        for e2, c2 in fy.coeffs.items()})
 
 
+def airy_pair_fraction(order: int, alternating: bool = False
+                       ) -> tuple[Series1, Series1]:
+    """The Airy series a, b through z^(-order), term by term from their
+    coefficient formulas on Fractions.
+
+    With t_m = (6m-1)!!/(6^(2m) (2m)!), the m-th term of a is t_m z^(-3m)
+    and that of b is -t_m (6m+1)/(6m-1) z^(-3m+1).  With ``alternating``
+    they are the Faber-Zagier pair c, q instead: the m-th sign of c is
+    (-1)^m and that of q is (-1)^(m+1).
+    """
+    a, b = {}, {}
+    for m in range(order // 3 + 2):
+        t = Fraction(math.prod(range(6 * m - 1, 0, -2)),
+                     36 ** m * math.factorial(2 * m))
+        slope = t * Fraction(6 * m + 1, 6 * m - 1)
+        if 3 * m <= order:
+            a[-3 * m] = (-1) ** m * t if alternating else t
+        if 3 * m - 1 <= order:
+            b[1 - 3 * m] = (-1) ** (m + 1) * slope if alternating else -slope
+    return Series1("z", a, order), Series1("z", b, order)
+
+
+def transition_matrix_fraction(a: Series1, b: Series1) -> list[list[Series1]]:
+    """The 2x2 series matrix G with (a(z), b(z)) = (1, z) G(z^2), read
+    coefficient by coefficient: column 0 splits a, column 1 splits b, and
+    row r holds the exponents of parity r."""
+    def part(f: Series1, r: int) -> Series1:
+        return Series1("z", {(e - r) // 2: c for e, c in f.coeffs.items()
+                             if (e - r) % 2 == 0}, (f.order + r) // 2)
+    return [[part(a, 0), part(b, 0)], [part(a, 1), part(b, 1)]]
+
+
 def kernel_series_fraction(cutoff: int, alternating: bool = False
                            ) -> dict[tuple[int, int], Fraction]:
     """Table of the generating-function route on Fraction cells.
@@ -69,9 +101,10 @@ def kernel_series_fraction(cutoff: int, alternating: bool = False
     The numerator a(x) b(-y) - b(x) a(-y) + x + y, from factors cut as the
     route cuts them, times the expansion of 1/(x^2 - y^2), restricted to
     [-cutoff-1, 2]^2; every nonnegative cell must vanish, and cell
-    (ex, ey) is read transposed into (-ey-1, -ex-1).
+    (ex, ey) is read transposed into (-ey-1, -ex-1).  With
+    ``alternating`` the numerator reads c, q in place of a, b.
     """
-    a, b = series_pair(required_order(cutoff), alternating)
+    a, b = airy_pair_fraction(required_order(cutoff), alternating)
     ax, bx = (f.rename("x").truncated(cutoff - 1) for f in (a, b))
     ay, by = (f.negate_var().rename("y").truncated(2 * cutoff + 1)
               for f in (a, b))
@@ -92,9 +125,11 @@ def kernel_gmatrix_fraction(cutoff: int, alternating: bool = False
     Each block of I - G(x) G(y)^(-1), with the adjugate as inverse and the
     factors cut as the route cuts them, times the expansion of 1/(x - y),
     restricted to [-half-1, -1]^2 (half = cutoff // 2); block (r, c) cell
-    (-m-1, -n-1) is row 2m + 1 - r, column 2n + c, read transposed.
+    (-m-1, -n-1) is row 2m + 1 - r, column 2n + c, read transposed.  With
+    ``alternating`` G splits c, q in place of a, b.
     """
-    g = transition_matrix(required_order(cutoff), alternating)
+    g = transition_matrix_fraction(
+        *airy_pair_fraction(required_order(cutoff), alternating))
     ginv = [[g[1][1], -g[0][1]], [-g[1][0], g[0][0]]]
     half = cutoff // 2
     gx = [[f.rename("x").truncated(half) for f in row] for row in g]

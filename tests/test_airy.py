@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from airytau import airy as airy_module
-from airytau.airy import (Kernel, airy_d_check, airy_frame, build_kernel,
-                          check_all_routes, closed_entry,
+from airytau.airy import (ROUTES, Kernel, airy_d_check, airy_frame,
+                          alternate, check_all_routes, closed_entry,
                           diagonal_closed_coeff, faber_zagier_identity_check,
                           kernel_closed, kernel_diagonal, kernel_frame,
                           kernel_gmatrix, kernel_series, kernel_to_csv,
@@ -19,8 +19,8 @@ from airytau.npoint import antidiagonal_sum
 from airytau.rational import Rat, double_factorial
 from airytau.series import Series1
 
-from oracles import (closed_entry_fraction, kernel_gmatrix_fraction,
-                     kernel_series_fraction)
+from oracles import (airy_pair_fraction, closed_entry_fraction,
+                     kernel_gmatrix_fraction, kernel_series_fraction)
 
 
 def test_wave_series_coefficients():
@@ -43,11 +43,14 @@ def test_slope_series_coefficients():
 
 
 def test_alternating_pair():
-    a, c = wave_series(12), wave_series(12, alternating=True)
-    assert c == a.negate_var()
-    q = slope_series(12, alternating=True)
+    # c(z) = a(-z) and q(z) = -b(-z), against the coefficient formulas of
+    # the oracle, whose signs are (-1)^m and (-1)^(m+1)
+    for order in range(40):
+        c, q = airy_pair_fraction(order, alternating=True)
+        assert c == wave_series(order).negate_var(), order
+        assert q == slope_series(order).negate_var().scale(-1), order
+    assert c.coeff(-3) == Rat(-5, 24) and c.coeff(-6) == Rat(385, 1152)
     assert q.coeff(1) == 1 and q.coeff(-2) == Rat(7, 24)
-    assert q == slope_series(12).negate_var().scale(-1)
 
 
 def test_closed_entries():
@@ -98,8 +101,8 @@ def test_series_route_guard_sees_nonnegative_cells(monkeypatch, which, exp):
     # which only a division that still builds those cells can see
     real = airy_module.series_pair
 
-    def perturbed(order, alternating=False):
-        pair = list(real(order, alternating))
+    def perturbed(order):
+        pair = list(real(order))
         f = pair[which]
         pair[which] = f + Series1.monomial(f.var, exp).scale(Rat(1, 7))
         return tuple(pair)
@@ -119,25 +122,27 @@ def _convention_id(value):
 @pytest.mark.parametrize("which, exp, cutoff, alternating, message", [
     (0, -3, 12, False, "uncancelled term x^-13 y^0: -13585/82944"),
     (1, -2, 12, False, "uncancelled term x^-13 y^0: 12155/82944"),
-    (0, -9, 13, True, "uncancelled term x^-14 y^1: 1/24"),
+    (0, -9, 13, True, "uncancelled term x^-14 y^1: -1/24"),
     (1, 1, 7, False, "uncancelled term x^-8 y^1: -55/1152"),
     (1, -29, 31, True, "uncancelled term x^-32 y^1: -1/7"),
 ], ids=_convention_id)
 def test_series_route_guard_message(monkeypatch, which, exp, cutoff,
                                     alternating, message):
     # the guard names the first uncancelled cell in (x, y) order and its
-    # value, for a perturbed a (which = 0) or b (which = 1)
+    # value, for a perturbed a (which = 0) or b (which = 1).  Both
+    # conventions build the standard pair, so the all-routes check that
+    # ``kernel --alternating --check-all`` runs meets the same guard.
     real = airy_module.series_pair
 
-    def perturbed(order, alternating=False):
-        pair = list(real(order, alternating))
+    def perturbed(order):
+        pair = list(real(order))
         f = pair[which]
         pair[which] = f + Series1.monomial(f.var, exp).scale(Rat(1, 7))
         return tuple(pair)
 
     monkeypatch.setattr(airy_module, "series_pair", perturbed)
     with pytest.raises(CrossCheckError) as caught:
-        kernel_series(cutoff, alternating)
+        (check_all_routes if alternating else kernel_series)(cutoff)
     assert str(caught.value) == message
 
 
@@ -152,8 +157,8 @@ def test_gmatrix_determinant_guard_message(monkeypatch, cutoff, r, c, below,
     real = airy_module.transition_matrix
     depth = required_order(cutoff) // 2 - 1 + below
 
-    def perturbed(order, alternating=False):
-        g = real(order, alternating)
+    def perturbed(order):
+        g = real(order)
         g[r][c] = g[r][c] + Series1.monomial("z", -depth).scale(Rat(1, 5))
         return g
 
@@ -169,11 +174,20 @@ def test_gmatrix_determinant_guard_message(monkeypatch, cutoff, r, c, below,
 
 @pytest.mark.parametrize("alternating", [False, True], ids=_convention_id)
 def test_expansion_routes_match_fraction_oracles(alternating):
-    # odd cutoffs too, as the gmatrix window is set by half = cutoff // 2
+    # odd cutoffs too, as the gmatrix window is set by half = cutoff // 2.
+    # The alternating table is the closed one under ``alternate``, an
+    # involution that is not the identity; its oracles expand c and q
+    # from their own coefficient formulas.
     for cutoff in range(2, 32):
-        assert kernel_series(cutoff, alternating).table == \
+        if alternating:
+            closed = kernel_closed(cutoff)
+            series = gmatrix = alternate(closed)
+            assert series != closed and alternate(series) == closed, cutoff
+        else:
+            series, gmatrix = kernel_series(cutoff), kernel_gmatrix(cutoff)
+        assert series.table == \
             kernel_series_fraction(cutoff, alternating), cutoff
-        assert kernel_gmatrix(cutoff, alternating).table == \
+        assert gmatrix.table == \
             kernel_gmatrix_fraction(cutoff, alternating), cutoff
 
 
@@ -187,8 +201,8 @@ def test_check_all_routes_names_first_difference(monkeypatch, route, cell,
                                                  message):
     real = airy_module.ROUTES[route]
 
-    def perturbed(cutoff, alternating=False):
-        kernel = real(cutoff, alternating=alternating)
+    def perturbed(cutoff):
+        kernel = real(cutoff)
         table = dict(kernel.table)
         if route == "gmatrix":
             table[cell] += 1
@@ -214,8 +228,8 @@ def test_check_all_routes_names_the_smallest_of_several_differences(
     # (m, n), whichever kind it is
     real = airy_module.ROUTES["gmatrix"]
 
-    def perturbed(cutoff, alternating=False):
-        table = dict(real(cutoff, alternating=alternating).table)
+    def perturbed(cutoff):
+        table = dict(real(cutoff).table)
         table[changed] += 1
         del table[missing]
         return Kernel(cutoff, table, "gmatrix")
@@ -228,16 +242,11 @@ def test_check_all_routes_names_the_smallest_of_several_differences(
 
 def test_routes_equal_closed_at_every_cutoff():
     # the truncated factors and division windows of each route, at every
-    # cutoff and in both conventions
+    # cutoff; the other convention is ``alternate`` of this table
     for cutoff in range(2, 34):
         closed = kernel_closed(cutoff)
         for route in ("series", "gmatrix", "frame"):
-            assert build_kernel(cutoff, route) == closed, (route, cutoff)
-        alternating = kernel_series(cutoff, alternating=True)
-        assert alternating != closed
-        for route in ("gmatrix", "frame"):
-            assert build_kernel(cutoff, route, True) == alternating, \
-                (route, cutoff)
+            assert ROUTES[route](cutoff) == closed, (route, cutoff)
 
 
 def test_frame_route_order_is_tight(monkeypatch):
@@ -246,12 +255,10 @@ def test_frame_route_order_is_tight(monkeypatch):
     # z^-(c+1), and normalize refuses
     real = airy_module.airy_frame
     monkeypatch.setattr(airy_module, "airy_frame",
-                        lambda count, order, alternating:
-                        real(count, order - 1, alternating))
+                        lambda count, order: real(count, order - 1))
     for cutoff in range(2, 34):
-        for alternating in (False, True):
-            with pytest.raises(WindowError):
-                kernel_frame(cutoff, alternating)
+        with pytest.raises(WindowError):
+            kernel_frame(cutoff)
 
 
 def test_gmatrix_determinant_is_one():
@@ -261,10 +268,16 @@ def test_gmatrix_determinant_is_one():
 
 
 def test_alternating_convention_routes_agree():
-    reference = check_all_routes(6, True)
-    assert reference.route in ("series", "gmatrix", "frame")
-    with pytest.raises(InvalidKeyError):
-        build_kernel(6, "closed", True)
+    # the table ``alternate`` carries to the other convention is checked
+    # on every route, the closed form among them
+    reference = check_all_routes(6)
+    assert reference.route == "closed"
+    twisted = alternate(reference)
+    assert twisted.table == kernel_series_fraction(6, True)
+    # (-1)^(m+n+1): even m + n flips, odd m + n keeps
+    assert twisted.entry(0, 2) == -reference.entry(0, 2) == Rat(-5, 24)
+    assert twisted.entry(1, 1) == -reference.entry(1, 1) == Rat(7, 24)
+    assert twisted.entry(0, 5) == reference.entry(0, 5) == Rat(385, 1152)
 
 
 def test_kernel_diagonal_values():

@@ -63,6 +63,10 @@ CASES = [
      ["series", "--which", "diagonal", "--order", "-1"], 2),
     ("series_diagonal_order_m3",
      ["series", "--which", "diagonal", "--order", "-3"], 2),
+    ("tau_weight_m1", ["tau", "--weight", "-1"], 2),
+    ("tau_weight_m5", ["tau", "--weight", "-5"], 2),
+    ("tau_monomial_weight_m1",
+     ["tau", "--basis", "monomial", "--weight", "-1"], 2),
 ]
 
 

@@ -13,8 +13,9 @@ from airytau.errors import InvalidKeyError, WindowError
 from airytau.rational import Rat
 from airytau.series import Laurent2, Series1, div_diff_powers, outer_sum
 
-from oracles import (FractionSeries, convolve, geometric_inv_diff,
-                     geometric_inv_diff_squares, laurent_product, restrict)
+from oracles import (FractionSeries, airy_pair_fraction, convolve,
+                     geometric_inv_diff, geometric_inv_diff_squares,
+                     laurent_product, restrict)
 
 
 def s(coeffs, order=None, var="z"):
@@ -89,7 +90,7 @@ def test_derivative_window_deepens():
 
 def test_negate_var_examples():
     assert s({0: 1, -1: 1}).negate_var() == s({0: 1, -1: -1})
-    c = wave_series(9, alternating=True)
+    c, _ = airy_pair_fraction(9, alternating=True)
     assert wave_series(9).negate_var() == c
 
 
