@@ -28,6 +28,10 @@ CASES = [
     ("verify_sato_json", ["verify", "--suite", "sato", "--format", "json"],
      0),
     ("npoint_exit3", ["npoint", "--orders", "3,9", "--cutoff", "8"], 3),
+    ("npoint_1_5", ["npoint", "--orders", "1,5"], 0),
+    ("npoint_3111_csv",
+     ["npoint", "--orders", "3,1,1,1", "--format", "csv"], 0),
+    ("npoint_33_json", ["npoint", "--orders", "3,3", "--format", "json"], 0),
     ("verify_kp_small_json",
      ["verify", "--suite", "kp", "--truncation", "small", "--format",
       "json"], 0),
