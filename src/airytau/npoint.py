@@ -63,12 +63,15 @@ _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13)
 def antidiagonal_sum(kernel, j: int) -> Rat:
     """Coefficient of xi^(-j-1) of the kernel restricted to equal
     arguments: the sum of the entries (m, j - 1 - m).  Works on any object
-    with ``cutoff`` and ``entry(m, n)``."""
+    with ``cutoff`` and the sparse ``table``; orders below 1 are refused,
+    as ``NPointEngine.connected`` refuses them."""
+    if j < 1:
+        raise InvalidKeyError(f"orders must be >= 1: {(j,)}")
     s = j - 1
     if s > kernel.cutoff:
         raise InsufficientCutoffError(
             f"one-point order {j} beyond kernel cutoff {kernel.cutoff}")
-    return sum((kernel.entry(m, s - m) for m in range(max(0, s) + 1)), Rat(0))
+    return sum((kernel.table.get((m, s - m), 0) for m in range(j)), Rat(0))
 
 
 def _edge_table(kernel, ascending: bool) -> dict[int, list[tuple[int, Rat]]]:
@@ -238,12 +241,12 @@ class NPointEngine:
     """Cycle-sum evaluator bound to a kernel family.
 
     ``kernel_factory(cutoff)`` must return a table object exposing
-    ``cutoff``, ``entry(m, n)`` and the sparse ``table`` {(m, n): value}
-    within that cutoff.  The tables of one factory must agree on the entries
-    they share across cutoffs: only then is a value at the reach the value
-    at every larger cutoff.  A kernel and its scaled edge tables are built
-    once per cutoff and kept, so an engine at or above the reach of every
-    key it answers builds one kernel and one pair of edge tables.
+    ``cutoff`` and the sparse ``table`` {(m, n): value} within that cutoff.
+    The tables of one factory must agree on the entries they share across
+    cutoffs: only then is a value at the reach the value at every larger
+    cutoff.  A kernel and its scaled edge tables are built once per cutoff
+    and kept, so an engine at or above the reach of every key it answers
+    builds one kernel and one pair of edge tables.
     """
 
     def __init__(self, kernel_factory: Callable[[int], object], cutoff: int):
@@ -410,17 +413,17 @@ def mobius_disconnect(connected: dict[frozenset, Rat]
 # ---------------------------------------------------------------------------
 
 def genus_of(ms: tuple[int, ...]) -> int | None:
-    """The genus forced by sum(m_i) = 3g - 3 + n, or None if no valid g."""
+    """The genus forced by sum(m_i) = 3g - 3 + n, or None if no valid g.
+
+    Every returned (g, n) is stable, 2g - 2 + n > 0: g >= 1 with n >= 1
+    is, and g = 0 needs sum(m_i) = n - 3 >= 0, so n >= 3."""
     n = len(ms)
     if n < 1 or any(m < 0 for m in ms):
         return None
     total = sum(ms) - n + 3
     if total < 0 or total % 3 != 0:
         return None
-    g = total // 3
-    if n + 2 * g < 3:  # unstable: (0,1), (0,2), (1,0)
-        return None
-    return g
+    return total // 3
 
 
 def intersection_number(engine: NPointEngine, ms: Iterable[int]) -> Rat:

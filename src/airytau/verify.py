@@ -9,6 +9,7 @@ outside the kernel/cycle computation path it is used to check.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -334,6 +335,7 @@ def suite_sato(ctx: VerifyContext) -> list[CheckResult]:
     cutoff = 6 if ctx.small else 9
     frame = AdmissibleFrame(airy_frame(cutoff + 1, required_order(cutoff)))
     coords = frame.normalize(cutoff)
+    big = AdmissibleFrame(airy_frame(16, required_order(15)))
 
     @check("normalize-roundtrip")
     def roundtrip():
@@ -372,7 +374,6 @@ def suite_sato(ctx: VerifyContext) -> list[CheckResult]:
     @check("tau-sum-specialization")
     def sum_specialization():
         weight = 9 if ctx.small else 13
-        big = AdmissibleFrame(airy_frame(16, 3 * 15 + 6))
         big_coords = big.normalize(14)
         tp = tau_plus_two_point(big_coords, weight)
         a = wave_series(3 * weight)
@@ -424,8 +425,10 @@ def suite_sato(ctx: VerifyContext) -> list[CheckResult]:
 
     @check("schur-vs-exponential-tau")
     def schur_vs_exponential():
-        weight = 6 if ctx.small else 9
-        left = tau_polynomial(coords, weight)
+        # at full scale, weight 15 on the cutoff-15 coordinates of ``big``
+        weight = 6 if ctx.small else 15
+        left = tau_polynomial(coords if ctx.small else big.normalize(15),
+                              weight)
         f = free_energy(ctx.engine, weight)
         right = f.with_caps(weight_cap=weight).exp()
         return left == right or "expansions differ"
@@ -439,24 +442,15 @@ def suite_sato(ctx: VerifyContext) -> list[CheckResult]:
 def _random_valid_keys(rng: random.Random, count: int, weight_sum: int,
                        max_n: int, require_zero: bool = False
                        ) -> list[tuple[int, ...]]:
-    keys: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    attempts = 0
-    while len(keys) < count and attempts < 50000:
-        attempts += 1
-        n = rng.randint(1 if not require_zero else 2, max_n)
-        ms = tuple(sorted(rng.randint(0, 4) for _ in range(n)))
-        if require_zero and (0 not in ms or max(ms) == 0):
-            continue
-        if sum(ms) > weight_sum or genus_of(ms) is None:
-            continue
-        if require_zero and len(ms) == 1:
-            continue
-        if ms in seen:
-            continue
-        seen.add(ms)
-        keys.append(ms)
-    return keys
+    """``count`` distinct valid sorted keys with entries in 0..4, at most
+    ``max_n`` points and sum at most ``weight_sum``; with ``require_zero``,
+    each holds a 0 and a positive entry.  Raises ValueError when fewer
+    such keys exist."""
+    pool = [ms for n in range(1, max_n + 1)
+            for ms in itertools.combinations_with_replacement(range(5), n)
+            if sum(ms) <= weight_sum and genus_of(ms) is not None
+            and (not require_zero or ms[0] == 0 < ms[-1])]
+    return rng.sample(pool, count)
 
 
 def suite_npoint(ctx: VerifyContext) -> list[CheckResult]:
@@ -485,7 +479,7 @@ def suite_npoint(ctx: VerifyContext) -> list[CheckResult]:
     @check("puncture-recursion")
     def puncture():
         rng = ctx.rng()
-        keys = _random_valid_keys(rng, 10 if ctx.small else 20,
+        keys = _random_valid_keys(rng, 8 if ctx.small else 20,
                                   4 if ctx.small else 9,
                                   4 if ctx.small else 6, require_zero=True)
         # worst key reach: sum of orders up to 2*9 + 6, entries one less
@@ -571,12 +565,6 @@ class _RandomKernel:
                     value = Rat(rng.randint(-4, 4), rng.randint(1, 3))
                     if value != 0:
                         self.table[(m, n)] = value
-
-    def entry(self, m: int, n: int) -> Rat:
-        if m > self.cutoff or n > self.cutoff:
-            from .errors import InsufficientCutoffError
-            raise InsufficientCutoffError("beyond random kernel cutoff")
-        return self.table.get((m, n), Rat(0))
 
 
 def _cycle_reference(kernel, js: tuple[int, ...]) -> Rat:

@@ -234,31 +234,29 @@ class WaveSeries(Ratios):
     term that does not fit or a mix of shift variables is refused at any
     TW."""
 
-    __slots__ = ("tag", "cap", "twmin", "index_cap", "nvars")
+    __slots__ = ("tag", "cap", "twmin", "nvars")
 
     def __init__(self, tag: int, terms: dict[Term, Rat], cap: int,
-                 twmin: int, index_cap: int):
+                 twmin: int):
         nvars = {len(key) for key, _ in terms} or {1}
         if len(nvars) > 1:
             raise InvalidKeyError(f"wave terms mix shift variables {nvars}")
         self._fill(*over_lcm({_pack(*term): c for term, c in terms.items()}),
-                   tag, cap, twmin, index_cap, nvars.pop())
+                   tag, cap, twmin, nvars.pop())
 
-    def _fill(self, num, den, tag, cap, twmin, index_cap, nvars) -> None:
+    def _fill(self, num, den, tag, cap, twmin, nvars) -> None:
         """Refuses a key with a guard bit set; drops the terms with
         TW > cap."""
         if any(map(_GUARD.__and__, num)):
             raise InvalidKeyError(
                 f"a wave term left its packed key fields: {_FIELDS}")
-        self.tag, self.cap, self.twmin = tag, cap, twmin
-        self.index_cap, self.nvars = index_cap, nvars
+        self.tag, self.cap, self.twmin, self.nvars = tag, cap, twmin, nvars
         self.num, self.den = lowest_terms(_within(num, cap), den)
 
     def _like(self, num: dict[int, int], den: int, cap: int,
               twmin: int) -> WaveSeries:
-        """A series with this tag, index cap and r."""
-        return WaveSeries._of(num, den, self.tag, cap, twmin, self.index_cap,
-                              self.nvars)
+        """A series with this tag and r."""
+        return WaveSeries._of(num, den, self.tag, cap, twmin, self.nvars)
 
     @property
     def terms(self) -> dict[Term, Rat]:
@@ -266,17 +264,15 @@ class WaveSeries(Ratios):
                 for key, n in self.num.items()}
 
     @classmethod
-    def const(cls, value, index_cap: int) -> WaveSeries:
-        return cls(0, {((0,), MONO_ONE): Rat(value)}, INF, 0, index_cap)
+    def const(cls, value) -> WaveSeries:
+        return cls(0, {((0,), MONO_ONE): Rat(value)}, INF, 0)
 
     def _sum(self, other: WaveSeries) -> tuple[int, ...]:
         if self.tag != other.tag:
             raise InvalidKeyError(
                 f"cannot add prefactor tags {self.tag} and {other.tag}")
         return (self.tag, min(self.cap, other.cap),
-                min(self.twmin, other.twmin),
-                min(self.index_cap, other.index_cap),
-                max(self.nvars, other.nvars))
+                min(self.twmin, other.twmin), max(self.nvars, other.nvars))
 
     def __mul__(self, other: WaveSeries) -> WaveSeries:
         """Keys add, and the right factor sorted by key is sorted by TW:
@@ -300,7 +296,6 @@ class WaveSeries(Ratios):
         return WaveSeries._of(out, self.den * other.den,
                               self.tag + other.tag, cap,
                               self.twmin + other.twmin,
-                              min(self.index_cap, other.index_cap),
                               max(self.nvars, other.nvars))
 
     def shift(self, *deltas: int) -> WaveSeries:
@@ -309,8 +304,7 @@ class WaveSeries(Ratios):
         total, unit = sum(deltas), _pack(deltas, MONO_ONE) - _BIAS
         return WaveSeries._of({key + unit: n for key, n in self.num.items()},
                               self.den, self.tag, _cap_add(self.cap, total),
-                              self.twmin + total, self.index_cap,
-                              max(self.nvars, len(deltas)))
+                              self.twmin + total, max(self.nvars, len(deltas)))
 
     def dx(self) -> WaveSeries:
         """d/dx with x identified with T_1, acting on the prefactor too
@@ -325,11 +319,12 @@ class WaveSeries(Ratios):
         return self._like(out, self.den, _cap_add(self.cap, -1),
                           self.twmin - 1)
 
-    def dxi(self) -> WaveSeries:
+    def dxi(self, index_cap: int) -> WaveSeries:
         """d/dxi of a wave series: term-wise on xi^(-k) plus the prefactor
-        divergence tag * sum n T_n xi^(n-1) (odd n up to the index cap)."""
+        divergence tag * sum n T_n xi^(n-1) (odd n up to the tau's
+        ``index_cap``)."""
         ladder = ([(n * self.tag, _pack((1 - n,), mono_var(n)) - _BIAS)
-                   for n in range(1, self.index_cap + 1, 2)]
+                   for n in range(1, index_cap + 1, 2)]
                   if self.tag != 0 else [])
         out = defaultdict(int)
         for key, n in self.num.items():
@@ -437,8 +432,7 @@ def _shift_expansion(tau: TruncatedTau, signs: Key) -> WaveSeries:
                      for k0, c0 in parts for delta, left, cf in factor]
         for k0, c0 in parts:
             out[k0] += c0
-    return WaveSeries._of(out, tau.poly.den * scale, 0, cap, 0,
-                          tau.index_cap, len(signs))
+    return WaveSeries._of(out, tau.poly.den * scale, 0, cap, 0, len(signs))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +454,7 @@ def _sato_quotient(tau: TruncatedTau, inverse: MultiPoly,
     """exp(tag * S) * tau(T - tag [1/xi]) / tau(T), with ``inverse`` the
     polynomial 1/tau(T)."""
     right = WaveSeries._of(_wave_num(inverse, tau.weight_cap), inverse.den,
-                           tag, tau.weight_cap, 0, tau.index_cap, 1)
+                           tag, tau.weight_cap, 0, 1)
     return _shift_expansion(tau, (-tag,)) * right
 
 
@@ -484,8 +478,7 @@ def gradient_series(tau: TruncatedTau) -> WaveSeries:
         depth, scale = (n + 1) * (1 + (1 << TW_SHIFT)), den // d.den
         for key, c in _wave_num(d, tau.weight_cap - n).items():
             out[key + depth] = c * scale
-    return WaveSeries._of(out, den, 0, tau.weight_cap + 1, 0, tau.index_cap,
-                          1)
+    return WaveSeries._of(out, den, 0, tau.weight_cap + 1, 0, 1)
 
 
 def time_ladder(tau: TruncatedTau) -> WaveSeries:
@@ -497,7 +490,7 @@ def time_ladder(tau: TruncatedTau) -> WaveSeries:
     """
     terms = {((1 - n,), mono_var(n)): Rat(n)
              for n in range(1, tau.index_cap + 1, 2)}
-    return WaveSeries(0, terms, INF, 1, tau.index_cap)
+    return WaveSeries(0, terms, INF, 1)
 
 
 def one_point_expressions(tau: TruncatedTau) -> list[WaveSeries]:
@@ -506,9 +499,9 @@ def one_point_expressions(tau: TruncatedTau) -> list[WaveSeries]:
     pairings and their average."""
     w = wave(tau)
     ws = dual_wave(tau)
-    w_xi = w.dxi()
-    ws_xi = ws.dxi()
-    one = WaveSeries.const(1, tau.index_cap)
+    w_xi = w.dxi(tau.index_cap)
+    ws_xi = ws.dxi(tau.index_cap)
+    one = WaveSeries.const(1)
     left = wronskian(w_xi, ws)
     right = wronskian(w, ws_xi)
     expr_a = (left + one).scale(Rat(-1, 2)).shift(1)
@@ -532,8 +525,7 @@ def theorem_one_point_check(tau: TruncatedTau) -> bool:
 def wave_pairing_check(tau: TruncatedTau) -> bool:
     """The Wronskian of the wave pair at equal spectral points is -2 xi."""
     pair = wronskian(wave(tau), dual_wave(tau))
-    target = WaveSeries(0, {((-1,), MONO_ONE): Rat(-2)}, INF, -1,
-                        tau.index_cap)
+    target = WaveSeries(0, {((-1,), MONO_ONE): Rat(-2)}, INF, -1)
     return pair.agrees_with(target)
 
 
@@ -546,7 +538,7 @@ def fay_sides(tau: TruncatedTau, signs: tuple[Key, Key, Key, Key]
     """Both sides of s1 s2 {a, b} = (s1 - s2)(a b - c d), where a, b, c, d
     are ``shifted_tau(tau, sign)`` for the four sign pairs."""
     a, b, c, d = (shifted_tau(tau, sign) for sign in signs)
-    lhs = (a * b.dx() - a.dx() * b).shift(1, 1)
+    lhs = wronskian(a, b).shift(1, 1)
     diff = a * b - c * d
     return lhs, diff.shift(1, 0) - diff.shift(0, 1)
 

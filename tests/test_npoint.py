@@ -7,10 +7,10 @@ import pytest
 
 from airytau.errors import (CrossCheckError, InsufficientCutoffError,
                             InvalidKeyError)
-from airytau.npoint import (NPointEngine, disconnected_family, free_energy,
-                            genus0_check, genus_of, intersection_number,
-                            mobius_connect, mobius_disconnect, puncture_check,
-                            valid_keys)
+from airytau.npoint import (NPointEngine, antidiagonal_sum,
+                            disconnected_family, free_energy, genus0_check,
+                            genus_of, intersection_number, mobius_connect,
+                            mobius_disconnect, puncture_check, valid_keys)
 from airytau.rational import Rat, double_factorial
 from airytau.verify import _RandomKernel, dvv_correlator
 from airytau.airy import kernel_closed
@@ -112,6 +112,13 @@ def test_orders_validation(engine):
         engine.connected(())
     with pytest.raises(InvalidKeyError):
         engine.connected((0, 1))
+
+
+def test_antidiagonal_sum_refuses_order_zero():
+    for kernel in (kernel_closed(6), _RandomKernel(random.Random(3), 4)):
+        with pytest.raises(InvalidKeyError) as err:
+            antidiagonal_sum(kernel, 0)
+        assert str(err.value) == "orders must be >= 1: (0,)"
 
 
 def test_one_point_cutoff_error():

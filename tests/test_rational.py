@@ -65,7 +65,7 @@ CONTAINERS = {
                                       ((1, 2),): c[2]}, weight_cap=5),
     "WaveSeries": lambda c: WaveSeries(0, {((0,), ()): c[0],
                                            ((1,), ((1, 1),)): c[1],
-                                           ((-1,), ()): c[2]}, 6, -1, 5),
+                                           ((-1,), ()): c[2]}, 6, -1),
 }
 
 

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
-from airytau.errors import CrossCheckError
+import json
+import random
+
+from airytau import verify
+from airytau.cli import main
+from airytau.errors import CrossCheckError, InsufficientCutoffError
 from airytau.rational import Rat
-from airytau.verify import (SUITES, VerifyContext, dvv_correlator,
-                            run_suites)
+from airytau.verify import (SUITES, SEED, VerifyContext, _random_valid_keys,
+                            _run, dvv_correlator, run_suites)
 
 import pytest
 
@@ -52,3 +57,48 @@ def test_oracle_string_and_dilaton_consistency():
     g, n = 1, 3
     assert dvv_correlator(base + (1,)) == \
         (2 * g - 2 + n) * dvv_correlator(base)
+
+
+def _refuse():
+    raise InsufficientCutoffError("too small")
+
+
+@pytest.mark.parametrize("fn, detail", [
+    (_refuse, "InsufficientCutoffError: too small"),
+    (lambda: False, "predicate returned false"),
+    (lambda: "cell (1, 2) differs", "cell (1, 2) differs"),
+], ids=["error", "false", "message"])
+def test_run_reports_each_failure_shape(fn, detail):
+    result = _run("suite", "name", fn)
+    assert (result.passed, result.detail) == (False, detail)
+    assert result.line() == f"FAIL  suite:name  ({detail})"
+
+
+def test_verify_reports_a_failing_check_through_the_cli(capsys,
+                                                        monkeypatch):
+    monkeypatch.setitem(verify.KERNEL_BLOCKS, (0, 2), Rat(1, 24))
+    assert main(["verify", "--suite", "airy"]) == 4
+    out = capsys.readouterr().out
+    assert "FAIL  airy:kernel-table-blocks  (entry (0,2) = 5/24)\n" in out
+    assert out.endswith("# scale=full: FAILURES present\n")
+    assert main(["verify", "--suite", "airy", "--format", "json"]) == 4
+    record = json.loads(capsys.readouterr().out)
+    assert record["passed"] is False
+    failed = [c for c in record["checks"] if not c["passed"]]
+    assert failed == [{"suite": "airy", "name": "kernel-table-blocks",
+                       "passed": False, "detail": "entry (0,2) = 5/24"}]
+
+
+def test_random_valid_keys_draw_from_the_whole_pool():
+    pool = {(0, 2), (0, 0, 3), (0, 1, 2), (0, 0, 0, 1), (0, 0, 0, 4),
+            (0, 0, 1, 3), (0, 0, 2, 2), (0, 1, 1, 2)}
+    keys = _random_valid_keys(random.Random(SEED), 8, 4, 4, True)
+    assert sorted(keys) == sorted(pool)
+    with pytest.raises(ValueError):
+        _random_valid_keys(random.Random(SEED), 9, 4, 4, True)
+    # the full-scale pools: puncture, then symmetry and stability
+    for size, args in ((51, (9, 6, True)), (29, (8, 4))):
+        keys = _random_valid_keys(random.Random(SEED), size, *args)
+        assert len(set(keys)) == size
+        with pytest.raises(ValueError):
+            _random_valid_keys(random.Random(SEED), size + 1, *args)

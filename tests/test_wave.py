@@ -274,8 +274,7 @@ def test_wave_satisfies_spectral_square(tau12):
     w = wave(tau12)
     w_xx = w.dx().dx()
     u = tau12.free_energy.deriv(1).deriv(1)
-    u_wave = WaveSeries(0, _terms({(0,): u}), tau12.weight_cap - 2, 0,
-                        tau12.index_cap)
+    u_wave = WaveSeries(0, _terms({(0,): u}), tau12.weight_cap - 2, 0)
     rhs = w.shift(-2) - (u_wave * w).scale(2)
     assert w_xx.agrees_with(rhs)
 
@@ -344,8 +343,7 @@ def _random_wave(rng):
     exps = rng.sample(range(-6, 5), rng.randint(1, 5))
     return WaveSeries(rng.choice((-1, 0, 1)),
                       _terms({(-e,): _random_poly(rng) for e in exps}), cap,
-                      twmin,
-                      rng.choice((1, 3, 5)))
+                      twmin)
 
 
 def _random_shift(rng):
@@ -353,7 +351,7 @@ def _random_shift(rng):
     keys = {(rng.randint(-1, 3), rng.randint(-1, 3))
             for _ in range(rng.randint(1, 5))}
     return WaveSeries(0, _terms({key: _random_poly(rng) for key in keys}),
-                      cap, twmin, 1)
+                      cap, twmin)
 
 
 def _product_cap(a, b):
@@ -369,6 +367,7 @@ def _cell_cap(cap, offset):
 def test_wave_product_equals_full_product_then_prune(seed):
     rng = random.Random(seed)
     a, b = _random_wave(rng), _random_wave(rng)
+    index_cap = rng.choice((1, 3, 5))
     cap = _product_cap(a, b)
     prod = a * b
     assert (prod.tag, prod.cap, prod.twmin) == (a.tag + b.tag, cap,
@@ -381,7 +380,7 @@ def test_wave_product_equals_full_product_then_prune(seed):
     termwise = {e - 1: {m: c * e for m, c in p.items()}
                 for e, p in _xi_cells(a).items() if e != 0}
     ladder = {n - 1: {((n, 1),): Fraction(n * a.tag)}
-              for n in range(1, a.index_cap + 1, 2)} if a.tag else {}
+              for n in range(1, index_cap + 1, 2)} if a.tag else {}
     merged = full_product_pruned(_xi_cells(a), ladder, operator.add,
                                  lambda e: None)
     for e, cell in termwise.items():
@@ -391,7 +390,7 @@ def test_wave_product_equals_full_product_then_prune(seed):
     dcap = INF if a.cap >= INF else a.cap + 1
     expected = full_product_pruned(merged, {0: {(): Fraction(1)}},
                                    operator.add, lambda e: _cell_cap(dcap, e))
-    assert _xi_cells(a.dxi()) == expected
+    assert _xi_cells(a.dxi(index_cap)) == expected
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -506,7 +505,8 @@ def _golden_record(series, xi):
 
 def _golden_entries(tau):
     w, ws = wave(tau), dual_wave(tau)
-    entries = {"wave": w, "dual_wave": ws, "wave_dxi": w.dxi(),
+    entries = {"wave": w, "dual_wave": ws,
+               "wave_dxi": w.dxi(tau.index_cap),
                "dual_wave_dx": ws.dx(), "wronskian": wronskian(w, ws)}
     for i, expr in enumerate(one_point_expressions(tau)):
         entries[f"one_point_{i}"] = expr
@@ -544,9 +544,9 @@ def test_agrees_with_reads_exactly_the_reliable_cells_within_depth():
     def plus(key, mono):
         terms = dict(base_terms)
         terms[key, mono] = terms.get((key, mono), Fraction(0)) + 1
-        return WaveSeries(0, terms, INF, 0, 3)
+        return WaveSeries(0, terms, INF, 0)
 
-    base = WaveSeries(0, base_terms, 6, 0, 3)
+    base = WaveSeries(0, base_terms, 6, 0)
     # TW of the differing cell: weight 4 + depth 2 = 6 is read, 5 + 2 is not
     assert not base.agrees_with(plus((1, 1), ((1, 1), (3, 1))))
     assert base.agrees_with(plus((1, 1), ((1, 2), (3, 1))))
@@ -555,8 +555,8 @@ def test_agrees_with_reads_exactly_the_reliable_cells_within_depth():
     assert base.agrees_with(plus((2, 1), ((1, 1),)), (1, 2))
     assert not base.agrees_with(plus((2, 1), ((1, 1),)))
     # a different prefactor never agrees
-    assert not WaveSeries(1, {}, INF, 0, 3).agrees_with(
-        WaveSeries(0, {}, INF, 0, 3))
+    assert not WaveSeries(1, {}, INF, 0).agrees_with(
+        WaveSeries(0, {}, INF, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +596,7 @@ def _random_pair(rng, nvars):
     for dens in ((1, 2, 4, 8, 3, 9), (1, 5, 7, 25, 6, 49)):
         cap, twmin = _random_meta(rng)
         out.append(WaveSeries(tag, _random_terms(rng, nvars, dens), cap,
-                              twmin, rng.choice((1, 3, 5))))
+                              twmin))
     return out
 
 
@@ -610,8 +610,8 @@ def test_integer_series_match_fraction_reference(seed):
     cap = min(a.cap, b.cap)
     for sign, result in ((1, a + b), (-1, a - b)):
         _assert_lowest_terms(result)
-        assert (result.tag, result.cap, result.twmin, result.index_cap) == \
-            (a.tag, cap, min(a.twmin, b.twmin), min(a.index_cap, b.index_cap))
+        assert (result.tag, result.cap, result.twmin) == \
+            (a.tag, cap, min(a.twmin, b.twmin))
         assert result.terms == fraction_combine(a.terms, b.terms, sign,
                                                 _cap_of(cap))
     factor = Fraction(rng.randint(-9, 9), rng.randint(1, 14))
@@ -629,9 +629,10 @@ def test_integer_series_match_fraction_reference(seed):
     _assert_lowest_terms(dx)
     assert dx.terms == fraction_dx(a.terms, a.tag)
     if nvars == 1:
-        dxi = a.dxi()
+        index_cap = rng.choice((1, 3, 5))
+        dxi = a.dxi(index_cap)
         _assert_lowest_terms(dxi)
-        assert dxi.terms == fraction_dxi(a.terms, a.tag, a.index_cap)
+        assert dxi.terms == fraction_dxi(a.terms, a.tag, index_cap)
     for depth in (None, (1,) * nvars, (3,) * nvars):
         assert a.agrees_with(b, depth) == fraction_agrees(
             a.terms, b.terms, _cap_of(cap), depth)
@@ -643,18 +644,18 @@ def test_agrees_with_across_denominators(seed):
     nvars = 1 if seed % 2 else 2
     a, _ = _random_pair(rng, nvars)
     cap = rng.randint(0, 8)
-    base = WaveSeries(a.tag, a.terms, cap, a.twmin, a.index_cap)
+    base = WaveSeries(a.tag, a.terms, cap, a.twmin)
     # equal within the cap, differing beyond it with a new denominator
     beyond = ((cap + 1,) + (0,) * (nvars - 1), ((1, 1),))
     twin_terms = dict(base.terms)
     twin_terms[beyond] = Fraction(rng.choice((1, 2, 4, 5, 8)), 7 * 11)
-    twin = WaveSeries(a.tag, twin_terms, INF, a.twmin, a.index_cap)
+    twin = WaveSeries(a.tag, twin_terms, INF, a.twmin)
     assert twin.den % 77 == 0
     assert base.agrees_with(twin) and twin.agrees_with(base)
     if base.num:
         term = rng.choice(sorted(base.terms))
         twin_terms[term] += Fraction(1, 13)
-        changed = WaveSeries(a.tag, twin_terms, INF, a.twmin, a.index_cap)
+        changed = WaveSeries(a.tag, twin_terms, INF, a.twmin)
         assert not base.agrees_with(changed)
         assert base.agrees_with(changed, tuple(k - 1 for k in term[0]))
 
@@ -728,16 +729,15 @@ _caps = st.one_of(st.just(INF), st.integers(-4, 20))
 
 @st.composite
 def _series_pairs(draw):
-    """(nvars, given terms and series) x 2 with one tag, random caps, TW
-    floors and index caps."""
+    """(nvars, given terms and series) x 2 with one tag, random caps and
+    TW floors."""
     nvars = draw(st.sampled_from((1, 2)))
     tag = draw(st.sampled_from((-1, 0, 1)))
     out = []
     for _ in range(2):
         terms = draw(_series_terms(nvars))
         out.append((terms, WaveSeries(tag, terms, draw(_caps),
-                                      draw(st.integers(-4, 4)),
-                                      draw(st.sampled_from((9, 11, 13))))))
+                                      draw(st.integers(-4, 4)))))
     return nvars, out
 
 
@@ -762,13 +762,14 @@ def test_series_operations_match_fraction_oracles(pair, data):
     assert a.shift(*deltas).terms == fraction_shift(a.terms, deltas)
     assert a.dx().terms == fraction_dx(a.terms, a.tag)
     if nvars == 1:
-        assert a.dxi().terms == fraction_dxi(a.terms, a.tag, a.index_cap)
+        index_cap = data.draw(st.sampled_from((9, 11, 13)))
+        assert a.dxi(index_cap).terms == fraction_dxi(a.terms, a.tag,
+                                                      index_cap)
     depth = data.draw(st.one_of(st.none(),
                                 st.tuples(*[st.integers(-2, 4)] * nvars)))
     assert a.agrees_with(b, depth) == fraction_agrees(
         a.terms, b.terms, _cap_of(both), depth)
-    twin = WaveSeries(a.tag, {**a.terms, **b.terms}, INF, a.twmin,
-                      a.index_cap)
+    twin = WaveSeries(a.tag, {**a.terms, **b.terms}, INF, a.twmin)
     assert a.agrees_with(twin, depth) == fraction_agrees(
         a.terms, twin.terms, _cap_of(a.cap), depth)
 
@@ -784,7 +785,7 @@ _TOP = tuple((idx, 63) for idx in range(1, 33))
 
 
 def _single(depths, mono, cap=INF):
-    return WaveSeries(0, {(depths, mono): Fraction(1)}, cap, 0, 1)
+    return WaveSeries(0, {(depths, mono): Fraction(1)}, cap, 0)
 
 
 @pytest.mark.parametrize("depths, mono", [
@@ -863,7 +864,7 @@ def test_wave_pair_refuses_a_tau_beyond_the_wave_fields():
 def test_constructor_refuses_mixed_shift_variables():
     with pytest.raises(InvalidKeyError) as err:
         WaveSeries(0, {((0,), ()): Fraction(1), ((0, 0), ()): Fraction(1)},
-                   INF, 0, 1)
+                   INF, 0)
     assert str(err.value) == "wave terms mix shift variables {1, 2}"
 
 
