@@ -237,9 +237,6 @@ class _PrimeDenominatorKernel:
                       for m in range(cutoff + 1) for n in range(cutoff + 1)
                       if rng.random() < 0.6}
 
-    def entry(self, m: int, n: int) -> Rat:
-        return self.table.get((m, n), Rat(0))
-
 
 def test_cycle_vs_determinant_prime_denominator_kernels():
     # the integer cycle sum against the Fraction determinant route, on
