@@ -71,6 +71,10 @@ CASES = [
     ("tau_weight_m5", ["tau", "--weight", "-5"], 2),
     ("tau_monomial_weight_m1",
      ["tau", "--basis", "monomial", "--weight", "-1"], 2),
+    *((f"correlator_invalid_key_{fmt}",
+       ["correlator", "--indices", "0,0,0,1;2,2;1,1"]
+       + ([] if fmt == "text" else ["--format", fmt]), 2)
+      for fmt in ("text", "csv", "json")),
 ]
 
 
