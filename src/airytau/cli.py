@@ -10,6 +10,7 @@ p/q strings.  Exit codes are stable API: 0 success, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -86,47 +87,39 @@ def _parse_indices(text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def cmd_correlator(args: argparse.Namespace) -> int:
-    """One record per key; multiple keys may be given separated by ';'."""
+    """One record per key; multiple keys may be given separated by ';'.
+    The loop that decides a key's genus builds its json record, csv row
+    and text line."""
     keys = [_parse_indices(part) for part in args.indices.split(";")]
-    fmt = args.format or "text"
-    records = []
+    records, rows, lines = [], ["indices,genus,value"], []
     status = 0
     for ms in keys:
         genus = genus_of(ms)
+        quoted = f"\"{','.join(map(str, ms))}\""
         if genus is None:
+            reason = "selection rule admits no genus"
             records.append({"indices": list(ms), "genus": None,
-                            "value": "0",
-                            "reason": "selection rule admits no genus"})
+                            "value": "0", "reason": reason})
+            rows.append(f"{quoted},,0")
+            lines.append(f"indices {list(ms)}: invalid key ({reason}); "
+                         "value 0")
             status = 2
             continue
         js = tuple(2 * m + 1 for m in ms)
         cutoff = max(12, sum(js) + 1) if args.cutoff is None else args.cutoff
         engine = NPointEngine(kernel_closed, cutoff)
-        value = intersection_number(engine, ms)
-        records.append({"indices": list(ms), "genus": genus,
-                        "value": format_rat(value), "cutoff": cutoff,
-                        "certified_cutoff": engine.certified_cutoff(js)})
+        value = format_rat(intersection_number(engine, ms))
+        certified = engine.certified_cutoff(js)
+        records.append({"indices": list(ms), "genus": genus, "value": value,
+                        "cutoff": cutoff, "certified_cutoff": certified})
+        rows.append(f"{quoted},{genus},{value}")
+        lines.append(f"correlator {list(ms)} (genus {genus}) = {value}   "
+                     f"[kernel cutoff {cutoff}, certified at {certified}]")
+    fmt = args.format or "text"
     if fmt == "json":
         _emit(canonical_json(records), args.out)
-    elif fmt == "csv":
-        lines = ["indices,genus,value"]
-        for r in records:
-            genus = "" if r["genus"] is None else r["genus"]
-            lines.append(f"\"{','.join(map(str, r['indices']))}\","
-                         f"{genus},{r['value']}")
-        _emit("\n".join(lines) + "\n", args.out)
     else:
-        lines = []
-        for r in records:
-            if r["genus"] is None:
-                lines.append(f"indices {r['indices']}: invalid key "
-                             f"({r['reason']}); value 0")
-            else:
-                lines.append(
-                    f"correlator {r['indices']} (genus {r['genus']}) = "
-                    f"{r['value']}   [kernel cutoff {r['cutoff']}, "
-                    f"certified at {r['certified_cutoff']}]")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit("\n".join(rows if fmt == "csv" else lines) + "\n", args.out)
     return status
 
 
@@ -241,23 +234,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     scale = args.truncation or "full"
     results = run_suites(names, scale=scale)
-    fmt = args.format or "text"
-    if fmt == "json":
-        payload = {
-            "scale": scale,
-            "checks": [{"suite": r.suite, "name": r.name,
-                        "passed": r.passed, "detail": r.detail}
-                       for r in results],
-            "passed": all(r.passed for r in results),
-        }
-        _emit(canonical_json(payload), args.out)
-    else:
-        lines = [r.line() for r in results]
-        summary = "all checks passed" if all(r.passed for r in results) \
-            else "FAILURES present"
-        _emit("\n".join(lines) + f"\n# scale={scale}: {summary}\n",
+    passed = all(r.passed for r in results)
+    if (args.format or "text") == "json":
+        _emit(canonical_json({"scale": scale, "passed": passed, "checks":
+                              [dataclasses.asdict(r) for r in results]}),
               args.out)
-    return 0 if all(r.passed for r in results) else 4
+    else:
+        summary = "all checks passed" if passed else "FAILURES present"
+        _emit("\n".join(r.line() for r in results)
+              + f"\n# scale={scale}: {summary}\n", args.out)
+    return 0 if passed else 4
 
 
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:

@@ -1,10 +1,13 @@
 """Named verification checks, grouped into suites for the CLI and tests.
 
-Each check exercises one identity or cross-route agreement end to end and
-returns a CheckResult; suites share expensive artifacts (kernels, the
-n-point engine, truncated tau-functions) through a lazily populated
-context.  The recursion oracle ``dvv_correlator`` lives here, deliberately
-outside the kernel/cycle computation path it is used to check.
+Each check exercises one identity or cross-route agreement end to end.  A
+run is one ``VerifyContext``: every suite takes it and returns nothing,
+``@ctx.check(name)`` runs a check at once and appends its CheckResult to
+``ctx.results`` under the current ``ctx.suite``, and the suites share
+expensive artifacts (kernels, the n-point engine, truncated
+tau-functions) through the context's lazily filled caches.  The recursion
+oracle ``dvv_correlator`` lives here, deliberately outside the
+kernel/cycle computation path it is used to check.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -138,17 +141,21 @@ class CheckResult:
         return f"{status}  {self.suite}:{self.name}{tail}"
 
 
-@dataclass
 class VerifyContext:
-    """Shared artifacts for a verification run."""
+    """One verification run: its scale, the suite now running, the results
+    in run order and the artifacts the suites share."""
 
-    scale: str = "full"
-    _engines: dict[int, NPointEngine] = field(default_factory=dict)
-    _taus: dict[int, TruncatedTau] = field(default_factory=dict)
+    def __init__(self, scale: str):
+        self.small = scale == "small"
+        self.suite = ""
+        self.results: list[CheckResult] = []
+        self._engines: dict[int, NPointEngine] = {}
+        self._taus: dict[int, TruncatedTau] = {}
 
-    @property
-    def small(self) -> bool:
-        return self.scale == "small"
+    def check(self, name: str):
+        """``@ctx.check(name)`` runs a check at once and appends its result
+        under the current suite."""
+        return lambda fn: self.results.append(_run(self.suite, name, fn))
 
     def engine_for(self, cutoff: int) -> NPointEngine:
         if cutoff not in self._engines:
@@ -183,27 +190,19 @@ def _run(suite: str, name: str, fn: Callable[[], bool | str]
     return CheckResult(suite, name, False, str(outcome))
 
 
-def _checks(suite: str):
-    """(results, check): ``@check(name)`` runs a check at once and appends
-    its result to results."""
-    out: list[CheckResult] = []
-    return out, lambda name: lambda fn: out.append(_run(suite, name, fn))
-
-
 # ---------------------------------------------------------------------------
 # Suite: airy.
 # ---------------------------------------------------------------------------
 
-def suite_airy(ctx: VerifyContext) -> list[CheckResult]:
+def suite_airy(ctx: VerifyContext) -> None:
     cutoff = 6 if ctx.small else 12
-    out, check = _checks("airy")
 
-    @check("kernel-route-agreement")
+    @ctx.check("kernel-route-agreement")
     def routes():
         check_all_routes(cutoff)
         return True
 
-    @check("kernel-table-blocks")
+    @ctx.check("kernel-table-blocks")
     def blocks():
         kernel = kernel_closed(8)
         for (m, n), expected in KERNEL_BLOCKS.items():
@@ -214,7 +213,7 @@ def suite_airy(ctx: VerifyContext) -> list[CheckResult]:
             return "support differs from the reference blocks"
         return True
 
-    @check("diagonal-one-point-series")
+    @ctx.check("diagonal-one-point-series")
     def diagonal():
         series = kernel_diagonal(16)
         for exp, expected in DIAGONAL_VALUES.items():
@@ -228,18 +227,21 @@ def suite_airy(ctx: VerifyContext) -> list[CheckResult]:
                 return f"closed form mismatch at g={g}"
         return True
 
-    check("derivative-pairing-identity")(
+    ctx.check("derivative-pairing-identity")(
         lambda: faber_zagier_identity_check(24))
 
-    @check("kernel-congruence-support")
+    @ctx.check("kernel-congruence-support")
     def congruence():
-        kernel = kernel_closed(cutoff)
-        for (m, n) in kernel.table:
+        # the frame route's raw coordinates: a Kernel refuses an entry off
+        # the class itself, so its table could never show one
+        frame = AdmissibleFrame(airy_frame(cutoff + 1,
+                                           required_order(cutoff)))
+        for (m, n) in frame.normalize(cutoff).table:
             if (m + n) % 3 != 2:
                 return f"nonzero entry off the residue class at ({m},{n})"
         return True
 
-    @check("diagonal-antidiagonal-consistency")
+    @ctx.check("diagonal-antidiagonal-consistency")
     def diag_consistency():
         kernel = kernel_closed(cutoff)
         series = kernel_diagonal(cutoff + 1)
@@ -247,18 +249,16 @@ def suite_airy(ctx: VerifyContext) -> list[CheckResult]:
             if antidiagonal_sum(kernel, j) != series.coeff(-j - 1):
                 return f"antidiagonal sum differs at order {j}"
         return True
-    return out
 
 
 # ---------------------------------------------------------------------------
 # Suite: schur.
 # ---------------------------------------------------------------------------
 
-def suite_schur(ctx: VerifyContext) -> list[CheckResult]:
-    out, check = _checks("schur")
+def suite_schur(ctx: VerifyContext) -> None:
     bound = 4 if ctx.small else 8
 
-    @check("hook-difference-specialization")
+    @ctx.check("hook-difference-specialization")
     def hooks():
         for arm in range(bound + 1):
             for leg in range(bound + 1):
@@ -266,7 +266,7 @@ def suite_schur(ctx: VerifyContext) -> list[CheckResult]:
                     return f"hook ({arm}|{leg})"
         return True
 
-    @check("difference-specialization-vanishing")
+    @ctx.check("difference-specialization-vanishing")
     def nonhook():
         for mu in partitions_up_to(6 if ctx.small else 8):
             if mu.parts and not mu.is_hook():
@@ -274,7 +274,7 @@ def suite_schur(ctx: VerifyContext) -> list[CheckResult]:
                     return f"nonzero at {mu}"
         return True
 
-    @check("two-row-vanishing")
+    @ctx.check("two-row-vanishing")
     def tall():
         rng = ctx.rng()
         pool = [mu for mu in partitions_up_to(10)
@@ -285,7 +285,7 @@ def suite_schur(ctx: VerifyContext) -> list[CheckResult]:
                 return f"nonzero at {mu}"
         return True
 
-    @check("h-vs-e-route")
+    @ctx.check("h-vs-e-route")
     def routes():
         rng = ctx.rng()
         for mu in partitions_up_to(6 if ctx.small else 10):
@@ -296,7 +296,7 @@ def suite_schur(ctx: VerifyContext) -> list[CheckResult]:
                 return f"routes differ at {mu}"
         return True
 
-    @check("geometric-h-closed-form")
+    @ctx.check("geometric-h-closed-form")
     def geometric():
         spec = plus_spec(12)
         hs = spec.complete_homogeneous(12)
@@ -305,13 +305,12 @@ def suite_schur(ctx: VerifyContext) -> list[CheckResult]:
                 return f"closed h differs at {n}"
         return True
 
-    @check("frobenius-roundtrip")
+    @ctx.check("frobenius-roundtrip")
     def frobenius_roundtrip():
         for mu in partitions_up_to(8):
             if Partition.from_frobenius(mu.frobenius()) != mu:
                 return f"roundtrip failed at {mu}"
         return True
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +329,18 @@ def _random_admissible_frame(rng: random.Random, count: int,
     return AdmissibleFrame(elements)
 
 
-def suite_sato(ctx: VerifyContext) -> list[CheckResult]:
-    out, check = _checks("sato")
+def suite_sato(ctx: VerifyContext) -> None:
     cutoff = 6 if ctx.small else 9
     frame = AdmissibleFrame(airy_frame(cutoff + 1, required_order(cutoff)))
     coords = frame.normalize(cutoff)
     big = AdmissibleFrame(airy_frame(16, required_order(15)))
 
-    @check("normalize-roundtrip")
+    @ctx.check("normalize-roundtrip")
     def roundtrip():
         rebuilt = AdmissibleFrame.from_coords(coords)
         return rebuilt.normalize(cutoff) == coords
 
-    @check("plucker-route-agreement")
+    @ctx.check("plucker-route-agreement")
     def plucker_routes():
         rng = ctx.rng()
         for _ in range(4 if ctx.small else 8):
@@ -359,7 +357,7 @@ def suite_sato(ctx: VerifyContext) -> list[CheckResult]:
                     return f"sign/value mismatch at {mu}: {left} vs {right}"
         return True
 
-    @check("tau-difference-pairing")
+    @ctx.check("tau-difference-pairing")
     def difference_pairing():
         weight = 6 if ctx.small else 9
         left = tau_minus_two_point(coords, weight)
@@ -371,7 +369,7 @@ def suite_sato(ctx: VerifyContext) -> list[CheckResult]:
                 return f"cell {key}: {left.coeff(*key)} vs {right.coeff(*key)}"
         return True
 
-    @check("tau-sum-specialization")
+    @ctx.check("tau-sum-specialization")
     def sum_specialization():
         weight = 9 if ctx.small else 13
         big_coords = big.normalize(14)
@@ -403,7 +401,7 @@ def suite_sato(ctx: VerifyContext) -> list[CheckResult]:
                 return "mixed block coefficient differs"
         return True
 
-    @check("square-multiplier-invariance")
+    @ctx.check("square-multiplier-invariance")
     def square_invariance():
         z2 = Series1.monomial("z", 2)
         if not reduction_check(frame, z2):
@@ -420,10 +418,10 @@ def suite_sato(ctx: VerifyContext) -> list[CheckResult]:
             return "perturbed frame wrongly accepted"
         return True
 
-    check("airy-operator-ladder")(
+    ctx.check("airy-operator-ladder")(
         lambda: airy_d_check(9 if ctx.small else 12))
 
-    @check("schur-vs-exponential-tau")
+    @ctx.check("schur-vs-exponential-tau")
     def schur_vs_exponential():
         # at full scale, weight 15 on the cutoff-15 coordinates of ``big``
         weight = 6 if ctx.small else 15
@@ -432,7 +430,6 @@ def suite_sato(ctx: VerifyContext) -> list[CheckResult]:
         f = free_energy(ctx.engine, weight)
         right = f.with_caps(weight_cap=weight).exp()
         return left == right or "expansions differ"
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +450,14 @@ def _random_valid_keys(rng: random.Random, count: int, weight_sum: int,
     return rng.sample(pool, count)
 
 
-def suite_npoint(ctx: VerifyContext) -> list[CheckResult]:
-    out, check = _checks("npoint")
+def suite_npoint(ctx: VerifyContext) -> None:
     engine = ctx.engine
 
-    @check("three-point-initial-value")
+    @ctx.check("three-point-initial-value")
     def initial_value():
         return intersection_number(engine, (0, 0, 0)) == 1
 
-    @check("one-point-closed-form")
+    @ctx.check("one-point-closed-form")
     def one_point():
         for g in ((1, 2) if ctx.small else (1, 2, 3)):
             expected = Rat(1, 24 ** g * math.factorial(g))
@@ -469,14 +465,14 @@ def suite_npoint(ctx: VerifyContext) -> list[CheckResult]:
                 return f"one-point at genus {g}"
         return True
 
-    @check("genus-zero-generating-function")
+    @ctx.check("genus-zero-generating-function")
     def genus_zero():
         for n in (3, 4, 5):
             if not genus0_check(engine, n):
                 return f"failed at n={n}"
         return True
 
-    @check("puncture-recursion")
+    @ctx.check("puncture-recursion")
     def puncture():
         rng = ctx.rng()
         keys = _random_valid_keys(rng, 8 if ctx.small else 20,
@@ -489,7 +485,7 @@ def suite_npoint(ctx: VerifyContext) -> list[CheckResult]:
                 return f"puncture recursion failed at {ms}"
         return True
 
-    @check("two-point-vs-recursion-oracle")
+    @ctx.check("two-point-vs-recursion-oracle")
     def oracle():
         bound = 5 if ctx.small else 8
         for m1 in range(bound + 1):
@@ -501,7 +497,7 @@ def suite_npoint(ctx: VerifyContext) -> list[CheckResult]:
                     return f"two-point differs from the oracle at {ms}"
         return True
 
-    @check("permutation-symmetry")
+    @ctx.check("permutation-symmetry")
     def symmetry():
         rng = ctx.rng()
         keys = _random_valid_keys(rng, 6 if ctx.small else 10,
@@ -514,7 +510,7 @@ def suite_npoint(ctx: VerifyContext) -> list[CheckResult]:
                 return f"permutation changed the value at {ms}"
         return True
 
-    @check("truncation-stability")
+    @ctx.check("truncation-stability")
     def stability():
         rng = ctx.rng()
         keys = _random_valid_keys(rng, 10 if ctx.small else 20,
@@ -527,14 +523,12 @@ def suite_npoint(ctx: VerifyContext) -> list[CheckResult]:
                 return f"unstable at {ms}"
         return True
 
-    @check("cycle-vs-determinant")
+    @ctx.check("cycle-vs-determinant")
     def cycle_vs_determinant():
         rng = ctx.rng()
         kernel = engine.kernel()
-        cases = [(kernel, (1, 1, 1, 3)), (kernel, (1, 3, 5)),
-                 (kernel, (1, 5)), (kernel, (3,))]
-        for kern, js in cases:
-            family = disconnected_family(kern, js)
+        for js in ((1, 1, 1, 3), (1, 3, 5), (1, 5), (3,)):
+            family = disconnected_family(kernel, js)
             connected = mobius_connect(family)
             full = frozenset(range(len(js)))
             if connected[full] != engine.connected(js):
@@ -546,11 +540,11 @@ def suite_npoint(ctx: VerifyContext) -> list[CheckResult]:
         for js in ((1, 2), (1, 2, 3), (2, 1, 1, 2)):
             family = disconnected_family(rand, js)
             connected = mobius_connect(family)
-            cycles = _cycle_reference(rand, js)
+            # an independent throwaway engine on the same table
+            cycles = NPointEngine(lambda m: rand, 5).connected_at(js, 5)
             if connected[frozenset(range(len(js)))] != cycles:
                 return f"random-kernel equivalence failed at {js}"
         return True
-    return out
 
 
 class _RandomKernel:
@@ -567,22 +561,15 @@ class _RandomKernel:
                         self.table[(m, n)] = value
 
 
-def _cycle_reference(kernel, js: tuple[int, ...]) -> Rat:
-    """Connected value via an independent throwaway engine instance."""
-    engine = NPointEngine(lambda m: kernel, kernel.cutoff)
-    return engine.connected_at(tuple(js), kernel.cutoff)
-
-
 # ---------------------------------------------------------------------------
 # Suite: kp.
 # ---------------------------------------------------------------------------
 
-def suite_kp(ctx: VerifyContext) -> list[CheckResult]:
-    out, check = _checks("kp")
+def suite_kp(ctx: VerifyContext) -> None:
     engine = ctx.engine
     base_weight = 9 if ctx.small else 12
 
-    @check("wave-series-at-origin")
+    @ctx.check("wave-series-at-origin")
     def wave_at_origin():
         tau = ctx.tau(base_weight)
         stripped = wave(tau).eval_zero()
@@ -590,7 +577,7 @@ def suite_kp(ctx: VerifyContext) -> list[CheckResult]:
         return stripped.agrees_with(reference, through=base_weight) \
             or "series differ"
 
-    @check("wave-pairing")
+    @ctx.check("wave-pairing")
     def pairing_capped():
         # the degree/index-capped truncation demanded by the acceptance
         # gate: degree <= 3, indices <= 9
@@ -605,16 +592,16 @@ def suite_kp(ctx: VerifyContext) -> list[CheckResult]:
             return "weight-capped pairing failed"
         return True
 
-    check("one-point-wave-identity")(
+    ctx.check("one-point-wave-identity")(
         lambda: theorem_one_point_check(ctx.tau(base_weight)))
 
-    @check("differential-fay")
+    @ctx.check("differential-fay")
     def fay():
         tau = ctx.tau(9)
         return differential_fay_check(tau, (3, 3)) \
             and shifted_fay_check(tau, (3, 3))
 
-    @check("differential-fay-toy")
+    @ctx.check("differential-fay-toy")
     def toy_fay():
         # one-variable exponential toy tau: exp(T_1) solves the hierarchy
         # trivially and the shift identity reduces to a polynomial identity
@@ -622,7 +609,7 @@ def suite_kp(ctx: VerifyContext) -> list[CheckResult]:
         tau = TruncatedTau(f.exp(), f, 8, 1)
         return differential_fay_check(tau, (3, 3))
 
-    @check("matrix-one-point")
+    @ctx.check("matrix-one-point")
     def matrix_one_point():
         tau = ctx.tau(base_weight)
         series = matrix_one_point_series(tau)
@@ -635,7 +622,7 @@ def suite_kp(ctx: VerifyContext) -> list[CheckResult]:
             return f"unexpected support {sorted(nonzero)}"
         return True
 
-    @check("matrix-two-point")
+    @ctx.check("matrix-two-point")
     def matrix_two_point():
         tau = ctx.tau(base_weight if ctx.small else 15)
         pairs = [(1, 5), (3, 3), (5, 1)]
@@ -646,7 +633,7 @@ def suite_kp(ctx: VerifyContext) -> list[CheckResult]:
                 return f"two-point differs at ({j},{k})"
         return True
 
-    @check("matrix-vacuum-entries")
+    @ctx.check("matrix-vacuum-entries")
     def vacuum_matrix():
         vac = TruncatedTau(MultiPoly.const(1, weight_cap=9),
                            MultiPoly.zero(weight_cap=9), 9, 9)
@@ -658,7 +645,6 @@ def suite_kp(ctx: VerifyContext) -> list[CheckResult]:
                                            for e in bottom_left.coeffs):
             return "vacuum bottom-left entry"
         return True
-    return out
 
 
 SUITES = {
@@ -671,10 +657,10 @@ SUITES = {
 
 
 def run_suites(names, scale: str = "full") -> list[CheckResult]:
-    ctx = VerifyContext(scale=scale)
-    results: list[CheckResult] = []
+    ctx = VerifyContext(scale)
     for name in names:
         if name not in SUITES:
             raise CrossCheckError(f"unknown suite {name!r}")
-        results.extend(SUITES[name](ctx))
-    return results
+        ctx.suite = name
+        SUITES[name](ctx)
+    return ctx.results

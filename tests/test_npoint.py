@@ -25,7 +25,7 @@ def test_genus_of():
     assert genus_of((0, 0, 0)) == 0
     assert genus_of((1,)) == 1
     assert genus_of((4,)) == 2
-    assert genus_of((0, 0)) is None          # unstable
+    assert genus_of((0, 0)) is None          # wrong residue
     assert genus_of((0, 1)) is None          # wrong residue
     assert genus_of((2, 2)) is None
     assert genus_of(()) is None

@@ -7,6 +7,7 @@ from airytau import verify
 from airytau.cli import main
 from airytau.errors import CrossCheckError, InsufficientCutoffError
 from airytau.rational import Rat
+from airytau.series import Series1
 from airytau.verify import (SUITES, SEED, VerifyContext, _random_valid_keys,
                             _run, dvv_correlator, run_suites)
 
@@ -34,6 +35,37 @@ def test_context_reuses_engines():
     ctx = VerifyContext(scale="small")
     assert ctx.engine is ctx.engine
     assert ctx.engine_for(8) is ctx.engine_for(8)
+
+
+def test_context_records_checks_in_call_order_under_its_suite():
+    ctx = VerifyContext("full")
+    ctx.suite = "first"
+    ctx.check("holds")(lambda: True)
+    ctx.suite = "second"
+
+    @ctx.check("differs")
+    def differs():
+        return "cell (0, 2) differs"
+
+    assert [r.line() for r in ctx.results] == [
+        "PASS  first:holds", "FAIL  second:differs  (cell (0, 2) differs)"]
+    assert [(r.suite, r.name, r.passed, r.detail) for r in ctx.results] == [
+        ("first", "holds", True, ""),
+        ("second", "differs", False, "cell (0, 2) differs")]
+
+
+def test_congruence_check_fails_on_an_off_class_coordinate(monkeypatch):
+    airy_frame = verify.airy_frame
+
+    def perturbed(count, order):
+        frame = airy_frame(count, order)
+        frame[0] = frame[0] + Series1.monomial("z", -1)
+        return frame
+
+    monkeypatch.setattr(verify, "airy_frame", perturbed)
+    lines = [r.line() for r in run_suites(["airy"])]
+    assert "FAIL  airy:kernel-congruence-support  (nonzero entry off the " \
+        "residue class at (0,0))" in lines
 
 
 def test_oracle_selection_rule():
