@@ -75,6 +75,15 @@ CASES = [
        ["correlator", "--indices", "0,0,0,1;2,2;1,1"]
        + ([] if fmt == "text" else ["--format", fmt]), 2)
       for fmt in ("text", "csv", "json")),
+    ("correlator_six_point_json",
+     ["correlator", "--indices", "0,0,0,0,1,2", "--format", "json"], 0),
+    ("correlator_five_point_cutoff30_json",
+     ["correlator", "--indices", "0,0,0,1,4", "--cutoff", "30", "--format",
+      "json"], 0),
+    ("correlator_below_reach",
+     ["correlator", "--indices", "0,0,0,0,1,2", "--cutoff", "8"], 3),
+    ("correlator_stray_command",
+     ["correlator", "--indices", "0,0,0", "npoint"], 2),
 ]
 
 
