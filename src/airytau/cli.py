@@ -20,7 +20,8 @@ from .airy import (airy_frame, alternate, check_all_routes, kernel_closed,
 from .errors import AirytauError, InvalidKeyError
 from .grassmann import AdmissibleFrame, tau_schur_coeffs
 from .multipoly import mono_str, mono_weight
-from .npoint import NPointEngine, free_energy, genus_of, intersection_number
+from .npoint import (GROWTH, NPointEngine, free_energy, genus_of,
+                     intersection_number)
 from .rational import format_rat
 from .verify import SUITES, run_suites
 from .wave import padded_weight_cap, tau_from_free_energy
@@ -107,9 +108,11 @@ def cmd_correlator(args: argparse.Namespace) -> int:
             continue
         js = tuple(2 * m + 1 for m in ms)
         cutoff = max(12, sum(js) + 1) if args.cutoff is None else args.cutoff
-        engine = NPointEngine(kernel_closed, cutoff)
+        # the kernel is read only to the reach: the value at the reach is
+        # the value at every larger cutoff (npoint), and so at this one
+        engine = NPointEngine(kernel_closed, min(cutoff, sum(js) - 1))
         value = format_rat(intersection_number(engine, ms))
-        certified = engine.certified_cutoff(js)
+        certified = max(cutoff + GROWTH, sum(js) - 1)
         records.append({"indices": list(ms), "genus": genus, "value": value,
                         "cutoff": cutoff, "certified_cutoff": certified})
         rows.append(f"{quoted},{genus},{value}")
@@ -128,7 +131,8 @@ def cmd_npoint(args: argparse.Namespace) -> int:
     if any(j < 1 for j in js):
         raise InvalidKeyError("orders must be >= 1")
     cutoff = max(12, sum(js) + 1) if args.cutoff is None else args.cutoff
-    engine = NPointEngine(kernel_closed, cutoff)
+    # read to the reach, as in cmd_correlator
+    engine = NPointEngine(kernel_closed, min(cutoff, sum(js) - 1))
     # The cycle sum visits up to j0 first rows.  The closed kernel is
     # symmetric, so at or above the reach, where the value is exact, it is
     # the same for every rotation of the key: run the one with the smallest
@@ -247,10 +251,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for one command line.  All six commands are listed (in
-    the usage, ``--help`` and an invalid choice), but only those named in
-    ``argv`` get their flags and handler: argparse runs the first
-    positional, a whole item of ``argv``, so the one that runs is complete.
+    """The parser for one command line, with a subparser built only for
+    the commands that ``argv`` names.
+
+    ``add_parser`` hands its keywords to the ``parser_class`` of
+    ``add_subparsers``; here that is ``command_parser``, which returns a
+    full ``ArgumentParser`` for a named command and None, a placeholder,
+    for the rest.  All six names still sit in the subparsers' choices and
+    help pseudo-actions, which is all the usage line, ``--help``, "invalid
+    choice" and "unrecognized arguments" read, so those print the same
+    bytes.  argparse only runs the parser of the first positional, a whole
+    item of ``argv``, so the one that runs is always built.
     """
     # One row per command: name, help, handler, its defaults for the shared
     # flags, and its own flags as (flag, keywords) pairs.
@@ -288,10 +299,15 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         prog="airytau",
         description="Exact psi-class intersection numbers and n-point "
                     "functions from the Airy fermionic kernel.")
-    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command_parser(named: bool, **keywords):
+        return argparse.ArgumentParser(**keywords) if named else None
+
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=command_parser)
     for name, text, func, defaults, flags in commands:
-        p = sub.add_parser(name, help=text)
-        if name in argv:
+        p = sub.add_parser(name, help=text, named=name in argv)
+        if p is not None:
             for flag, keywords in flags + shared:
                 p.add_argument(flag, **keywords)
             p.set_defaults(func=func, **defaults)

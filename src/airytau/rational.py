@@ -42,11 +42,7 @@ def double_factorial(n: int) -> int:
     per n once computed."""
     if n < -1:
         raise ValueError(f"double factorial undefined for {n}")
-    result = 1
-    while n > 1:
-        result *= n
-        n -= 2
-    return result
+    return math.prod(range(n, 0, -2))
 
 
 def over_lcm(values: dict) -> tuple[dict, int]:

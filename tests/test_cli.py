@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
-from airytau.cli import canonical_json, main
+from airytau import cli
+from airytau.airy import kernel_closed
+from airytau.cli import build_parser, canonical_json, main
 from airytau.errors import (CrossCheckError, InsufficientCutoffError,
                             InvalidKeyError)
 
@@ -90,6 +93,40 @@ def test_correlator_cutoff_below_reach(capsys):
     [record] = json.loads(out)
     assert record["value"] == "1/82944"
     assert record["certified_cutoff"] == 20
+
+
+def test_correlator_reads_the_kernel_only_to_the_reach(capsys, monkeypatch):
+    # orders 1,1,1,1,3,5: the reach is 11, the default cutoff 13
+    read = []
+
+    def recording(cutoff):
+        read.append(cutoff)
+        return kernel_closed(cutoff)
+
+    monkeypatch.setattr(cli, "kernel_closed", recording)
+    code, out, _ = run(capsys, "correlator", "--indices", "0,0,0,0,1,2",
+                       "--format", "json")
+    [record] = json.loads(out)
+    assert code == 0 and read == [11]
+    assert (record["cutoff"], record["certified_cutoff"]) == (13, 16)
+    # below the reach: that cutoff, then the certified cutoff
+    read.clear()
+    code, _, _ = run(capsys, "correlator", "--indices", "0,0,0,0,1,2",
+                     "--cutoff", "8")
+    assert code == 3 and read == [8, 11]
+
+
+def test_build_parser_builds_only_the_named_command(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    build_parser(["correlator", "--indices", "0,0,0"])
+    assert built == ["airytau", "airytau correlator"]
 
 
 def test_kernel_csv(capsys):

@@ -417,6 +417,19 @@ def test_engine_matches_dvv_on_every_key_through_weight_15(engine):
         assert intersection_number(engine, ms) == dvv_correlator(ms), ms
 
 
+def test_value_at_the_reach_is_the_value_at_the_cli_default_cutoff():
+    # the CLI reads the kernel only to the reach and prints the default
+    # cutoff max(12, sum(j) + 1)
+    keys = list(valid_keys(15, degree_cap=6))
+    assert len(keys) == 37
+    for ms in keys:
+        total = sum(2 * m + 1 for m in ms)
+        at_reach = NPointEngine(kernel_closed, total - 1)
+        default = NPointEngine(kernel_closed, max(12, total + 1))
+        assert intersection_number(at_reach, ms) \
+            == intersection_number(default, ms), ms
+
+
 def test_truncation_stability(engine):
     for js in ((1, 5), (1, 1, 1), (3, 3), (1, 1, 3, 3)):
         base = engine.connected_at(js, engine.cutoff)

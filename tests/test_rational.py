@@ -7,7 +7,7 @@ from airytau.rational import Rat, double_factorial, format_rat
 from airytau.series import Laurent2, Series1
 from airytau.wave import WaveSeries
 
-from oracles import assert_lowest_terms, rat
+from oracles import _double_factorial, assert_lowest_terms, rat
 
 
 def test_small_denominator_arithmetic():
@@ -53,6 +53,11 @@ def test_double_factorial():
     assert double_factorial(2) == 2
     with pytest.raises(ValueError):
         double_factorial(-3)
+
+
+def test_double_factorial_matches_the_loop_oracle():
+    for n in range(-1, 41):
+        assert double_factorial(n) == _double_factorial(n), n
 
 
 # Two values of each integer container with denominators that do not match:
