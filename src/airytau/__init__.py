@@ -18,9 +18,8 @@ from .grassmann import (AdmissibleFrame, AffineCoords,
                         reduction_check, tau_minus_two_point,
                         tau_plus_two_point, tau_polynomial, tau_schur_coeffs)
 from .multipoly import MultiPoly
-from .npoint import (NPointEngine, disconnected_family, free_energy,
-                     genus0_check, genus_of, intersection_number,
-                     mobius_connect, mobius_disconnect, puncture_check)
+from .npoint import (NPointEngine, free_energy, genus0_check, genus_of,
+                     intersection_number, puncture_check)
 from .partitions import Partition
 from .rational import Rat, double_factorial
 from .schur import PowerSums, schur_at

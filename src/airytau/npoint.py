@@ -30,7 +30,7 @@ sum at kernel cutoff C exact:
   tight: at C = sum(j) - 2 every multi-point key through weight 18 gives a
   wrong value.
 * Cauchy window.  The Cauchy factor needs no term beyond k = C - 1 (proved
-  in ``_edge_table``).
+  in ``_scaled_tables``).
 
 ``NPointEngine.connected`` therefore computes once at or above the reach.
 Below it, the value is recomputed at ``certified_cutoff``, which is at
@@ -43,7 +43,6 @@ j_i = 2 m_i + 1 by the double factorials (2 m_i + 1)!!.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from typing import Callable, Iterable, Iterator
@@ -72,37 +71,6 @@ def antidiagonal_sum(kernel, j: int) -> Rat:
         raise InsufficientCutoffError(
             f"one-point order {j} beyond kernel cutoff {kernel.cutoff}")
     return sum((kernel.table.get((m, s - m), 0) for m in range(j)), Rat(0))
-
-
-def _edge_table(kernel, ascending: bool) -> dict[int, list[tuple[int, Rat]]]:
-    """Terms of one off-diagonal factor, keyed by the first exponent.
-
-    ``ascending`` says whether the factor's first argument has the smaller
-    point label, which fixes the expansion region of the Cauchy part.  The
-    kernel terms come from the sparse ``kernel.table`` {(m, n): value}, so a
-    duck-typed kernel needs that attribute, holding entries within its
-    cutoff only.
-
-    The Cauchy terms stop at k = cutoff - 1, which is exact for orders
-    j >= 1.  A Cauchy term puts +k at one point, so the other factor at that
-    point carries -j-1-k.  A kernel term there has index j + k <= cutoff.
-    A Cauchy term there carries -1-(j+k), so it puts +(j+k) at its other
-    point.  So k grows along a chain of Cauchy terms, and the chain ends in
-    a kernel term: an all-Cauchy cycle would carry total exponent -n, not
-    -(sum(j) + n).  Hence k <= cutoff - 1, and one term fewer changes
-    values.
-    """
-    table: dict[int, list[tuple[int, Rat]]] = {}
-    for (m, n), value in sorted(kernel.table.items()):
-        if value != 0:
-            table.setdefault(-m - 1, []).append((-n - 1, value))
-    if ascending:
-        for k in range(kernel.cutoff):
-            table.setdefault(-1 - k, []).append((k, Rat(1)))
-    else:
-        for k in range(kernel.cutoff):
-            table.setdefault(k, []).append((-1 - k, Rat(-1)))
-    return table
 
 
 def _scale_base(table) -> int:
@@ -136,10 +104,21 @@ def _scale_base(table) -> int:
 
 
 def _scaled_tables(kernel, base: int) -> tuple[dict, dict]:
-    """The ascending and descending edge tables of ``_edge_table``, rows and
-    terms in the same order, with each term (p, q, c) multiplied by
-    base^(-(p+q)): one sorted pass over ``kernel.table`` for the kernel
-    terms both share, then the Cauchy terms +-base.
+    """The terms of one off-diagonal factor, keyed by the first exponent,
+    with each term (p, q, c) multiplied by base^(-(p+q)): the ascending
+    table, whose first argument has the smaller point label, and the
+    descending one.  The label order fixes the expansion region of the
+    Cauchy part.  One sorted pass over ``kernel.table`` gives the kernel
+    terms both share, then come the Cauchy terms +-base.
+
+    The Cauchy terms stop at k = cutoff - 1, which is exact for orders
+    j >= 1.  A Cauchy term puts +k at one point, so the other factor at that
+    point carries -j-1-k.  A kernel term there has index j + k <= cutoff.
+    A Cauchy term there carries -1-(j+k), so it puts +(j+k) at its other
+    point.  So k grows along a chain of Cauchy terms, and the chain ends in
+    a kernel term: an all-Cauchy cycle would carry total exponent -n, not
+    -(sum(j) + n).  Hence k <= cutoff - 1, and one term fewer changes
+    values.
 
     Along a contributing n-cycle the exponents sum to -(sum(js) + n), so the
     product of the scales is base^(sum(js) + n) for every term of the cycle
@@ -306,106 +285,6 @@ class NPointEngine:
                     f"({value} -> {grown}); increase the kernel cutoff")
         self._cache[js] = value
         return value
-
-
-# ---------------------------------------------------------------------------
-# Determinant form and Moebius inversion.
-# ---------------------------------------------------------------------------
-
-def _chain_value(cycle: tuple[int, ...], js: tuple[int, ...],
-                 lt_table, gt_table) -> Rat:
-    """Contraction of one directed cycle over the given vertex labels,
-    lowest label first (no sign).
-
-    The walk starts at the lowest label with the exponent ``start`` that
-    the closing edge leaves there, and keeps the walks that return with
-    it.  Only -j0 <= start <= -1 can close, as proved in ``_cycle_sum``
-    for the first row -j0 - 1 - start."""
-    head = cycle[0]
-    total = Rat(0)
-    for start in range(-js[head], 0):
-        states = {start: Rat(1)}
-        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
-            tab = lt_table if u < v else gt_table
-            nxt: dict[int, Rat] = {}
-            for q, acc in states.items():
-                for q2, c in tab.get(-js[u] - 1 - q, ()):
-                    nxt[q2] = nxt.get(q2, Rat(0)) + acc * c
-            states = nxt
-        total += states.get(start, Rat(0))
-    return total
-
-
-def disconnected_family(kernel, js: tuple[int, ...]
-                        ) -> dict[frozenset[int], Rat]:
-    """Determinant-form (full correlator) coefficients for every nonempty
-    label subset.
-
-    A permutation of S splits into the cycle through h = min S and a
-    permutation of the rest, so with full(empty) = 1
-
-        full(S) = diag(h) full(S - h)
-                  + sum over ordered tuples t of distinct labels of S - h
-                    of (-1)^|t| chain(h, t) full(S - h - t),
-
-    filled by increasing bitmask, after every subset of S.  The Fraction
-    edge tables are built once; orders must be >= 1, as their Cauchy
-    window assumes.
-    """
-    n = len(js)
-    lt = _edge_table(kernel, True)
-    gt = _edge_table(kernel, False)
-    full = {0: Rat(1)}
-    for mask in range(1, 1 << n):
-        head = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << head)
-        total = antidiagonal_sum(kernel, js[head]) * full[rest]
-        sub = rest
-        while sub:
-            labels = [i for i in range(n) if sub >> i & 1]
-            cycles = sum((_chain_value((head, *t), js, lt, gt)
-                          for t in itertools.permutations(labels)), Rat(0))
-            total += (-1) ** len(labels) * cycles * full[rest ^ sub]
-            sub = (sub - 1) & rest
-        full[mask] = total
-    return {frozenset(i for i in range(n) if mask >> i & 1): value
-            for mask, value in full.items() if mask}
-
-
-def _lowest_block_sum(subset: frozenset, connected: dict, full: dict) -> Rat:
-    """Sum over the proper blocks B of ``subset`` that hold its lowest
-    label of connected(B) full(subset - B)."""
-    low = min(subset)
-    rest = sorted(subset - {low})
-    return sum((connected[frozenset((low, *t))]
-                * full[subset.difference(t, (low,))]
-                for size in range(len(rest))
-                for t in itertools.combinations(rest, size)), Rat(0))
-
-
-def mobius_connect(family: dict[frozenset, Rat]) -> dict[frozenset, Rat]:
-    """Connected values from full values, on a family closed under
-    subsets, by the exponential formula (Stanley, Enumerative
-    Combinatorics 2, 5.1): full(S) is the sum over the blocks B of S that
-    hold its lowest label of connected(B) full(S - B), full(empty) = 1."""
-    full = {frozenset(): Rat(1), **family}
-    connected: dict[frozenset, Rat] = {}
-    for subset in sorted(family, key=len):
-        connected[subset] = family[subset] \
-            - _lowest_block_sum(subset, connected, full)
-    return connected
-
-
-def mobius_disconnect(connected: dict[frozenset, Rat]
-                      ) -> dict[frozenset, Rat]:
-    """Inverse direction: full values from connected ones by the same
-    formula."""
-    full = {frozenset(): Rat(1)}
-    for subset in sorted(connected, key=len):
-        full[subset] = connected[subset] \
-            + _lowest_block_sum(subset, connected, full)
-    del full[frozenset()]
-    return full
 
 
 # ---------------------------------------------------------------------------

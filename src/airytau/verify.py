@@ -7,7 +7,8 @@ run is one ``VerifyContext``: every suite takes it and returns nothing,
 expensive artifacts (kernels, the n-point engine, truncated
 tau-functions) through the context's lazily filled caches.  The recursion
 oracle ``dvv_correlator`` lives here, deliberately outside the
-kernel/cycle computation path it is used to check.
+kernel/cycle computation path it is used to check, and so does the KdV
+and string certificate of the free energy, on its own arithmetic.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from .grassmann import (AdmissibleFrame, kernel_pairing_form, plucker_minor,
                         tau_minus_two_point, tau_plus_two_point,
                         tau_polynomial)
 from .multipoly import MultiPoly
-from .npoint import (NPointEngine, antidiagonal_sum, disconnected_family,
-                     free_energy, genus0_check, genus_of,
-                     intersection_number, mobius_connect, mobius_disconnect,
-                     puncture_check)
+from .npoint import (NPointEngine, antidiagonal_sum, free_energy,
+                     genus0_check, genus_of, intersection_number,
+                     puncture_check, valid_keys)
 from .partitions import Partition, partitions_up_to
 from .rational import Rat, double_factorial
 from .schur import (PowerSums, hook_minus_identity_check,
@@ -450,6 +450,63 @@ def _random_valid_keys(rng: random.Random, count: int, weight_sum: int,
     return rng.sample(pool, count)
 
 
+def _d(poly: dict, i: int) -> dict:
+    """d/dt_i of an exponent-tuple polynomial."""
+    return {mono[:i] + (e - 1,) + mono[i + 1:]: c * e
+            for mono, c in poly.items() if (e := mono[i])}
+
+
+def _residue(name: str, cap: int, parts) -> str | None:
+    """The first nonzero coefficient of weight <= ``cap`` of the sum of
+    scale * poly over the (scale, poly) in ``parts``; None if none."""
+    total: dict[tuple[int, ...], Rat] = {}
+    for scale, poly in parts:
+        for mono, c in poly.items():
+            if sum(e * (2 * i + 1) for i, e in enumerate(mono)) <= cap:
+                total[mono] = total.get(mono, 0) + scale * c
+    for mono in sorted(total):
+        if total[mono]:
+            at = "*".join(f"t{i}^{e}" for i, e in enumerate(mono) if e)
+            return f"{name} residue {total[mono]} at {at or '1'}"
+    return None
+
+
+def _kdv_string_residue(engine: NPointEngine, weight: int) -> str | None:
+    """Witten's conjecture, Kontsevich's theorem: the string equation
+    dF/dt_0 = t_0^2/2 + sum_i t_(i+1) dF/dt_i, KdV
+    U_t1 = U U_t0 + U_t0t0t0 / 12 with U = d^2F/dt_0^2, and <tau_0^3> = 1,
+    which the string equation carries, determine F.  On F through
+    ``weight`` the string equation is exact at weights <= weight - 1 and
+    KdV at weights <= weight - 5; key weights 6g - 6 + 3n are multiples of
+    3, so the two certify every coefficient of weight <= weight - 3.  The
+    derivatives and the product are this module's own, on Fraction dicts.
+    Returns the first nonzero residue, named, or None."""
+    # F = sum <prod tau_m_i> prod t_m_i / prod mult!, keyed by exponent
+    # tuples (e_0, e_1, ...) with one slot past the largest index
+    size = (weight + 3) // 2
+    f = {}
+    for ms in valid_keys(weight):
+        exps = [0] * size
+        for m in ms:
+            exps[m] += 1
+        f[tuple(exps)] = intersection_number(engine, ms) \
+            / math.prod(map(math.factorial, exps))
+    string = [(1, _d(f, 0)), (-1, {(2,) + (0,) * (size - 1): Rat(1, 2)})]
+    for i in range(size - 1):
+        string.append((-1, {mono[:i + 1] + (mono[i + 1] + 1,) + mono[i + 2:]:
+                            c for mono, c in _d(f, i).items()}))
+    u = _d(_d(f, 0), 0)
+    u0 = _d(u, 0)
+    product: dict[tuple[int, ...], Rat] = {}
+    for m1, c1 in u.items():
+        for m2, c2 in u0.items():
+            mono = tuple(map(sum, zip(m1, m2)))
+            product[mono] = product.get(mono, 0) + c1 * c2
+    kdv = [(1, _d(u, 1)), (-1, product), (Rat(-1, 12), _d(_d(u0, 0), 0))]
+    return _residue("string equation", weight - 1, string) \
+        or _residue("KdV", weight - 5, kdv)
+
+
 def suite_npoint(ctx: VerifyContext) -> None:
     engine = ctx.engine
 
@@ -523,42 +580,11 @@ def suite_npoint(ctx: VerifyContext) -> None:
                 return f"unstable at {ms}"
         return True
 
-    @ctx.check("cycle-vs-determinant")
-    def cycle_vs_determinant():
-        rng = ctx.rng()
-        kernel = engine.kernel()
-        for js in ((1, 1, 1, 3), (1, 3, 5), (1, 5), (3,)):
-            family = disconnected_family(kernel, js)
-            connected = mobius_connect(family)
-            full = frozenset(range(len(js)))
-            if connected[full] != engine.connected(js):
-                return f"cycle vs determinant differs at {js}"
-            if mobius_disconnect(connected) != family:
-                return f"inversion roundtrip failed at {js}"
-        # random rational test kernel, duck-typed table
-        rand = _RandomKernel(rng, 5)
-        for js in ((1, 2), (1, 2, 3), (2, 1, 1, 2)):
-            family = disconnected_family(rand, js)
-            connected = mobius_connect(family)
-            # an independent throwaway engine on the same table
-            cycles = NPointEngine(lambda m: rand, 5).connected_at(js, 5)
-            if connected[frozenset(range(len(js)))] != cycles:
-                return f"random-kernel equivalence failed at {js}"
-        return True
-
-
-class _RandomKernel:
-    """Duck-typed coefficient table with no special structure."""
-
-    def __init__(self, rng: random.Random, cutoff: int):
-        self.cutoff = cutoff
-        self.table = {}
-        for m in range(cutoff + 1):
-            for n in range(cutoff + 1):
-                if rng.random() < 0.5:
-                    value = Rat(rng.randint(-4, 4), rng.randint(1, 3))
-                    if value != 0:
-                        self.table[(m, n)] = value
+    @ctx.check("kdv-string-certificate")
+    def kdv_string():
+        # F through W' certifies every coefficient of weight <= W' - 3:
+        # W15 at full scale, W9 at small scale
+        return _kdv_string_residue(engine, 12 if ctx.small else 18) or True
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ used to check.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from airytau.airy import required_order
 from airytau.errors import CrossCheckError, InvalidKeyError, WindowError
 from airytau.multipoly import MultiPoly
-from airytau.npoint import _edge_table, antidiagonal_sum, genus_of
+from airytau.npoint import antidiagonal_sum, genus_of
 from airytau.partitions import Partition
 from airytau.schur import PowerSums, _beta_mask, _remove_strips, schur_at
 from airytau.series import Laurent2, Series1
@@ -202,6 +203,44 @@ def cycle_sum_brute(table: dict[tuple[int, int], Fraction],
         total += sum((c for first, last, c in chosen
                       if first + last == -js[0] - 1), Fraction(0))
     return -total if n % 2 == 0 else total
+
+
+class _RandomKernel:
+    """Duck-typed coefficient table with no special structure."""
+
+    def __init__(self, rng: random.Random, cutoff: int):
+        self.cutoff = cutoff
+        self.table = {}
+        for m in range(cutoff + 1):
+            for n in range(cutoff + 1):
+                if rng.random() < 0.5:
+                    value = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    if value != 0:
+                        self.table[(m, n)] = value
+
+
+def _edge_table(kernel, ascending: bool
+                ) -> dict[int, list[tuple[int, Fraction]]]:
+    """Terms of one off-diagonal factor on Fractions, keyed by the first
+    exponent, in the row and term order of ``npoint._scaled_tables``.
+
+    ``ascending`` says whether the factor's first argument has the smaller
+    point label, which fixes the expansion region of the Cauchy part.  The
+    kernel terms come from the sparse ``kernel.table`` {(m, n): value}; the
+    Cauchy terms stop at k = cutoff - 1, the window proved in
+    ``_scaled_tables``.
+    """
+    table: dict[int, list[tuple[int, Fraction]]] = {}
+    for (m, n), value in sorted(kernel.table.items()):
+        if value != 0:
+            table.setdefault(-m - 1, []).append((-n - 1, value))
+    if ascending:
+        for k in range(kernel.cutoff):
+            table.setdefault(-1 - k, []).append((k, Fraction(1)))
+    else:
+        for k in range(kernel.cutoff):
+            table.setdefault(k, []).append((-1 - k, Fraction(-1)))
+    return table
 
 
 # The determinant route by set partitions: every permutation of a label set

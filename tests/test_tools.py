@@ -59,6 +59,13 @@ def test_knobs_counts_defaults_and_dataclass_fields():
     assert set(rows) == {path.name for path in package.glob("*.py")}
 
 
+def test_mutant_snippets_occur_once_in_their_files():
+    # the mutation run itself (python tools/mutate.py) stays out of tier-1
+    for mutant in _tool("mutate").load():
+        text = (ROOT / mutant["file"]).read_text(encoding="utf-8")
+        assert text.count(mutant["snippet"]) == 1, mutant["id"]
+
+
 # Parameters with a default and defaulted dataclass fields in src/airytau,
 # as counted by tools/knobs.py.  Each is one more setting that tests and
 # benchmarks must cover: raise this only together with a CHANGES.md line
@@ -75,7 +82,7 @@ def test_knob_count_does_not_grow():
 # comments and blank lines are free).  The package is meant to shrink:
 # raise this only together with a CHANGES.md line that says which change
 # needs the added code and why a simpler body would not do.
-CODE_LIMIT = 2458
+CODE_LIMIT = 2396
 
 
 def test_code_line_count_does_not_grow():

@@ -68,6 +68,24 @@ def test_congruence_check_fails_on_an_off_class_coordinate(monkeypatch):
         "residue class at (0,0))" in lines
 
 
+def test_kdv_string_certificate_fails_on_a_perturbed_coefficient(
+        capsys, monkeypatch):
+    # <tau_0 tau_3^2>, genus 2 and weight 15, the top of what the full
+    # scale certifies; the 1/7 enters F as 1/14 = 1/7 / 2!
+    intersection_number = verify.intersection_number
+
+    def perturbed(engine, ms):
+        value = intersection_number(engine, ms)
+        return value + Rat(1, 7) if sorted(ms) == [0, 3, 3] else value
+
+    monkeypatch.setattr(verify, "intersection_number", perturbed)
+    assert main(["verify", "--suite", "npoint"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == \
+        ["FAIL  npoint:kdv-string-certificate  (string equation residue "
+         "1/14 at t3^2)"]
+
+
 def test_oracle_selection_rule():
     assert dvv_correlator((0, 0)) == 0
     assert dvv_correlator((2, 2)) == 0
