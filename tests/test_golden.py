@@ -84,6 +84,7 @@ CASES = [
      ["correlator", "--indices", "0,0,0,0,1,2", "--cutoff", "8"], 3),
     ("correlator_stray_command",
      ["correlator", "--indices", "0,0,0", "npoint"], 2),
+    ("kernel_c32_csv", ["kernel", "--cutoff", "32", "--format", "csv"], 0),
 ]
 
 
