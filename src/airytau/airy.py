@@ -89,6 +89,40 @@ def series_pair(order: int) -> tuple[Series1, Series1]:
 # Closed-form entries (standard convention).
 # ---------------------------------------------------------------------------
 
+# Row m and column n belong to family (M, N) = (m//3 + 1, n//3), and
+# m % 3 picks its value: 0 for 6M+1 (rows 3M-3, 3M-1), 1 for 6M-1 (3M-2).
+_CASES = (0, 1, 0)
+
+
+def _tail_coefficients(big_n: int) -> list[int]:
+    """c_j = 108^j (2N)! b(N-j) = 108^j 2^(N-j) (6(N-j)+1)!! (2N)!/(2N-2j)!
+    for j = 0..N, the integers of the tail, which depend on N alone."""
+    return [108 ** j * 2 ** (big_n - j) * double_factorial(6 * (big_n - j) + 1)
+            * math.perm(2 * big_n, 2 * j) for j in range(big_n + 1)]
+
+
+def _closed_family(big_m: int, big_n: int, coeffs: list[int]
+                   ) -> tuple[Rat, Rat]:
+    """The two values of family (M, N): over 6M+1 with sign (-1)^N, and
+    over 6M-1 with sign -(-1)^N, from its tail coefficients ``coeffs``.
+    The prefactor and the sum 6 (2N)! B(N, M) = sum_j c_j (M+N)...(M+N-j+2)
+    are shared; the falling factorial is carried as a running product."""
+    top = big_m + big_n
+    pref_num = ((-1) ** big_n * double_factorial(6 * big_m + 1)
+                * math.perm(top - 1, big_n)
+                * math.prod(range(2 * big_m + 1, 2 * top, 2)))
+    # the prefactor's denominator times the tail's 6 (2N)!
+    pref_den = (6 * 36 ** top * math.factorial(2 * top)
+                * math.factorial(2 * big_n))
+    poly, falling = 0, 1
+    for j in range(1, big_n + 1):
+        poly += coeffs[j] * falling
+        falling *= top - j + 1
+    const, plus, minus = 6 * coeffs[0], 6 * big_m + 1, 6 * big_m - 1
+    return (Rat(pref_num * (poly * plus + const), pref_den * plus),
+            Rat(-pref_num * (poly * minus + const), pref_den * minus))
+
+
 def closed_entry(m: int, n: int) -> Rat:
     """Closed form of the table value at row m, column n (both >= 0).
 
@@ -100,40 +134,18 @@ def closed_entry(m: int, n: int) -> Rat:
 
     times the tail B(N, M) + b(N)/(6M+-1), where b(k) = 2^k (6k+1)!!/(2k)!
     and B(N, M) = (1/6) sum_{j=1..N} 108^j b(N-j) (M+N)(M+N-1)...(M+N-j+2).
-    The tail is summed on integers over its common denominator
+    Rows 3M-1 (columns 3N) and 3M-3 (columns 3N+2) take the 6M+1 tail and
+    the sign (-1)^N, rows 3M-2 (columns 3N+1) the 6M-1 tail and the sign
+    -(-1)^N.  The tail is summed on integers over its common denominator
     6 (6M+-1) (2N)!, and one rational is built at the end.
     """
     if m < 0 or n < 0:
         raise InvalidKeyError("indices must be nonnegative")
     if (m + n) % 3 != 2:
         return Rat(0)
-    r = m % 3
-    if r == 2:        # rows 3M-1, columns 3N
-        big_m, big_n = (m + 1) // 3, n // 3
-        shift = 1     # denominator 6M+1
-        sign = (-1) ** big_n
-    elif r == 0:      # rows 3M-3, columns 3N+2
-        big_m, big_n = m // 3 + 1, (n - 2) // 3
-        shift = 1
-        sign = (-1) ** big_n
-    else:             # rows 3M-2, columns 3N+1
-        big_m, big_n = (m + 2) // 3, (n - 1) // 3
-        shift = -1    # denominator 6M-1
-        sign = (-1) ** (big_n + 1)
-    top = big_m + big_n
-    pref_num = (double_factorial(6 * big_m + 1)
-                * math.perm(top - 1, big_n)
-                * math.prod(range(2 * big_m + 1, 2 * top, 2)))
-    pref_den = 36 ** top * math.factorial(2 * top)
-    # 6 (2N)! b(N-j) = 6 2^(N-j) (6(N-j)+1)!! (2N)!/(2N-2j)!
-    poly = sum(108 ** j * 2 ** (big_n - j)
-               * double_factorial(6 * (big_n - j) + 1)
-               * math.perm(2 * big_n, 2 * j) * math.perm(top, j - 1)
-               for j in range(1, big_n + 1))
-    den = 6 * big_m + shift
-    tail_num = poly * den + 6 * 2 ** big_n * double_factorial(6 * big_n + 1)
-    tail_den = 6 * den * math.factorial(2 * big_n)
-    return Rat(sign * pref_num * tail_num, pref_den * tail_den)
+    big_n = n // 3
+    return _closed_family(m // 3 + 1, big_n,
+                          _tail_coefficients(big_n))[_CASES[m % 3]]
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +200,19 @@ class Kernel:
 # ---------------------------------------------------------------------------
 
 def kernel_closed(cutoff: int) -> Kernel:
+    """The closed-form table, family by family: the rows 3M-3..3M-1 and
+    columns 3N..3N+2 of family (M, N) hold one cell each per row, and the
+    tail coefficients are built once per N."""
     table = {}
-    for m in range(cutoff + 1):
-        for n in range(cutoff + 1):
-            if (m + n) % 3 != 2:
-                continue
-            # table orientation: entry(m, n) is the transposed closed value
-            table[(m, n)] = closed_entry(n, m)
+    for big_n in range(cutoff // 3 + 1):
+        coeffs = _tail_coefficients(big_n)
+        for big_m in range(1, cutoff // 3 + 2):
+            values = _closed_family(big_m, big_n, coeffs)
+            for m in range(3 * big_m - 3, min(3 * big_m, cutoff + 1)):
+                n = 3 * big_n + (2 - m) % 3
+                if n <= cutoff:
+                    # table orientation: entry(n, m) is the value at row m
+                    table[(n, m)] = values[_CASES[m % 3]]
     return Kernel(cutoff, table, "closed")
 
 

@@ -160,7 +160,23 @@ def _cycle_sum(js: tuple[int, ...], lt_table, gt_table) -> int:
     columns -1-k); the closing exponent -j0 - 1 - p0 <= -1 gives p0 >= -j0.
     Only the loop over first rows skips: the later ascending edges read the
     whole table, and the vertex labels stay as given, because they fix the
-    Cauchy expansion regions."""
+    Cauchy expansion regions.
+
+    Any order of |x_0|, ..., |x_(n-1)| in place of the labels' gives the
+    same sum, for n >= 3.  Swapping two points u, v that are neighbours in
+    the order flips the region of the pair {u, v} in both directions.  The
+    ascending and the descending Cauchy terms differ by the formal delta
+    d = sum over all integers k of x_u^(-1-k) x_v^k, which is symmetric in
+    u and v, so K(x_u, x_v) loses d and K(x_v, x_u) gains it.  A cycle
+    holds at most one of the two edges, and the cycles ... a u v b ... and
+    ... a v u b ... gain the two d-terms with opposite signs.  In each, d
+    joins u and v into one point of order j_u + j_v, and as no point lies
+    between u and v in the order, the edges from a and to b read the same
+    tables in both: the two terms are equal and cancel.  So
+    ``up = last > nxt``, the order |x_0| > |x_(n-1)| > ... > |x_1|, is an
+    equivalent mutant and stays out of ``tools/mutants.json``.  Flipping a
+    pair that is not adjacent in the order can change the sum, and one
+    table for both directions of the middle pairs (``up = True``) does."""
     n = len(js)
     # the two exponents meeting at vertex i sum to sums[i]
     sums = [-j - 1 for j in js]

@@ -166,24 +166,30 @@ def product_restricted(left: Laurent2, right: Laurent2, lo: int, hi: int
 
 
 def cycle_sum_brute(table: dict[tuple[int, int], Fraction],
-                    js: tuple[int, ...], window: int) -> Fraction:
+                    js: tuple[int, ...], window: int,
+                    region=None) -> Fraction:
     """Connected coefficient of x_0^(-j_0-1) ... x_(n-1)^(-j_(n-1)-1) of
     (-1)^(n-1) times the sum over directed n-cycles of the product of
     factors K(x_u, x_v), for n >= 2, by explicit products.
 
     A factor holds the terms c x_u^(-m-1) x_v^(-m'-1) for every table entry
     (m, m'): c, and the expansion of 1/(x_u - x_v) up to x^window: the terms
-    x_u^(-1-k) x_v^k when u < v, and -x_u^k x_v^(-1-k) when u > v.  Along
+    x_u^(-1-k) x_v^k in the region |x_u| > |x_v|, and -x_u^k x_v^(-1-k) in
+    |x_v| > |x_u|.  ``region(u, v)`` says whether K(x_u, x_v) is expanded in
+    |x_u| > |x_v|; by default it is u < v, the engine's regions.  Along
     each cycle every choice of one term per factor is multiplied out, and a
     choice is kept while the two exponents meeting at each point sum to
     -j-1 there.
     """
     n = len(js)
+    if region is None:
+        def region(u: int, v: int) -> bool:
+            return u < v
 
     def factor(u: int, v: int) -> list[tuple[int, int, Fraction]]:
         terms = [(-m - 1, -k - 1, Fraction(c)) for (m, k), c in table.items()]
         for k in range(window + 1):
-            terms.append((-1 - k, k, Fraction(1)) if u < v
+            terms.append((-1 - k, k, Fraction(1)) if region(u, v)
                          else (k, -1 - k, Fraction(-1)))
         return terms
 

@@ -71,6 +71,17 @@ def test_closed_entries_match_fraction_oracle():
             assert closed_entry(m, n) == closed_entry_fraction(m, n), (m, n)
 
 
+def test_kernel_closed_matches_fraction_oracle():
+    # the table is built family by family, not through closed_entry; every
+    # cutoff puts the table's edge at each of the three rows of a family
+    oracle = {(m, n): closed_entry_fraction(n, m)
+              for m in range(46) for n in range(46)}
+    for cutoff in range(46):
+        assert kernel_closed(cutoff).table == {
+            (m, n): value for (m, n), value in oracle.items()
+            if value and m <= cutoff and n <= cutoff}, cutoff
+
+
 def test_kernel_entry_orientation():
     kernel = kernel_closed(6)
     # generating-function reading: entry(m, n) at x^(-m-1) y^(-n-1)

@@ -275,6 +275,31 @@ def test_cycle_sum_matches_brute_oracle_through_six_points():
             assert probe.connected_at(js, cutoff) == expected, (cutoff, js)
 
 
+def test_cycle_sum_is_the_same_in_every_ordered_region():
+    # the DP expands the Cauchy part of K(x_u, x_v) in |x_u| > |x_v| for
+    # u < v; a random order of |x_0|, ..., |x_(n-1)|, the middle points
+    # reversed (the order `up = last > nxt` would read in _cycle_sum) and
+    # all points reversed give the same value.  One region for both
+    # directions of the middle pairs, as `up = True` would read, does not.
+    rng = random.Random(2803)
+    for trial in range(12):
+        n = 3 + trial % 3
+        cutoff = 3 if n < 5 else 2
+        js = tuple(rng.randint(1, 3) for _ in range(n))
+        kernel = _PrimeDenominatorKernel(rng, cutoff)
+        value = NPointEngine(lambda m: kernel, cutoff).connected_at(js, cutoff)
+        rank = rng.sample(range(n), n)
+        regions = (lambda u, v: rank[u] < rank[v],
+                   lambda u, v: u > v if u and v else u < v,
+                   lambda u, v: u > v)
+        window = cutoff + sum(js) + 2
+        for region in regions:
+            assert cycle_sum_brute(kernel.table, js, window,
+                                   region) == value, (trial, js)
+        assert cycle_sum_brute(kernel.table, js, window,
+                               lambda u, v: v > 0) != value, (trial, js)
+
+
 def _multi_point_keys_through_weight_18():
     keys = [ms for ms in valid_keys(18) if len(ms) > 1]
     assert len(keys) == 73

@@ -82,7 +82,7 @@ def test_knob_count_does_not_grow():
 # comments and blank lines are free).  The package is meant to shrink:
 # raise this only together with a CHANGES.md line that says which change
 # needs the added code and why a simpler body would not do.
-CODE_LIMIT = 2396
+CODE_LIMIT = 2395
 
 
 def test_code_line_count_does_not_grow():
