@@ -85,6 +85,16 @@ CASES = [
     ("correlator_stray_command",
      ["correlator", "--indices", "0,0,0", "npoint"], 2),
     ("kernel_c32_csv", ["kernel", "--cutoff", "32", "--format", "csv"], 0),
+    ("correlator_8_0_c16_json",
+     ["correlator", "--indices", "8,0", "--cutoff", "16", "--format", "json"],
+     3),
+    ("npoint_1_17_c16", ["npoint", "--orders", "1,17", "--cutoff", "16"], 3),
+    ("tau_schur_w0_cm1",
+     ["tau", "--basis", "schur", "--weight", "0", "--cutoff", "-1"], 0),
+    ("tau_schur_w3_cm1",
+     ["tau", "--basis", "schur", "--weight", "3", "--cutoff", "-1"], 3),
+    ("tau_schur_w0_cm3",
+     ["tau", "--basis", "schur", "--weight", "0", "--cutoff", "-3"], 2),
 ]
 
 
