@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 
 from .errors import CrossCheckError, InsufficientCutoffError, InvalidKeyError
+from .grassmann import AdmissibleFrame, AffineCoords
 from .rational import ZERO, Rat, double_factorial, format_rat
 from .series import Series1, div_diff_powers, outer_sum
 
@@ -223,7 +224,8 @@ def kernel_closed(cutoff: int) -> Kernel:
 def required_order(cutoff: int) -> int:
     """3*cutoff + 6: the series order of the transition matrix that
     ``kernel_gmatrix`` factors at ``cutoff``, and of the Airy frames the
-    CLI and ``verify`` build (``kernel_frame`` proves a smaller one)."""
+    sato suite of ``verify`` builds (``airy_coords`` proves a smaller
+    one)."""
     return 3 * cutoff + 6
 
 
@@ -372,21 +374,28 @@ def airy_frame(count: int, order: int) -> list[Series1]:
     return frame
 
 
-def kernel_frame(cutoff: int) -> Kernel:
-    """Gauss-normalize the Airy frame and read its affine coordinates
-    entry by entry into a kernel table.
+def airy_coords(cutoff: int) -> AffineCoords:
+    """The affine coordinates of the Airy point through ``cutoff``: the
+    Airy frame of cutoff + 1 elements, Gauss-normalized.
 
     a and b are built exactly through z^-(cutoff + 1 + 2 (cutoff//2)).
     ``normalize(cutoff)`` reads element n only down to z^-(cutoff+1), and
     element n is z^(2 (n//2)) times a or b, so its reliable window reaches
     z^-(cutoff+1) exactly when a and b reach 2 (n//2) deeper; the deepest
     such read is at n = cutoff.  One order less raises WindowError.
-    """
-    from .grassmann import AdmissibleFrame
 
-    order = cutoff + 1 + 2 * (cutoff // 2)
-    frame = AdmissibleFrame(airy_frame(cutoff + 1, order))
-    return Kernel(cutoff, frame.normalize(cutoff).table, "frame")
+    A negative cutoff reads no element.  Its order is 0 at cutoffs -1 and
+    -2, and 3 cutoff + 6 < 0 below them, which ``series_pair`` refuses with
+    InvalidKeyError: the exit codes ``tau --basis schur`` keeps there.
+    """
+    order = max(cutoff + 1 + 2 * (cutoff // 2), min(0, 3 * cutoff + 6))
+    return AdmissibleFrame(airy_frame(cutoff + 1, order)).normalize(cutoff)
+
+
+def kernel_frame(cutoff: int) -> Kernel:
+    """The affine coordinates of the Airy point (``airy_coords``) read
+    entry by entry into a kernel table."""
+    return Kernel(cutoff, airy_coords(cutoff).table, "frame")
 
 
 ROUTES = {

@@ -14,17 +14,22 @@ import dataclasses
 import json
 import sys
 
-from .airy import (airy_frame, alternate, check_all_routes, kernel_closed,
-                   kernel_diagonal, kernel_to_csv, required_order,
-                   slope_series, wave_series)
+from .airy import (airy_coords, alternate, check_all_routes, kernel_closed,
+                   kernel_diagonal, kernel_to_csv, slope_series, wave_series)
 from .errors import AirytauError, InvalidKeyError
-from .grassmann import AdmissibleFrame, tau_schur_coeffs
+from .grassmann import tau_schur_coeffs
 from .multipoly import mono_str, mono_weight
-from .npoint import (GROWTH, NPointEngine, free_energy, genus_of,
-                     intersection_number)
+from .npoint import NPointEngine, free_energy, genus_of, intersection_number
 from .rational import format_rat
 from .verify import SUITES, run_suites
 from .wave import padded_weight_cap, tau_from_free_energy
+
+
+# ``correlator`` prints each value as certified at kernel cutoff
+# max(cutoff + CERTIFIED_MARGIN, reach), a figure of its stable output.  It
+# holds: a value at or above the reach is the value at every larger cutoff
+# (npoint).
+CERTIFIED_MARGIN = 3
 
 
 def canonical_json(payload) -> str:
@@ -112,7 +117,7 @@ def cmd_correlator(args: argparse.Namespace) -> int:
         # the value at every larger cutoff (npoint), and so at this one
         engine = NPointEngine(kernel_closed, min(cutoff, sum(js) - 1))
         value = format_rat(intersection_number(engine, ms))
-        certified = max(cutoff + GROWTH, sum(js) - 1)
+        certified = max(cutoff + CERTIFIED_MARGIN, sum(js) - 1)
         records.append({"indices": list(ms), "genus": genus, "value": value,
                         "cutoff": cutoff, "certified_cutoff": certified})
         rows.append(f"{quoted},{genus},{value}")
@@ -203,10 +208,7 @@ def cmd_tau(args: argparse.Namespace) -> int:
     basis = args.basis
     if basis == "schur":
         cutoff = weight if args.cutoff is None else args.cutoff
-        frame = AdmissibleFrame(airy_frame(cutoff + 1,
-                                           required_order(cutoff)))
-        coords = frame.normalize(cutoff)
-        coeffs = tau_schur_coeffs(coords, weight)
+        coeffs = tau_schur_coeffs(airy_coords(cutoff), weight)
         rows = [{"partition": str(mu), "frobenius": mu.frobenius_str(),
                  "value": format_rat(c)}
                 for mu, c in sorted(coeffs.items())]

@@ -1,11 +1,9 @@
 """Sparse multivariate polynomials in the time variables T_1, T_2, ...
 
 A monomial is a sorted tuple of (index, exponent) pairs; the empty tuple is
-the constant monomial.  Two truncation caps are supported and tracked through
-every operation:
-
-* ``degree_cap`` -- bound on total degree (number of T factors);
-* ``weight_cap`` -- bound on total weight sum(index * exponent).
+the constant monomial.  A polynomial carries one truncation, tracked through
+every operation: ``weight_cap``, a bound on the total weight
+sum(index * exponent).
 
 Weight is the natural grading of the tau-function layer (the coefficient of
 a weight-w monomial only ever interacts with data of weight <= w), so a
@@ -30,12 +28,8 @@ multiplies a weight-w monomial by w and is a derivation, so
 theta exp(F) = exp(F) theta F, whose weight-w part is
 w E_w = sum_(v>=1) v F_v E_(w-v), with E_0 = 1 as F_0 = 0.  For tau_0 = 1 the
 weight-w part of tau I = 1 gives I_w = -sum_(v>=1) tau_v I_(w-v), I_0 = 1.
-Each weight gets one denominator and one gcd.  A weight cap stops the
-recurrence.  A degree cap D is applied once per weight, never inside the
-products: degree is additive and every term of F, and every non-constant
-one of tau, has degree >= 1, so a term of degree > D only reaches degrees
-> D.  Without a weight cap no kept term has weight above D times the
-input's largest weight, where the recurrence stops.
+Each weight gets one denominator and one gcd.  The weight cap stops the
+recurrence.
 """
 
 from __future__ import annotations
@@ -95,12 +89,6 @@ def _mono(key: int) -> Monomial:
                  if (e := key >> _STRIDE * (idx - 1) & _EMASK))
 
 
-def _within(key: int, degree_cap: int | None, weight_cap: int | None) -> bool:
-    return ((weight_cap is None or key & _WMASK <= weight_cap)
-            and (degree_cap is None
-                 or sum(e for _, e in _mono(key)) <= degree_cap))
-
-
 def mono_weight(mono: Monomial) -> int:
     return sum(idx * exp for idx, exp in mono)
 
@@ -119,46 +107,44 @@ def mono_str(mono: Monomial) -> str:
 
 
 class MultiPoly(Ratios):
-    """Polynomial in the T variables with conservative truncation caps:
+    """Polynomial in the T variables with a conservative weight cap:
     integer numerators ``num`` by packed key over one positive ``den``, in
     lowest terms.  The constructor takes rational terms and ``terms``
     reads them back."""
 
-    __slots__ = ("degree_cap", "weight_cap")
+    __slots__ = ("weight_cap",)
 
     def __init__(self, terms: dict[Monomial, Rat] | None = None,
-                 degree_cap: int | None = None,
                  weight_cap: int | None = None):
         values: dict[int, Rat] = defaultdict(Rat)
         for mono, c in (terms or {}).items():
             values[_key(mono)] += Rat(c)
-        self._fill(*over_lcm(values), degree_cap, weight_cap)
+        self._fill(*over_lcm(values), weight_cap)
 
-    def _fill(self, num, den, degree_cap, weight_cap) -> None:
-        """Drops the terms beyond the caps."""
-        if weight_cap is not None or degree_cap is not None:
-            num = {key: n for key, n in num.items() if _within(
-                key, degree_cap, weight_cap)}
+    def _fill(self, num, den, weight_cap) -> None:
+        """Drops the terms beyond the weight cap."""
+        if weight_cap is not None:
+            num = {key: n for key, n in num.items()
+                   if key & _WMASK <= weight_cap}
         self.num, self.den = lowest_terms(num, den)
-        self.degree_cap, self.weight_cap = degree_cap, weight_cap
+        self.weight_cap = weight_cap
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def const(cls, value, degree_cap=None, weight_cap=None) -> MultiPoly:
-        return cls({MONO_ONE: Rat(value)}, degree_cap, weight_cap)
+    def const(cls, value, weight_cap=None) -> MultiPoly:
+        return cls({MONO_ONE: Rat(value)}, weight_cap)
 
     @classmethod
-    def zero(cls, degree_cap=None, weight_cap=None) -> MultiPoly:
-        return cls({}, degree_cap, weight_cap)
+    def zero(cls, weight_cap=None) -> MultiPoly:
+        return cls({}, weight_cap)
 
     @classmethod
-    def var(cls, index: int, degree_cap=None, weight_cap=None) -> MultiPoly:
-        return cls({mono_var(index): Rat(1)}, degree_cap, weight_cap)
+    def var(cls, index: int, weight_cap=None) -> MultiPoly:
+        return cls({mono_var(index): Rat(1)}, weight_cap)
 
-    def with_caps(self, degree_cap=None, weight_cap=None) -> MultiPoly:
+    def with_caps(self, weight_cap: int) -> MultiPoly:
         return MultiPoly._of(self.num, self.den,
-                             min_bound(self.degree_cap, degree_cap),
                              min_bound(self.weight_cap, weight_cap))
 
     # -- inspection --------------------------------------------------------
@@ -192,15 +178,13 @@ class MultiPoly(Ratios):
 
     # -- arithmetic --------------------------------------------------------
 
-    def _sum(self, other: MultiPoly) -> tuple[int | None, int | None]:
-        """The caps of a sum or product."""
-        return (min_bound(self.degree_cap, other.degree_cap),
-                min_bound(self.weight_cap, other.weight_cap))
+    def _sum(self, other: MultiPoly) -> tuple[int | None]:
+        """The weight cap of a sum or product."""
+        return (min_bound(self.weight_cap, other.weight_cap),)
 
     def mul(self, other: MultiPoly) -> MultiPoly:
-        """Keys add; a pair whose weight passes the weight cap is skipped,
-        and the degree cap is applied once to the product."""
-        dcap, wcap = self._sum(other)
+        """Keys add; a pair whose weight passes the weight cap is skipped."""
+        (wcap,) = self._sum(other)
         top = _LOW if wcap is None else wcap
         right = list(other.num.items())
         out: dict[int, int] = defaultdict(int)
@@ -210,30 +194,29 @@ class MultiPoly(Ratios):
                 if key & _LOW <= top:
                     out[key] += n1 * n2
         _check_fields(out)
-        return MultiPoly._of(out, self.den * other.den, dcap, wcap)
+        return MultiPoly._of(out, self.den * other.den, wcap)
 
     def deriv(self, index: int) -> MultiPoly:
         """Partial derivative with respect to T_index.
 
-        The caps shrink: a degree-D (weight-W) truncation determines the
-        derivative only through degree D-1 (weight W-index).
+        The cap shrinks: a weight-W truncation determines the derivative
+        only through weight W-index.
         """
-        dcap = None if self.degree_cap is None else self.degree_cap - 1
         wcap = None if self.weight_cap is None else self.weight_cap - index
         off = _eoff(index)
         unit = (1 << off) + index
         out = {key - unit: n * e for key, n in self.num.items()
                if (e := key >> off & _EMASK)}
-        return MultiPoly._of(out, self.den, dcap, wcap)
+        return MultiPoly._of(out, self.den, wcap)
 
     def exp(self) -> MultiPoly:
-        """exp(self), requiring constant term 0 and at least one cap."""
+        """exp(self), requiring constant term 0 and a weight cap."""
         if self.constant != 0:
             raise InvalidKeyError("exp requires zero constant term")
         return self._by_weight("exp")
 
     def inverse(self) -> MultiPoly:
-        """1/self for constant term 1 and at least one cap."""
+        """1/self for constant term 1 and a weight cap."""
         if self.constant != 1:
             raise InvalidKeyError("inverse requires constant term 1")
         return self._by_weight("inverse")
@@ -246,14 +229,12 @@ class MultiPoly(Ratios):
         for key, n in self.num.items():
             if key:
                 parts[key & _WMASK][key] = n
-        dcap, top = self.degree_cap, self.weight_cap
+        top = self.weight_cap
         if not parts:
-            return MultiPoly.const(1, dcap, top)
-        if dcap is None and top is None:
+            return MultiPoly.const(1, top)
+        if top is None:
             raise InvalidKeyError(f"{name} of an uncapped polynomial")
         exp = name == "exp"
-        if dcap is not None:
-            top = min_bound(top, dcap * max(parts))
         levels = [({0: 1}, 1)]  # R_w as (numerators, denominator)
         for w in range(1, top + 1):
             reads = [(v, part, *levels[w - v]) for v, part in parts.items()
@@ -267,10 +248,9 @@ class MultiPoly(Ratios):
                     for k2, n2 in low.items():
                         out[k1 + k2] += n1 * n2
             _check_fields(out)
-            levels.append(lowest_terms(
-                {key: n for key, n in out.items() if _within(key, dcap, None)},
-                lcm * self.den * (w if exp else 1)))
+            levels.append(lowest_terms(out,
+                                       lcm * self.den * (w if exp else 1)))
         den = math.lcm(*(d for _, d in levels))
         return MultiPoly._of({key: n * (den // d) for num, d in levels
                               for key, n in num.items()},
-                             den, dcap, self.weight_cap)
+                             den, top)

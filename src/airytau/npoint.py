@@ -33,9 +33,9 @@ sum at kernel cutoff C exact:
   in ``_scaled_tables``).
 
 ``NPointEngine.connected`` therefore computes once at or above the reach.
-Below it, the value is recomputed at ``certified_cutoff``, which is at
-least the reach, and must be the identical rational.  Either way a
-reported value is proved equal to the value at the certified cutoff.
+Below it, the value is recomputed at the reach and must be the identical
+rational.  Either way a reported value is proved equal to the value at
+every cutoff at or above the reach.
 
 Intersection numbers divide the connected coefficients at odd orders
 j_i = 2 m_i + 1 by the double factorials (2 m_i + 1)!!.
@@ -51,8 +51,6 @@ from .errors import CrossCheckError, InsufficientCutoffError, InvalidKeyError
 from .multipoly import Monomial, MultiPoly
 from .partitions import partitions_of
 from .rational import Rat, double_factorial
-
-GROWTH = 3
 
 # Primes tried when factoring edge-table denominators; whatever is left of a
 # denominator after them is folded into the scaling base whole.
@@ -278,23 +276,16 @@ class NPointEngine:
         return Rat(_cycle_sum(tuple(js), lt, gt),
                    base ** (sum(js) + len(js)))
 
-    def certified_cutoff(self, js: tuple[int, ...]) -> int:
-        """The kernel cutoff a coefficient is certified at: cutoff + 3, and
-        at least the reach sum(js) - 1.  The reported value is proved equal
-        to the value there: by the reach when the engine's cutoff is at or
-        above it, and by recomputing there when it is below."""
-        return max(self.cutoff + GROWTH, sum(js) - 1)
-
     def connected(self, js: Iterable[int]) -> Rat:
         """Certified coefficient of the connected n-point generating
         function at xi_i^(-j_i-1).  Only a multi-point key below its reach
-        is recomputed, at ``certified_cutoff``."""
+        sum(js) - 1 is recomputed, at the reach."""
         js = tuple(int(j) for j in js)
         if js in self._cache:
             return self._cache[js]
         value = self.connected_at(js, self.cutoff)
         if len(js) > 1 and self.cutoff < sum(js) - 1:
-            grown = self.connected_at(js, self.certified_cutoff(js))
+            grown = self.connected_at(js, sum(js) - 1)
             if grown != value:
                 raise InsufficientCutoffError(
                     f"coefficient at {js} unstable under cutoff growth "
@@ -412,4 +403,4 @@ def free_energy(engine: NPointEngine, weight_cap: int,
         counts = Counter(js)
         value /= math.prod(map(math.factorial, counts.values()))
         terms[tuple(sorted(counts.items()))] = value
-    return MultiPoly(terms, degree_cap=degree_cap, weight_cap=weight_cap)
+    return MultiPoly(terms, weight_cap=weight_cap)

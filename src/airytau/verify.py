@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .airy import (airy_d_check, airy_frame, check_all_routes,
+from .airy import (airy_coords, airy_d_check, airy_frame, check_all_routes,
                    diagonal_closed_coeff, faber_zagier_identity_check,
                    kernel_closed, kernel_diagonal, required_order,
                    slope_series, wave_series)
@@ -234,9 +234,7 @@ def suite_airy(ctx: VerifyContext) -> None:
     def congruence():
         # the frame route's raw coordinates: a Kernel refuses an entry off
         # the class itself, so its table could never show one
-        frame = AdmissibleFrame(airy_frame(cutoff + 1,
-                                           required_order(cutoff)))
-        for (m, n) in frame.normalize(cutoff).table:
+        for (m, n) in airy_coords(cutoff).table:
             if (m + n) % 3 != 2:
                 return f"nonzero entry off the residue class at ({m},{n})"
         return True
@@ -428,7 +426,7 @@ def suite_sato(ctx: VerifyContext) -> None:
         left = tau_polynomial(coords if ctx.small else big.normalize(15),
                               weight)
         f = free_energy(ctx.engine, weight)
-        right = f.with_caps(weight_cap=weight).exp()
+        right = f.exp()
         return left == right or "expansions differ"
 
 
@@ -606,9 +604,8 @@ def suite_kp(ctx: VerifyContext) -> None:
     @ctx.check("wave-pairing")
     def pairing_capped():
         # the degree/index-capped truncation demanded by the acceptance
-        # gate: degree <= 3, indices <= 9
-        # all monomials of weight beyond the reliable cap are inert for
-        # every verified cell, so the build stops at weight 9
+        # gate: keys of degree <= 3 and indices <= 9; the wave layer reads
+        # nothing beyond the reliable cap, so the build stops at weight 9
         f = free_energy(engine, 9, index_cap=9, degree_cap=3)
         cap = reliable_weight_cap(degree_cap=3, index_cap=9)
         tau = TruncatedTau(f.exp(), f, cap, 9)

@@ -47,7 +47,6 @@ wave series, once per tau (``TruncatedTau.theta_at_zero``).
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left
 from collections import defaultdict
@@ -58,7 +57,6 @@ from .errors import InsufficientCutoffError, InvalidKeyError
 from .multipoly import (_EBITS, _EMASK, _WMASK, MONO_ONE, Monomial,
                         MultiPoly, _eoff, _guards, _mono, mono_str, mono_var,
                         mono_weight)
-from .npoint import valid_keys
 from .rational import Rat, Ratios, format_rat, lowest_terms, over_lcm
 from .series import Series1
 
@@ -132,27 +130,38 @@ def padded_weight_cap(weight_cap: int) -> int:
 
 def reliable_weight_cap(degree_cap: int | None = None,
                         index_cap: int | None = None) -> int | None:
-    """Largest weight through which a degree/index-capped truncation of the
-    2-reduced tau is complete.
+    """A weight through which the 2-reduced tau built from the free energy
+    keys of at most ``degree_cap`` points and of indices at most
+    ``index_cap`` (``npoint.free_energy``) is complete.
 
-    A degree cap D first omits the pure T_1-block monomial of degree
-    3*ceil((D+1)/3); an index cap J first omits the cheapest valid key
-    using an index beyond J.
+    Weights add under products, and every key, a monomial of F, has weight
+    2 sum(m_i) + n = 0 (mod 3), as the selection rule makes sum(m_i) = n
+    (mod 3).  So every monomial of tau or 1/tau = exp(-F) has weight = 0
+    (mod 3), and degree <= weight.  Each bound is one less than a weight
+    no monomial holding an omitted key falls below, so through it tau and
+    1/tau are built from kept keys only.  What a truncation holds above
+    its bound is never read: the wave layer reads nothing above a tau's
+    ``weight_cap``.
+
+    * Degree cap D.  A monomial holding an omitted key has degree > D, so
+      weight >= D + 1, and being a multiple of 3, >= 3 ceil((D+1)/3).
+      This need not be the least such weight (at D = 4 it is 9).
+    * Index cap J.  A key holding some m_i = m has weight 2 s + n, with
+      s = sum(m_i) >= m.  At s = m, n = m (mod 3) and n >= 1 give
+      n >= (m - 1) % 3 + 1, and (m, 0, ..., 0) attains it; at s > m the
+      weight is >= 2m + 3, no less.  So such a key weighs at least
+      w(m) = 2m + (m - 1) % 3 + 1, and w steps by
+      2 + m % 3 - (m - 1) % 3 >= 0 as m grows: the cheapest key holding an
+      index 2m + 1 > J weighs w(m) at the least such m >= 0,
+      max(0, (J + 1) // 2), and this bound is the largest.
     """
     bounds = []
     if degree_cap is not None:
         bounds.append(3 * -(-(degree_cap + 1) // 3) - 1)
     if index_cap is not None:
-        bounds.append(_min_weight_beyond_index(index_cap) - 1)
+        m = max(0, (index_cap + 1) // 2)
+        bounds.append(2 * m + (m - 1) % 3)
     return min(bounds) if bounds else None
-
-
-def _min_weight_beyond_index(index_cap: int) -> int:
-    """The smallest weight of a valid key whose largest index
-    2 * ms[0] + 1 exceeds the index cap."""
-    return next(weight for weight in itertools.count(index_cap + 1)
-                if any(2 * ms[0] + 1 > index_cap
-                       for ms in valid_keys(weight)))
 
 
 # ---------------------------------------------------------------------------

@@ -868,66 +868,50 @@ def _min_bound(a, b):
     return b if a is None else a if b is None else min(a, b)
 
 
-def _mono_degree(mono) -> int:
-    return sum(exp for _, exp in mono)
-
-
 class FractionPoly:
     """MultiPoly on tuple monomials and one Fraction per term, with the
-    same caps: products by all pairs, exp by its power series and inverse
-    by the geometric series."""
+    same weight cap: products by all pairs, exp by its power series and
+    inverse by the geometric series."""
 
-    def __init__(self, terms=None, degree_cap=None, weight_cap=None):
-        self.degree_cap = degree_cap
+    def __init__(self, terms=None, weight_cap=None):
         self.weight_cap = weight_cap
         self.terms = {mono: Fraction(c) for mono, c in (terms or {}).items()
-                      if c != 0 and self._within(mono)}
-
-    def _within(self, mono) -> bool:
-        return ((self.degree_cap is None
-                 or _mono_degree(mono) <= self.degree_cap)
-                and (self.weight_cap is None
-                     or _mono_weight(mono) <= self.weight_cap))
+                      if c != 0 and (weight_cap is None
+                                     or _mono_weight(mono) <= weight_cap)}
 
     def _caps_with(self, other):
-        return (_min_bound(self.degree_cap, other.degree_cap),
-                _min_bound(self.weight_cap, other.weight_cap))
+        return _min_bound(self.weight_cap, other.weight_cap)
 
-    def with_caps(self, degree_cap=None, weight_cap=None):
-        return FractionPoly(self.terms,
-                            _min_bound(self.degree_cap, degree_cap),
-                            _min_bound(self.weight_cap, weight_cap))
+    def with_caps(self, weight_cap):
+        return FractionPoly(self.terms, _min_bound(self.weight_cap,
+                                                   weight_cap))
 
     def __add__(self, other):
         out = dict(self.terms)
         for mono, c in other.terms.items():
             out[mono] = out.get(mono, Fraction(0)) + c
-        return FractionPoly(out, *self._caps_with(other))
+        return FractionPoly(out, self._caps_with(other))
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, factor):
         return FractionPoly({m: c * factor for m, c in self.terms.items()},
-                            self.degree_cap, self.weight_cap)
+                            self.weight_cap)
 
     def mul(self, other):
-        dcap, wcap = self._caps_with(other)
+        wcap = self._caps_with(other)
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                if dcap is not None and (_mono_degree(m1) + _mono_degree(m2)
-                                         > dcap):
-                    continue
                 if wcap is not None and (_mono_weight(m1) + _mono_weight(m2)
                                          > wcap):
                     continue
                 key = _mono_product(m1, m2)
                 out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return FractionPoly(out, dcap, wcap)
+        return FractionPoly(out, wcap)
 
     def deriv(self, index: int):
-        dcap = None if self.degree_cap is None else self.degree_cap - 1
         wcap = None if self.weight_cap is None else self.weight_cap - index
         out: dict = {}
         for mono, c in self.terms.items():
@@ -938,10 +922,10 @@ class FractionPoly:
                     exps[index] = e - 1
                 new = tuple(sorted(exps.items()))
                 out[new] = out.get(new, Fraction(0)) + c * e
-        return FractionPoly(out, dcap, wcap)
+        return FractionPoly(out, wcap)
 
     def exp(self):
-        result = FractionPoly({(): 1}, self.degree_cap, self.weight_cap)
+        result = FractionPoly({(): 1}, self.weight_cap)
         power = result
         k = 0
         while True:
@@ -952,7 +936,7 @@ class FractionPoly:
             result = result + power.scale(Fraction(1, math.factorial(k)))
 
     def inverse(self):
-        one = FractionPoly({(): 1}, self.degree_cap, self.weight_cap)
+        one = FractionPoly({(): 1}, self.weight_cap)
         u = one - self
         result = power = one
         while True:

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from airytau import airy as airy_module
-from airytau.airy import (ROUTES, Kernel, airy_d_check, airy_frame,
-                          alternate, check_all_routes, closed_entry,
+from airytau.airy import (ROUTES, Kernel, airy_coords, airy_d_check,
+                          airy_frame, alternate, check_all_routes, closed_entry,
                           diagonal_closed_coeff, faber_zagier_identity_check,
                           kernel_closed, kernel_diagonal, kernel_frame,
                           kernel_gmatrix, kernel_series, kernel_to_csv,
@@ -15,6 +15,7 @@ from airytau.airy import (ROUTES, Kernel, airy_d_check, airy_frame,
                           wave_series)
 from airytau.errors import (CrossCheckError, InsufficientCutoffError,
                             InvalidKeyError, WindowError)
+from airytau.grassmann import AdmissibleFrame
 from airytau.npoint import antidiagonal_sum
 from airytau.rational import Rat, double_factorial
 from airytau.series import Series1
@@ -347,3 +348,15 @@ def test_congruence_invariant_enforced():
 
 def test_required_order():
     assert required_order(12) == 42
+
+
+def test_airy_coords_match_the_required_order_frame():
+    # the proved depth reads the same coordinates as the deeper frame;
+    # below cutoff -2 the series order is negative, as 3 cutoff + 6 is
+    for cutoff in range(-2, 31):
+        frame = AdmissibleFrame(airy_frame(cutoff + 1,
+                                           required_order(cutoff)))
+        assert airy_coords(cutoff) == frame.normalize(cutoff), cutoff
+    for cutoff in (-3, -4):
+        with pytest.raises(InvalidKeyError, match="order must be >= 0"):
+            airy_coords(cutoff)

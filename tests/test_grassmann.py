@@ -228,7 +228,7 @@ def test_tau_polynomial_matches_jacobi_trudi_oracle():
                                           weight)
         value = tau_polynomial(coords, weight)
         assert value == expected, weight
-        assert (value.weight_cap, value.degree_cap) == (weight, None)
+        assert value.weight_cap == weight
 
 
 def test_airy_tau_polynomial_equals_exponential_tau(tau15):

@@ -17,7 +17,7 @@ from oracles import FractionPoly
 
 
 def test_exp_example():
-    f = MultiPoly.var(3, degree_cap=2).scale(Rat(1, 8))
+    f = MultiPoly.var(3, weight_cap=6).scale(Rat(1, 8))
     result = f.exp()
     assert result.coeff(MONO_ONE) == 1
     assert result.coeff(((3, 1),)) == Rat(1, 8)
@@ -63,7 +63,7 @@ def test_exp_matches_schoolbook_series():
 
 def test_exp_requires_zero_constant():
     with pytest.raises(InvalidKeyError):
-        MultiPoly.const(1, degree_cap=3).exp()
+        MultiPoly.const(1, weight_cap=3).exp()
     with pytest.raises(InvalidKeyError):
         MultiPoly.var(1).exp()   # no caps: would not terminate
 
@@ -71,9 +71,9 @@ def test_exp_requires_zero_constant():
 def test_caps_prune():
     p = MultiPoly({((1, 5),): Rat(1), ((5, 1),): Rat(2)}, weight_cap=4)
     assert p.is_zero()
-    q = MultiPoly({((1, 2),): Rat(1)}, degree_cap=2, weight_cap=9)
+    q = MultiPoly({((1, 2),): Rat(1)}, weight_cap=3)
     r = q * q
-    assert r.is_zero()  # degree 4 beyond the cap
+    assert r.is_zero()  # weight 4 beyond the cap
 
 
 def test_weight_and_degree():
@@ -112,58 +112,59 @@ def test_deriv_leibniz(a, b):
 
 # -- the integer container against the Fraction reference -------------------
 
-# Index pools and caps: small indices under weight caps, large ones (up to
-# T_40) under weight caps they fit, any index under degree caps, and both
-# caps at once.
+# Index pools and weight caps: small indices, large ones (T_28..T_40) under
+# caps they fit, all of T_1..T_40 (or no cap, where exp is skipped), and two
+# small indices beside two large ones.  The caps keep exp and inverse small:
+# four small indices under a cap of 45 would build some 10^4 terms.
 REGIMES = {
-    "weight": (list(range(1, 7)), st.integers(0, 12), st.none()),
-    "weight-high": (list(range(28, 41)), st.integers(28, 90), st.none()),
-    "degree": (list(range(1, 41)), st.none(), st.integers(0, 4)),
-    "both": ([1, 2, 3, 5, 33, 40], st.integers(0, 45), st.integers(0, 4)),
+    "weight": (list(range(1, 7)), st.integers(0, 12)),
+    "weight-high": (list(range(28, 41)), st.integers(28, 90)),
+    "wide": (list(range(1, 41)), st.none() | st.integers(0, 24)),
+    "mixed": ([1, 2, 33, 40], st.integers(0, 45)),
 }
 
 
 @st.composite
 def poly_pairs(draw):
-    """Two (terms, degree cap, weight cap) triples of one regime."""
-    pool, wcaps, dcaps = REGIMES[draw(st.sampled_from(sorted(REGIMES)))]
+    """Two (terms, weight cap) pairs of one regime."""
+    pool, caps = REGIMES[draw(st.sampled_from(sorted(REGIMES)))]
     monos = st.dictionaries(st.sampled_from(pool), st.integers(1, 3),
                             max_size=2).map(lambda d: tuple(sorted(d.items())))
     coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
-    return [(draw(st.dictionaries(monos, coeffs, max_size=4)), draw(dcaps),
-             draw(wcaps)) for _ in range(2)]
+    return [(draw(st.dictionaries(monos, coeffs, max_size=4)), draw(caps))
+            for _ in range(2)]
 
 
 def _same(poly, ref):
     assert poly.terms == ref.terms
-    assert (poly.degree_cap, poly.weight_cap) == (ref.degree_cap,
-                                                  ref.weight_cap)
+    assert poly.weight_cap == ref.weight_cap
 
 
 @settings(max_examples=150, deadline=None)
 @given(poly_pairs(), st.fractions(min_value=-2, max_value=2,
                                   max_denominator=5))
 def test_integer_polys_match_fraction_reference(pair, factor):
-    (ta, da, wa), (tb, db, wb) = pair
-    a, b = MultiPoly(ta, da, wa), MultiPoly(tb, db, wb)
-    ra, rb = FractionPoly(ta, da, wa), FractionPoly(tb, db, wb)
+    (ta, wa), (tb, wb) = pair
+    a, b = MultiPoly(ta, wa), MultiPoly(tb, wb)
+    ra, rb = FractionPoly(ta, wa), FractionPoly(tb, wb)
     _same(a, ra)
     _same(a.mul(b), ra.mul(rb))
     _same(a + b, ra + rb)
     _same(a - b, ra - rb)
     _same(a.scale(factor), ra.scale(factor))
-    _same(a.with_caps(db, wb), ra.with_caps(db, wb))
+    if wb is not None:
+        _same(a.with_caps(wb), ra.with_caps(wb))
     for index in {idx for mono in ta for idx, _ in mono} | {1}:
         _same(a.deriv(index), ra.deriv(index))
     # exp of the non-constant part, 1/tau of one plus it
     rest = {mono: c for mono, c in ta.items() if mono}
-    f, rf = MultiPoly(rest, da, wa), FractionPoly(rest, da, wa)
-    tau, rtau = (MultiPoly({**rest, (): 1}, da, wa),
-                 FractionPoly({**rest, (): 1}, da, wa))
-    if da is not None or wa is not None:
+    f, rf = MultiPoly(rest, wa), FractionPoly(rest, wa)
+    tau, rtau = MultiPoly({**rest, (): 1}, wa), FractionPoly({**rest, (): 1},
+                                                             wa)
+    if wa is not None:
         _same(f.exp(), rf.exp())
         _same(tau.inverse(), rtau.inverse())
-        one = MultiPoly.const(1, da, wa)
+        one = MultiPoly.const(1, wa)
         assert f.exp() * f.scale(-1).exp() == one
         assert tau * tau.inverse() == one
 
@@ -174,16 +175,6 @@ def test_inverse_refuses_an_uncapped_polynomial():
     assert str(err.value) == "inverse of an uncapped polynomial"
     # a constant needs no cap
     assert MultiPoly.const(1).inverse() == MultiPoly.const(1)
-
-
-def test_degree_cap_prunes_each_weight():
-    # without a weight cap the recurrences run to weight 2 * 40; unpruned,
-    # weight 64 would hold T_1^64, past its exponent field
-    terms = {((1, 1),): Fraction(1), ((40, 1),): Fraction(-1, 3)}
-    f, ref = MultiPoly(terms, degree_cap=2), FractionPoly(terms, 2)
-    assert f.exp().terms == ref.exp().terms
-    tau, ref_tau = f + MultiPoly.const(1), ref + FractionPoly({(): 1})
-    assert tau.inverse().terms == ref_tau.inverse().terms
 
 
 # -- packed key fields: exponents 0..63, weights below 2^17, any index ------
@@ -198,7 +189,7 @@ def test_large_indices_build_exp_and_read_back():
     assert poly.terms == terms
     assert poly.coeff(((40, 2),)) == -3
     assert poly.indices() == {1, 33, 40}
-    assert poly.exp().terms == FractionPoly(terms, None, 120).exp().terms
+    assert poly.exp().terms == FractionPoly(terms, 120).exp().terms
     tau = poly.exp()
     assert tau.inverse() == poly.scale(-1).exp()
 
@@ -224,9 +215,10 @@ def test_products_refuse_exponents_that_leave_their_field():
     t1 = MultiPoly({((1, 32),): Fraction(1)})
     assert (t1 * MultiPoly({((1, 31),): Fraction(1)})).terms == {
         ((1, 63),): 1}
+    # the recurrence of exp reaches T_1^64 at weight 64
     for result in (lambda: t1 * t1,
-                   lambda: MultiPoly({((7, 1),): Fraction(1)},
-                                     degree_cap=64).exp()):
+                   lambda: MultiPoly({((1, 1),): Fraction(1)},
+                                     weight_cap=64).exp()):
         with pytest.raises(InvalidKeyError) as err:
             result()
         assert str(err.value) == left

@@ -144,14 +144,22 @@ BELOW_REACH = (((8, 0), 2), ((8, 0), 3), ((8, 0), 4), ((7, 1), 2),
 @pytest.mark.parametrize("ms, cutoff", BELOW_REACH)
 def test_certification_regrows_to_reach(ms, cutoff):
     js = tuple(2 * m + 1 for m in sorted(ms))
-    engine = NPointEngine(kernel_closed, cutoff)
-    assert engine.certified_cutoff(js) == sum(js) - 1
+    built = []
+
+    def factory(size):
+        built.append(size)
+        return kernel_closed(size)
+
+    engine = NPointEngine(factory, cutoff)
     assert engine.connected_at(js, cutoff) == 0
     with pytest.raises(InsufficientCutoffError, match="unstable"):
         intersection_number(engine, ms)
-    at_reach = NPointEngine(kernel_closed, sum(js) - 1)
-    assert at_reach.certified_cutoff(js) == sum(js) + 2
+    # one regrow, at exactly the reach
+    assert built == [cutoff, sum(js) - 1]
+    built.clear()
+    at_reach = NPointEngine(factory, sum(js) - 1)
     assert intersection_number(at_reach, ms) == dvv_correlator(ms)
+    assert built == [sum(js) - 1]
 
 
 def test_set_partitions_count():

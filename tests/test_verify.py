@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import random
 
-from airytau import verify
+from airytau import airy, verify
 from airytau.cli import main
 from airytau.errors import CrossCheckError, InsufficientCutoffError
 from airytau.rational import Rat
@@ -55,14 +55,14 @@ def test_context_records_checks_in_call_order_under_its_suite():
 
 
 def test_congruence_check_fails_on_an_off_class_coordinate(monkeypatch):
-    airy_frame = verify.airy_frame
+    airy_frame = airy.airy_frame
 
     def perturbed(count, order):
         frame = airy_frame(count, order)
         frame[0] = frame[0] + Series1.monomial("z", -1)
         return frame
 
-    monkeypatch.setattr(verify, "airy_frame", perturbed)
+    monkeypatch.setattr(airy, "airy_frame", perturbed)
     lines = [r.line() for r in run_suites(["airy"])]
     assert "FAIL  airy:kernel-congruence-support  (nonzero entry off the " \
         "residue class at (0,0))" in lines

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from airytau import wave as wave_module
 from airytau.errors import InsufficientCutoffError, InvalidKeyError
 from airytau.multipoly import MultiPoly, mono_str
-from airytau.npoint import free_energy
+from airytau.npoint import free_energy, valid_keys
 from airytau.rational import Rat, format_rat
 from airytau.series import Laurent2
 from airytau.wave import (DIFFERENTIAL_FAY, INF, SHIFTED_FAY, TruncatedTau,
@@ -297,6 +297,31 @@ def test_degree_capped_pairing(engine):
     cap = reliable_weight_cap(degree_cap=3, index_cap=9)
     tau = TruncatedTau(f.exp(), f, cap, 9)
     assert wave_pairing_check(tau)
+
+
+@pytest.mark.parametrize("index_cap", [None, 5, 9])
+@pytest.mark.parametrize("degree_cap", range(1, 7))
+def test_capped_tau_reads_as_the_weight_capped_tau(engine, degree_cap,
+                                                   index_cap):
+    # the keys of at most D points and indices at most J, built through
+    # weight 11 with no degree pruning in exp, and the full weight-capped
+    # tau at the reliable cap give the same cells: nothing above the cap,
+    # complete or not, is read
+    cap = reliable_weight_cap(degree_cap, index_cap)
+    f = free_energy(engine, 11, index_cap, degree_cap)
+    capped = TruncatedTau(f.exp(), f, cap, index_cap or 11)
+    full = tau_from_free_energy(free_energy(engine, cap), cap)
+    assert capped.poly != full.poly
+    assert capped.wave_pair == full.wave_pair
+    assert capped.theta_at_zero == full.theta_at_zero
+
+
+def test_index_bound_is_one_below_the_cheapest_key_beyond_the_cap():
+    for index_cap in range(-3, 31):
+        cheapest = min(sum(2 * m + 1 for m in ms)
+                       for ms in valid_keys(max(index_cap, 0) + 4)
+                       if 2 * ms[0] + 1 > index_cap)
+        assert reliable_weight_cap(index_cap=index_cap) == cheapest - 1
 
 
 def test_tau_constant_term_validation():
