@@ -303,10 +303,9 @@ def test_degree_capped_pairing(engine):
 @pytest.mark.parametrize("degree_cap", range(1, 7))
 def test_capped_tau_reads_as_the_weight_capped_tau(engine, degree_cap,
                                                    index_cap):
-    # the keys of at most D points and indices at most J, built through
-    # weight 11 with no degree pruning in exp, and the full weight-capped
-    # tau at the reliable cap give the same cells: nothing above the cap,
-    # complete or not, is read
+    # the tau of the keys of at most D points and indices at most J, built
+    # through weight 11, and the full weight-capped tau at the reliable cap
+    # give the same cells: nothing above the cap, complete or not, is read
     cap = reliable_weight_cap(degree_cap, index_cap)
     f = free_energy(engine, 11, index_cap, degree_cap)
     capped = TruncatedTau(f.exp(), f, cap, index_cap or 11)
